@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.accel.fsm import AcceleratorFSM, AcceleratorRun
+from repro.accel.label_generator import LabelGenerator
 from repro.accel.memory import (
     DEFAULT_PCIE_MB_PER_S,
     CoreMemorySimulator,
@@ -30,7 +31,9 @@ from repro.crypto.ot import DEFAULT_GROUP, DHGroup, BaseOTSender, OTExtensionSen
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.gc.channel import Endpoint
 from repro.gc.sequential_gc import SequentialReport
+from repro.gc.stage_plan import StagePlan, stage_plan_for
 from repro.gc.tables import serialize_tables
+from repro.gc.vector_garble import VectorRun, garble_mac_runs
 
 DEFAULT_CLOCK_MHZ = 200.0  # Virtex UltraSCALE implementation result
 
@@ -85,6 +88,9 @@ class MAXelerator:
         if clock_mhz <= 0:
             raise ConfigurationError("clock must be positive")
         self.circuit: ScheduledMacCircuit = build_scheduled_mac(bitwidth, acc_width)
+        #: the round netlist's stage plan, resolved once for every
+        #: vectorised garbling of this accelerator's circuit
+        self.plan: StagePlan = stage_plan_for(self.circuit.netlist)
         self.timing = TimingModel(bitwidth, clock_mhz)
         self.pcie_mb_per_s = pcie_mb_per_s
         self._seed = seed
@@ -131,35 +137,33 @@ class MAXelerator:
         fsm = AcceleratorFSM(self.circuit, seed=seed)
         return fsm.garble_rounds(n_rounds, self.schedule(n_rounds))
 
-    def garble_vectorized(self, n_rounds: int, n_runs: int = 1, telemetry=None):
+    def garble_vectorized(
+        self, n_rounds: int, n_runs: int = 1, telemetry=None
+    ) -> list[VectorRun]:
         """Garble ``n_runs`` independent MAC runs in one vectorised pass.
 
-        Every run still gets fresh labels (one diversified seed slot per
-        run — the same "new labels per garbling" rule as :meth:`garble`);
+        Every run still gets fresh labels from its own label generator
+        — the same AES-CTR DRBG and the same per-garbling seed
+        diversification as :meth:`garble` ("new labels per garbling");
         the vectorisation only batches the AES work of runs that share
         this circuit's fingerprint, it never shares label material.
         Returns a list of ``n_runs`` :class:`~repro.gc.vector_garble.
         VectorRun` objects that duck-type :class:`AcceleratorRun` for
         the serving/recovery layers.
         """
-        import random as _random
-
-        from repro.gc.vector_garble import garble_mac_runs
-        from repro.crypto.labels import LabelFactory
-
         if n_runs <= 0:
             raise ConfigurationError("n_runs must be positive")
         with self._lock:
             base = None if self._seed is None else self._seed + self._garble_count
             self._garble_count += n_runs
         factories = [
-            LabelFactory(
-                source=None if base is None else _random.Random(base + i)
-            )
+            LabelGenerator(
+                self.bitwidth, seed=None if base is None else base + i
+            ).factory
             for i in range(n_runs)
         ]
         return garble_mac_runs(
-            self.circuit, n_rounds, factories, telemetry=telemetry
+            self.circuit, n_rounds, factories, telemetry=telemetry, plan=self.plan
         )
 
     def transfer_report(self, run: AcceleratorRun) -> TransferReport:

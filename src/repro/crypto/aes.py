@@ -5,16 +5,21 @@ once and then encrypts one block per garbled table, so encryption speed of
 a *fixed-key* cipher is what matters.  Two code paths are provided:
 
 * a scalar T-table implementation (``encrypt_block`` / ``encrypt_u128``)
-  used on the protocol's critical path where blocks arrive one at a time;
-* a numpy batch implementation (``encrypt_blocks``) used by the throughput
-  benchmarks and the OT-extension PRG where thousands of blocks are
-  processed at once.
+  used by the FSM reference garbler and the scalar evaluator oracle,
+  where blocks arrive one at a time;
+* a numpy batch implementation (``encrypt_words``) used by both parties'
+  stage-vectorised garbling hash, the label DRBG and the OT-extension
+  PRG.  Its fixed cost per call — numpy dispatch, not arithmetic — is
+  what a garbling stage of a few dozen blocks pays, so each round is a
+  handful of whole-batch array operations.
 
 Both paths share the same S-box and key schedule and are cross-checked in
 the test suite against the FIPS-197 appendix vectors.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -111,9 +116,69 @@ def _build_enc_tables() -> list[list[int]]:
 
 _T0, _T1, _T2, _T3 = _build_enc_tables()
 
-# numpy copies of the tables for the batch path
-_NT = [np.array(t, dtype=np.uint32) for t in (_T0, _T1, _T2, _T3)]
-_NSBOX = np.array(SBOX, dtype=np.uint32)
+# ----------------------------------------------------------------------
+# batch-path tables
+#
+# The batch kernel keeps the state as C-contiguous machine words and
+# reads it back as bytes, so where AES byte ``i`` (FIPS-197 order, byte
+# ``4c + r`` is row ``r`` of column ``c``) sits in memory depends on the
+# word width and the host's byte order.  Every gather index below is
+# built through :func:`_mem_pos`, which makes the kernel byte-order
+# explicit instead of assuming a little-endian host.
+# ----------------------------------------------------------------------
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _mem_pos(i: int, width: int) -> int:
+    """Memory offset of AES byte ``i`` in a row of big-endian-valued
+    ``width``-byte words stored in host order."""
+    if not _LITTLE_ENDIAN:
+        return i
+    return width * (i // width) + (width - 1 - i % width)
+
+
+#: ShiftRows as a gather: slot ``4c + j`` of a round's index row holds
+#: state byte (row j, column c + j), the operand of T_j for column c.
+_SHIFTED = [4 * ((c + j) % 4) + j for c in range(4) for j in range(4)]
+
+
+def _pair_tables() -> np.ndarray:
+    """T-table lookups paired on two index bytes, end to end.
+
+    Read as 16-bit words, a gathered index row is eight byte pairs:
+    (T0, T1) operands then (T2, T3) operands of each column.  Entry
+    ``v`` of the first 65536-entry half is ``T0[x] ^ T1[y]`` for the
+    pair (x, y) that ``v`` holds in host byte order, the second half
+    ``T2[x] ^ T3[y]`` — so a round is eight lookups per block, not 16.
+    """
+    t = [np.array(table, dtype=np.uint32) for table in (_T0, _T1, _T2, _T3)]
+    v = np.arange(1 << 16)
+    first, second = (v & 0xFF, v >> 8) if _LITTLE_ENDIAN else (v >> 8, v & 0xFF)
+    return np.concatenate([t[0][first] ^ t[1][second], t[2][first] ^ t[3][second]])
+
+
+_PAIR_TABLE = _pair_tables()
+_PAIR_OFFSETS = np.tile(np.array([0, 1 << 16], dtype=np.intp), 4)
+_SBOX8 = np.array(SBOX, dtype=np.uint8)
+
+
+def _round_gather(width: int) -> np.ndarray:
+    return np.array([_mem_pos(i, width) for i in _SHIFTED], dtype=np.intp)
+
+
+def _final_gather(width: int) -> np.ndarray:
+    """Last round: output byte (r, c) is S[state (r, c + r)], placed
+    where a ``width``-byte output word row keeps AES byte ``4c + r``."""
+    out = np.empty(16, dtype=np.intp)
+    for i in range(16):
+        r, c = i % 4, i // 4
+        out[_mem_pos(i, width)] = _mem_pos(4 * ((c + r) % 4) + r, 4)
+    return out
+
+
+_GATHER_IN = {4: _round_gather(4), 8: _round_gather(8)}
+_GATHER_OUT = {4: _final_gather(4), 8: _final_gather(8)}
+_WORD_DTYPE = {4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
 
 
 def expand_key(key: bytes) -> list[int]:
@@ -149,8 +214,13 @@ class AES128:
     def __init__(self, key: bytes):
         self.key = bytes(key)
         self._rk = expand_key(self.key)
-        # Batch path wants the round keys as a (11, 4) uint32 array.
+        # Batch path: inner round keys as (4,) uint32 column words; the
+        # first and last round keys in both supported word layouts.
         self._nrk = np.array(self._rk, dtype=np.uint32).reshape(11, 4)
+        self._edge_rk = {
+            width: (self._lanes(0, width), self._lanes(10, width))
+            for width in (4, 8)
+        }
         self._dec_rk = self._build_dec_schedule()
         self.scalar_calls = 0
         self.batch_calls = 0
@@ -265,50 +335,77 @@ class AES128:
     # ------------------------------------------------------------------
     # numpy batch path
     # ------------------------------------------------------------------
+    def _lanes(self, rnd: int, width: int) -> np.ndarray:
+        """Round key ``rnd`` as the words of a ``width``-byte layout."""
+        k = self._rk[4 * rnd : 4 * rnd + 4]
+        if width == 4:
+            return np.array(k, dtype=np.uint32)
+        return np.array(
+            [(k[0] << 32) | k[1], (k[2] << 32) | k[3]], dtype=np.uint64
+        )
+
     def encrypt_words(self, words: np.ndarray, allow_copy: bool = True) -> np.ndarray:
-        """Encrypt a batch of blocks given as an (n, 4) uint32 array.
+        """Encrypt a batch of blocks held as big-endian-valued words.
 
-        Each row holds the four big-endian column words of one block.
+        Two layouts are accepted, and the output comes back in the
+        input's layout: ``(n, 4)`` uint32 rows of the four column words,
+        or ``(n, 2)`` uint64 rows of the [hi, lo] block halves (the
+        garbling hash's label layout, so it needs no conversion).
 
-        The batch contract is explicit: the input must be a C-contiguous
-        ``uint32`` array.  Anything else is either *copied explicitly*
-        into that layout (``allow_copy=True``, the default) or rejected
-        with :class:`~repro.errors.CryptoError` (``allow_copy=False``,
-        the hot-path setting).  There is deliberately no silent
-        degradation path — a strided view never dribbles through a
-        per-block fallback.
+        The batch contract is explicit: the input must be C-contiguous
+        in one of those layouts.  Anything else is either *copied
+        explicitly* into that layout (``allow_copy=True``, the default;
+        a mistyped ``(n, 4)`` array becomes uint32) or rejected with :class:`~repro.errors.CryptoError`
+        (``allow_copy=False``, the hot-path setting).  There is
+        deliberately no silent degradation path — a strided view never
+        dribbles through a per-block fallback.
         """
-        if words.ndim != 2 or words.shape[1] != 4:
-            raise CryptoError(f"expected (n, 4) uint32 array, got shape {words.shape}")
-        if words.dtype != np.uint32 or not words.flags.c_contiguous:
+        if words.ndim == 2 and words.dtype == np.uint64 and words.shape[1] == 2:
+            width = 8
+        elif words.ndim != 2 or words.shape[1] != 4:
+            raise CryptoError(
+                f"expected (n, 4) uint32 or (n, 2) uint64 array, got shape {words.shape}"
+            )
+        else:
+            width = 4
+        if words.dtype != _WORD_DTYPE[width] or not words.flags.c_contiguous:
             if not allow_copy:
                 raise CryptoError(
-                    "batch AES input must be a C-contiguous uint32 array "
+                    "batch AES input must be a C-contiguous (n, 4) uint32 or "
+                    "(n, 2) uint64 array "
                     f"(got dtype={words.dtype}, contiguous="
                     f"{words.flags.c_contiguous}); pass allow_copy=True to "
                     "copy it into that layout explicitly"
                 )
-            words = np.ascontiguousarray(words, dtype=np.uint32)
+            words = np.ascontiguousarray(words, dtype=_WORD_DTYPE[width])
         self.batch_calls += 1
         self.batch_blocks += int(words.shape[0])
+        return self._encrypt_rows(words, width)
+
+    def _encrypt_rows(self, words: np.ndarray, width: int) -> np.ndarray:
+        """The T-table kernel on one C-contiguous batch.
+
+        Per round: one ShiftRows gather of all 16 state bytes, one
+        lookup of the eight byte pairs in the paired T-tables, one XOR
+        folding the pairs into the column words, one round-key XOR.  The
+        word layout only changes which bytes the first and last gathers
+        read and write.
+        """
+        n = words.shape[0]
+        first_rk, last_rk = self._edge_rk[width]
+        state = words ^ first_rk
+        gather = _GATHER_IN[width]
         rk = self._nrk
-        w = words ^ rk[0]
-        w0, w1, w2, w3 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
-        t0, t1, t2, t3 = _NT
         for rnd in range(1, 10):
-            k = rk[rnd]
-            n0 = t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF] ^ t2[(w2 >> 8) & 0xFF] ^ t3[w3 & 0xFF] ^ k[0]
-            n1 = t0[w1 >> 24] ^ t1[(w2 >> 16) & 0xFF] ^ t2[(w3 >> 8) & 0xFF] ^ t3[w0 & 0xFF] ^ k[1]
-            n2 = t0[w2 >> 24] ^ t1[(w3 >> 16) & 0xFF] ^ t2[(w0 >> 8) & 0xFF] ^ t3[w1 & 0xFF] ^ k[2]
-            n3 = t0[w3 >> 24] ^ t1[(w0 >> 16) & 0xFF] ^ t2[(w1 >> 8) & 0xFF] ^ t3[w2 & 0xFF] ^ k[3]
-            w0, w1, w2, w3 = n0, n1, n2, n3
-        k = rk[10]
-        sb = _NSBOX
-        f0 = ((sb[w0 >> 24] << 24) | (sb[(w1 >> 16) & 0xFF] << 16) | (sb[(w2 >> 8) & 0xFF] << 8) | sb[w3 & 0xFF]) ^ k[0]
-        f1 = ((sb[w1 >> 24] << 24) | (sb[(w2 >> 16) & 0xFF] << 16) | (sb[(w3 >> 8) & 0xFF] << 8) | sb[w0 & 0xFF]) ^ k[1]
-        f2 = ((sb[w2 >> 24] << 24) | (sb[(w3 >> 16) & 0xFF] << 16) | (sb[(w0 >> 8) & 0xFF] << 8) | sb[w1 & 0xFF]) ^ k[2]
-        f3 = ((sb[w3 >> 24] << 24) | (sb[(w0 >> 16) & 0xFF] << 16) | (sb[(w1 >> 8) & 0xFF] << 8) | sb[w2 & 0xFF]) ^ k[3]
-        return np.stack([f0, f1, f2, f3], axis=1)
+            index = np.take(state.view(np.uint8).reshape(n, 16), gather, axis=1)
+            t = _PAIR_TABLE[index.view(np.uint16) + _PAIR_OFFSETS]
+            state = np.bitwise_xor(t[:, 0::2], t[:, 1::2], order="C")
+            state ^= rk[rnd]
+            gather = _GATHER_IN[4]
+        last = np.take(state.view(np.uint8).reshape(n, 16), _GATHER_OUT[width], axis=1)
+        out = _SBOX8.take(last).view(_WORD_DTYPE[width]).reshape(n, 16 // width)
+        out ^= last_rk
+        return out
 
     def encrypt_blocks(self, blocks: bytes) -> bytes:
         """Encrypt a byte string holding n concatenated 16-byte blocks."""
@@ -317,25 +414,6 @@ class AES128:
         raw = np.frombuffer(blocks, dtype=">u4").reshape(-1, 4).astype(np.uint32)
         out = self.encrypt_words(raw)
         return out.astype(">u4").tobytes()
-
-
-def words32_from_words64(words64: np.ndarray) -> np.ndarray:
-    """(n, 2) uint64 [hi, lo] rows -> the (n, 4) uint32 batch layout."""
-    out = np.empty((words64.shape[0], 4), dtype=np.uint32)
-    out[:, 0] = words64[:, 0] >> np.uint64(32)
-    out[:, 1] = words64[:, 0] & np.uint64(0xFFFFFFFF)
-    out[:, 2] = words64[:, 1] >> np.uint64(32)
-    out[:, 3] = words64[:, 1] & np.uint64(0xFFFFFFFF)
-    return out
-
-
-def words64_from_words32(words32: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`words32_from_words64`."""
-    w = words32.astype(np.uint64)
-    out = np.empty((words32.shape[0], 2), dtype=np.uint64)
-    out[:, 0] = (w[:, 0] << np.uint64(32)) | w[:, 1]
-    out[:, 1] = (w[:, 2] << np.uint64(32)) | w[:, 3]
-    return out
 
 
 def words_from_u128(values: list[int]) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.aes import AES128, words32_from_words64, words64_from_words32
+from repro.crypto.aes import AES128
 
 MASK128 = (1 << 128) - 1
 
@@ -89,15 +89,16 @@ class GarblingHash:
         stage-vectorised garbler).  Outputs are bit-identical to the
         scalar ``__call__`` on each (label, tweak) element.
         """
-        k = gf_double_words(label_words) ^ tweak_words
-        flat = np.ascontiguousarray(k.reshape(-1, 2))
+        k = np.ascontiguousarray(gf_double_words(label_words) ^ tweak_words)
+        flat = k.reshape(-1, 2)
         n = flat.shape[0]
         self.calls += n
         if n == 0:
             return k
         self.batch_calls += 1
-        enc = self._aes.encrypt_words(words32_from_words64(flat), allow_copy=False)
-        out = words64_from_words32(enc)
+        # the (n, 2) uint64 [hi, lo] rows ARE a batch-AES layout, so the
+        # cipher reads them in place: no 64 <-> 32-bit word conversion
+        out = self._aes.encrypt_words(flat, allow_copy=False)
         out ^= flat
         return out.reshape(k.shape)
 

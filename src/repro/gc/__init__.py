@@ -20,6 +20,7 @@ from repro.gc.stage_plan import StagePlan, netlist_fingerprint, plan_stages, sta
 from repro.gc.tables import TABLE_BYTES, GarbledTable
 from repro.gc.vector_garble import (
     VectorBatch,
+    VectorEvaluator,
     VectorGarbler,
     VectorRun,
     garble_mac_runs,
@@ -44,6 +45,7 @@ __all__ = [
     "TABLE_BYTES",
     "TrafficStats",
     "VectorBatch",
+    "VectorEvaluator",
     "VectorGarbler",
     "VectorRun",
     "garble_mac_runs",

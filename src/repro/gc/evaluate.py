@@ -3,10 +3,11 @@
 The evaluator is oblivious to gate polarity tricks: it holds one label
 per wire, evaluates free gates with XORs (NOT/BUF are pure wiring) and
 each AND-class gate with two hash calls plus the two table ciphertexts.
-This is the code path the *client* runs in the MAXelerator system; it is
-identical whether the tables came from the software garbler or from the
-accelerator stream — that is the paper's "transparent to the evaluator"
-property.
+It works whether the tables came from the software garbler or from the
+accelerator stream — the paper's "transparent to the evaluator"
+property.  The client's serving path runs the same half-gates algebra
+stage by stage (:class:`repro.gc.vector_garble.VectorEvaluator`); this
+gate-at-a-time version is its reference oracle.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ class Evaluator:
         input_labels: dict[int, int],
         output_permute_bits: list[int] | None = None,
         tweak_offset: int = 0,
-        batch: bool = False,
     ) -> EvaluationResult:
         """Gate-by-gate evaluation.
 
         ``input_labels`` must cover every input wire (both parties' and
         state) and every constant wire.  With ``output_permute_bits``
         (the garbler's output map) the plaintext output bits are decoded
-        from the label colours.  ``batch=True`` evaluates AND gates in
-        dependency levels so their hash calls go through the vectorised
-        fixed-key cipher (mirrors the garbler's batch mode).
+        from the label colours.  This scalar path is the reference the
+        stage-plan evaluator (:class:`~repro.gc.vector_garble.
+        VectorEvaluator`) is tested against.
         """
         net = self.netlist
         needed = set(net.input_wires) | set(net.constants)
@@ -73,10 +73,6 @@ class Evaluator:
 
         calls_before = self.hash.calls
         labels = dict(input_labels)
-        if batch:
-            self._evaluate_batched(tables, labels, tweak_offset)
-            return self._finish(labels, output_permute_bits, calls_before)
-
         table_iter = iter(tables)
         for gate in net.gates:
             gtype = gate.gtype
@@ -97,16 +93,6 @@ class Evaluator:
                     table,
                 )
 
-        return self._finish(labels, output_permute_bits, calls_before)
-
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        labels: dict[int, int],
-        output_permute_bits: list[int] | None,
-        calls_before: int,
-    ) -> EvaluationResult:
-        net = self.netlist
         output_labels = [labels[w] for w in net.outputs]
         output_bits = None
         if output_permute_bits is not None:
@@ -121,70 +107,6 @@ class Evaluator:
             output_bits=output_bits,
             hash_calls=self.hash.calls - calls_before,
         )
-
-    # ------------------------------------------------------------------
-    def _evaluate_batched(
-        self,
-        tables: list[GarbledTable],
-        labels: dict[int, int],
-        tweak_offset: int,
-    ) -> None:
-        """AND-level-batched evaluation (2 hashes per gate, vectorised)."""
-        net = self.netlist
-        table_by_gate = {}
-        nonfree = [g for g in net.gates if not g.is_free]
-        for gate, table in zip(nonfree, tables):
-            if table.gate_index != gate.index + tweak_offset:
-                raise GCProtocolError(
-                    f"table stream out of order: got gate {table.gate_index}, "
-                    f"expected {gate.index + tweak_offset}"
-                )
-            table_by_gate[gate.index] = table
-
-        wire_level: dict[int, int] = {
-            w: 0 for w in list(net.input_wires) + list(net.constants)
-        }
-        levels: dict[int, list] = {}
-        free_by_level: dict[int, list] = {}
-        for gate in net.gates:
-            in_level = max((wire_level[w] for w in gate.inputs), default=0)
-            if gate.is_free:
-                wire_level[gate.output] = in_level
-                free_by_level.setdefault(in_level, []).append(gate)
-            else:
-                wire_level[gate.output] = in_level + 1
-                levels.setdefault(in_level + 1, []).append(gate)
-
-        def run_free(gate) -> None:
-            if gate.gtype is GateType.BUF or gate.gtype is GateType.NOT:
-                labels[gate.output] = labels[gate.inputs[0]]
-            else:
-                labels[gate.output] = labels[gate.inputs[0]] ^ labels[gate.inputs[1]]
-
-        max_level = max(levels, default=0)
-        for level in range(0, max_level + 1):
-            for gate in free_by_level.get(level, []):
-                run_free(gate)
-            group = levels.get(level + 1, [])
-            if not group:
-                continue
-            hash_in: list[int] = []
-            tweaks: list[int] = []
-            for gate in group:
-                table = table_by_gate[gate.index]
-                la, lb = labels[gate.inputs[0]], labels[gate.inputs[1]]
-                hash_in.extend((la, lb))
-                tweaks.extend(
-                    (make_tweak(table.gate_index, 0), make_tweak(table.gate_index, 1))
-                )
-            hashes = self.hash.hash_many(hash_in, tweaks)
-            for i, gate in enumerate(group):
-                table = table_by_gate[gate.index]
-                la, lb = labels[gate.inputs[0]], labels[gate.inputs[1]]
-                s_a, s_b = color(la), color(lb)
-                w_g = hashes[2 * i] ^ (table.t_g if s_a else 0)
-                w_e = hashes[2 * i + 1] ^ ((table.t_e ^ la) if s_b else 0)
-                labels[gate.output] = w_g ^ w_e
 
     # ------------------------------------------------------------------
     def _eval_and(self, la: int, lb: int, table: GarbledTable) -> int:

@@ -28,9 +28,10 @@ from repro.crypto.ot import (
 )
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
-from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
-from repro.gc.tables import deserialize_tables, serialize_tables
+from repro.gc.stage_plan import StagePlan
+from repro.gc.tables import serialize_tables
+from repro.gc.vector_garble import VectorEvaluator
 
 
 #: OT scheduling modes (Section 3 of the paper): per-round OT keeps the
@@ -178,18 +179,27 @@ class SequentialGarbler:
 
 
 class SequentialEvaluator:
-    """Evaluates round after round, carrying state labels forward."""
+    """Evaluates round after round, carrying state labels forward.
+
+    Each round runs on the circuit's stage plan
+    (:class:`~repro.gc.vector_garble.VectorEvaluator`): one batched
+    AES call per AND stage, tables read straight from the received
+    ``seq.tables`` payload.  A caller that evaluates the same circuit
+    many times passes its resolved ``plan`` so no query re-hashes the
+    netlist to find it.
+    """
 
     def __init__(
         self,
         circuit: SequentialCircuit,
         channel: Endpoint,
         group: DHGroup = DEFAULT_GROUP,
+        plan: StagePlan | None = None,
     ):
         self.circuit = circuit
         self.channel = channel
         self.group = group
-        self.evaluator = Evaluator(circuit.netlist)
+        self.evaluator = VectorEvaluator(circuit.netlist, plan=plan)
 
     def run(
         self,
@@ -238,7 +248,6 @@ class SequentialEvaluator:
         ot_mode = chan.recv("seq.ot_mode").decode()
         if ot_mode not in OT_MODES:
             raise GCProtocolError(f"garbler announced unknown ot_mode '{ot_mode}'")
-        nonfree = [g.index for g in net.gates if not g.is_free]
 
         n_in = len(net.evaluator_inputs)
         for r, bits in enumerate(round_inputs):
@@ -268,9 +277,7 @@ class SequentialEvaluator:
         for r in range(start_round, rounds):
             bits = round_inputs[r]
             offset = r * len(net.gates)
-            tables = deserialize_tables(
-                chan.recv("seq.tables"), [i + offset for i in nonfree]
-            )
+            tables = self.evaluator.decode_tables(chan.recv("seq.tables"))
             garbler_labels = chan.recv_u128_list("seq.garbler_labels")
             const_labels = chan.recv_u128_list("seq.const_labels")
             if r == 0:
@@ -299,7 +306,7 @@ class SequentialEvaluator:
             for wire, label in zip(net.evaluator_inputs, my_labels):
                 labels[wire] = label
 
-            result = self.evaluator.evaluate(tables, labels, tweak_offset=offset)
+            result = self.evaluator.evaluate(labels, tables, tweak_offset=offset)
             hash_calls += result.hash_calls
             state_labels = result.labels_for_state(self.circuit.state_feedback)
             if progress is not None:

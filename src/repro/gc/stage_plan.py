@@ -1,19 +1,29 @@
-"""Topological stage planner for the vectorised garbler.
+"""Topological stage plan shared by the vectorised garbler and evaluator.
 
 A *stage* is the unit of AES batching: all AND-class gates at one
 AND-depth level are independent given the previous level's outputs, so
-their ``4 * n_and`` garbling hashes can go through a single vectorised
-fixed-key AES invocation.  Free gates (XOR/XNOR/NOT/BUF) are attached to
-the stage whose outputs they consume, mirroring the interleaving of
-:meth:`repro.gc.garble.Garbler._garble_batched` exactly — stage ``i``
-first folds the free gates at AND-depth ``i``, then batches the AND
-gates at depth ``i + 1``.
+their garbling hashes (four per gate for the garbler, two for the
+evaluator) go through a single vectorised fixed-key AES invocation.
+Free gates (XOR/XNOR/NOT/BUF) are attached to the stage whose outputs
+they consume, mirroring :meth:`repro.gc.garble.Garbler._garble_batched`
+— stage ``i`` first folds the free gates at AND-depth ``i``, then
+batches the AND gates at depth ``i + 1``.  Within a stage the free
+gates are grouped into XOR-depth *levels* of mutually independent
+gates, so each level is one array operation on either party.
+
+Both parties hold labels in one array with a row per wire plus an
+all-zero row (:attr:`StagePlan.label_rows`) that one-input free gates
+read as their second operand.  A free level computes
+``out = a ^ b``; the garbler also XORs the free-XOR offset into the
+NOT/XNOR outputs (``inv_pos``), which the evaluator never sees.
 
 Planning walks the whole netlist, so plans are cached per structural
-*fingerprint*: concurrent sessions serving the same circuit (the common
-cloud-MAC case) share one plan and pay the topological sort once.  The
-per-gate tweak words are likewise cached per ``tweak_offset`` because
-sequential GC reuses the same offsets round after round.
+*fingerprint*: sessions serving the same circuit (the common cloud-MAC
+case) share one plan.  Hashing the netlist is itself a walk over every
+gate, so the parties that hold a circuit (the accelerator, the client)
+resolve its plan once and pass it along rather than looking it up per
+round.  The per-gate tweak words are cached per ``tweak_offset``
+because sequential GC reuses the same offsets round after round.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, GateType
 from repro.circuits.netlist import Netlist
 
 #: tweak values stay on the uint64 fast path while 2*gate_id + 1 < 2^64
@@ -37,23 +47,38 @@ _TWEAK_CACHE_LIMIT = 64
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One AES batch: free gates to fold first, then the AND-gate arrays.
+class FreeLevel:
+    """Free gates with no dependencies among them: ``out = a ^ b``.
 
-    The index arrays are parallel, one entry per AND gate in the stage:
-    ``a_idx``/``b_idx``/``out_idx`` are wire ids, ``alpha``/``beta``/
-    ``gamma`` the AND-form triple, ``gate_idx`` the netlist gate index
-    (tweak base) and ``table_pos`` the gate's position in the netlist's
-    non-free order (where its table lands in the serialised payload).
+    ``b_idx`` is the plan's zero wire for one-input gates (BUF/NOT);
+    ``inv_pos`` lists the positions of the NOT/XNOR gates, whose
+    garbler-side zero label also carries the free-XOR offset.
     """
 
-    free_gates: tuple[Gate, ...]
+    out_idx: np.ndarray
     a_idx: np.ndarray
     b_idx: np.ndarray
+    inv_pos: np.ndarray
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One AES batch: free levels to fold first, then the AND-gate arrays.
+
+    The AND arrays are parallel, one row per AND gate in the stage:
+    ``ab_idx`` holds the two input wire ids, ``out_idx`` the output
+    wire, ``flip_ab``/``flip_out`` the AND-form triple as uint64 masks
+    (all ones where the garbler XORs the offset into that operand),
+    ``gate_idx`` the netlist gate index (tweak base) and ``table_pos``
+    the gate's position in the netlist's non-free order (where its
+    table lands in the serialised payload).
+    """
+
+    free_levels: tuple[FreeLevel, ...]
+    ab_idx: np.ndarray
     out_idx: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
+    flip_ab: np.ndarray
+    flip_out: np.ndarray
     gate_idx: np.ndarray
     table_pos: np.ndarray
 
@@ -76,6 +101,18 @@ class StagePlan:
     _tweak_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
+    def label_rows(self) -> int:
+        """Rows of a label array laid out for this plan: one per wire
+        plus the all-zero row ``n_wires`` that one-input free gates
+        read as their second operand."""
+        return self.n_wires + 1
+
+    @property
+    def n_free_levels(self) -> int:
+        """Free-gate array operations per evaluation of the netlist."""
+        return sum(len(s.free_levels) for s in self.stages)
+
+    @property
     def n_stages(self) -> int:
         """Stages that actually batch AND gates (AES invocations/session)."""
         return sum(1 for s in self.stages if s.n_and)
@@ -86,7 +123,7 @@ class StagePlan:
 
     # ------------------------------------------------------------------
     def tweak_words(self, tweak_offset: int) -> list[np.ndarray]:
-        """Per-stage ``(n_and, 4, 2)`` uint64 tweak arrays [j0 j0 j1 j1].
+        """Per-stage ``(n_and, 2, 2)`` uint64 tweak arrays [j0, j1].
 
         Matches ``make_tweak(gate.index + tweak_offset, half)`` exactly,
         including the 128-bit wrap-around for absurdly large offsets.
@@ -104,23 +141,20 @@ class StagePlan:
 
     def _stage_tweaks(self, stage: Stage, tweak_offset: int) -> np.ndarray:
         n = stage.n_and
-        out = np.zeros((n, 4, 2), dtype=np.uint64)
+        out = np.zeros((n, 2, 2), dtype=np.uint64)
         if n == 0:
             return out
         max_id = int(stage.gate_idx.max()) + tweak_offset
         if 0 <= tweak_offset and 2 * max_id + 1 < _U64_TWEAK_LIMIT:
-            base = stage.gate_idx + np.uint64(tweak_offset)
-            j0 = base << np.uint64(1)
+            j0 = (stage.gate_idx + np.uint64(tweak_offset)) << np.uint64(1)
             out[:, 0, 1] = j0
-            out[:, 1, 1] = j0
-            out[:, 2, 1] = j0 | np.uint64(1)
-            out[:, 3, 1] = j0 | np.uint64(1)
+            out[:, 1, 1] = j0 | np.uint64(1)
             return out
         for i, gi in enumerate(stage.gate_idx.tolist()):
             for half in (0, 1):
                 t = (2 * (gi + tweak_offset) + half) & _MASK128
-                out[i, 2 * half, 0] = out[i, 2 * half + 1, 0] = t >> 64
-                out[i, 2 * half, 1] = out[i, 2 * half + 1, 1] = t & _MASK64
+                out[i, half, 0] = t >> 64
+                out[i, half, 1] = t & _MASK64
         return out
 
 
@@ -143,6 +177,41 @@ def netlist_fingerprint(net: Netlist) -> str:
     for g in net.gates:
         h.update(repr((g.index, g.gtype.label, g.inputs, g.output)).encode())
     return h.hexdigest()
+
+
+def _masks(bits: list[bool]) -> np.ndarray:
+    return np.array([_MASK64 if bit else 0 for bit in bits], dtype=np.uint64)
+
+
+def _free_levels(gates: list[Gate], zero_wire: int) -> tuple[FreeLevel, ...]:
+    """Group one stage's free gates (netlist order) by XOR depth."""
+    depth: dict[int, int] = {}
+    levels: list[list[Gate]] = []
+    for gate in gates:
+        d = 1 + max((depth.get(w, -1) for w in gate.inputs), default=-1)
+        depth[gate.output] = d
+        if d == len(levels):
+            levels.append([])
+        levels[d].append(gate)
+    return tuple(
+        FreeLevel(
+            out_idx=np.array([g.output for g in level], dtype=np.intp),
+            a_idx=np.array([g.inputs[0] for g in level], dtype=np.intp),
+            b_idx=np.array(
+                [g.inputs[1] if len(g.inputs) > 1 else zero_wire for g in level],
+                dtype=np.intp,
+            ),
+            inv_pos=np.array(
+                [
+                    i
+                    for i, g in enumerate(level)
+                    if g.gtype in (GateType.NOT, GateType.XNOR)
+                ],
+                dtype=np.intp,
+            ),
+        )
+        for level in levels
+    )
 
 
 def plan_stages(net: Netlist) -> StagePlan:
@@ -168,15 +237,17 @@ def plan_stages(net: Netlist) -> StagePlan:
         ands = levels.get(level + 1, [])
         stages.append(
             Stage(
-                free_gates=tuple(free_by_level.get(level, [])),
-                a_idx=np.array([g.inputs[0] for g in ands], dtype=np.int64),
-                b_idx=np.array([g.inputs[1] for g in ands], dtype=np.int64),
-                out_idx=np.array([g.output for g in ands], dtype=np.int64),
-                alpha=np.array([g.gtype.and_form[0] for g in ands], dtype=bool),
-                beta=np.array([g.gtype.and_form[1] for g in ands], dtype=bool),
-                gamma=np.array([g.gtype.and_form[2] for g in ands], dtype=bool),
+                free_levels=_free_levels(free_by_level.get(level, []), net.n_wires),
+                ab_idx=np.array(
+                    [g.inputs[:2] for g in ands], dtype=np.intp
+                ).reshape(-1, 2),
+                out_idx=np.array([g.output for g in ands], dtype=np.intp),
+                flip_ab=np.array(
+                    [_masks(g.gtype.and_form[:2]) for g in ands], dtype=np.uint64
+                ).reshape(-1, 2, 1),
+                flip_out=_masks([g.gtype.and_form[2] for g in ands]).reshape(-1, 1),
                 gate_idx=np.array([g.index for g in ands], dtype=np.uint64),
-                table_pos=np.array([table_pos[g.index] for g in ands], dtype=np.int64),
+                table_pos=np.array([table_pos[g.index] for g in ands], dtype=np.intp),
             )
         )
 

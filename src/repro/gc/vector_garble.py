@@ -1,14 +1,19 @@
-"""Stage-vectorised half-gates garbling across gates *and* sessions.
+"""Stage-vectorised half-gates garbling and evaluation.
 
 :class:`repro.gc.garble.Garbler` batches the AND gates of one circuit
 level through ``hash_many``; this module goes two axes further.  All
 label material lives in one ``(sessions, wires, 2)`` uint64 array, so a
 topological stage of ``G`` independent AND gates across ``S`` concurrent
-sessions becomes a single ``(S, G, 4, 2)`` hash batch — ONE invocation
-of the vectorised fixed-key AES per stage, regardless of how many
-sessions share the circuit fingerprint.  That is the software analogue
-of the paper's point: keep the AES engines saturated by exposing all the
-gate-level parallelism the schedule allows.
+sessions becomes a single ``(S, G, 2, 2, 2)`` hash batch — ONE
+invocation of the vectorised fixed-key AES per stage, regardless of how
+many sessions share the circuit fingerprint.  That is the software
+analogue of the paper's point: keep the AES engines saturated by
+exposing all the gate-level parallelism the schedule allows.
+
+The evaluator runs the same :class:`~repro.gc.stage_plan.StagePlan` on
+the other side of the wire (:class:`VectorEvaluator`): one ``(wires, 2)``
+label array, tables read straight from the received payload, one
+``hash_words`` call per AND stage.
 
 Everything here is bit-identical to the sequential garbler: same label
 stream per session (a seeded :class:`LabelFactory` draws the identical
@@ -23,18 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuits.gates import GateType
 from repro.circuits.netlist import Netlist
 from repro.crypto.labels import LabelFactory, LabelPair
 from repro.crypto.prf import GarblingHash
 from repro.errors import GCProtocolError
+from repro.gc.evaluate import EvaluationResult
 from repro.gc.garble import GarbledCircuit
 from repro.gc.stage_plan import StagePlan, stage_plan_for
-from repro.gc.tables import GarbledTable
+from repro.gc.tables import TABLE_BYTES, GarbledTable
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
-_ZERO = np.uint64(0)
 
 
 def u128_rows(values) -> np.ndarray:
@@ -56,10 +59,11 @@ class VectorBatch:
     """One vectorised garbling of a netlist for ``S`` sessions.
 
     ``W[s, w]`` is session ``s``'s zero-label of wire ``w`` as [hi, lo]
-    uint64 words; ``tables_be[s]`` is that session's garbled tables in
-    netlist non-free order as big-endian u64 quadruples — its raw bytes
-    ARE the ``serialize_tables`` payload, so the serving path can hand a
-    row of this array straight to the frame writer without copies.
+    uint64 words (plus the plan's all-zero row); ``tables_be[s]`` is
+    that session's garbled tables in netlist non-free order as
+    big-endian u64 quadruples — its raw bytes ARE the
+    ``serialize_tables`` payload, so the serving path can hand a row of
+    this array straight to the frame writer without copies.
     """
 
     netlist: Netlist
@@ -121,10 +125,15 @@ class VectorBatch:
 class VectorGarbler:
     """Garbles one netlist for many sessions with one AES call per stage."""
 
-    def __init__(self, netlist: Netlist, hash_fn: GarblingHash | None = None):
+    def __init__(
+        self,
+        netlist: Netlist,
+        hash_fn: GarblingHash | None = None,
+        plan: StagePlan | None = None,
+    ):
         netlist.validate()
         self.netlist = netlist
-        self.plan = stage_plan_for(netlist)
+        self.plan = plan if plan is not None else stage_plan_for(netlist)
         self.hash = hash_fn or GarblingHash()
 
     def garble(
@@ -149,7 +158,7 @@ class VectorGarbler:
         if preset_pairs is not None and len(preset_pairs) != S:
             raise GCProtocolError("preset_pairs must have one entry per session")
 
-        W = np.zeros((S, plan.n_wires, 2), dtype=np.uint64)
+        W = np.zeros((S, plan.label_rows, 2), dtype=np.uint64)
         offsets = np.empty((S, 2), dtype=np.uint64)
         offset_ints = [f.offset for f in factories]
         preset_keys: list[frozenset] = []
@@ -174,48 +183,38 @@ class VectorGarbler:
         tweaks = plan.tweak_words(tweak_offset)
         tables_be = np.zeros((S, plan.n_and, 4), dtype=">u8")
         off3 = offsets[:, None, :]
+        off4 = offsets[:, None, None, :]
         for stage, tw in zip(plan.stages, tweaks):
-            for g in stage.free_gates:
-                gt = g.gtype
-                if gt is GateType.BUF:
-                    W[:, g.output] = W[:, g.inputs[0]]
-                elif gt is GateType.NOT:
-                    W[:, g.output] = W[:, g.inputs[0]] ^ offsets
-                elif gt is GateType.XOR:
-                    W[:, g.output] = W[:, g.inputs[0]] ^ W[:, g.inputs[1]]
-                else:  # XNOR
-                    W[:, g.output] = W[:, g.inputs[0]] ^ W[:, g.inputs[1]] ^ offsets
+            for level in stage.free_levels:
+                X = W[:, level.a_idx] ^ W[:, level.b_idx]
+                if level.inv_pos.size:
+                    X[:, level.inv_pos] ^= off3
+                W[:, level.out_idx] = X
             n = stage.n_and
             if not n:
                 continue
-            A = W[:, stage.a_idx]
-            B = W[:, stage.b_idx]
-            a0 = np.where(stage.alpha[None, :, None], A ^ off3, A)
-            b0 = np.where(stage.beta[None, :, None], B ^ off3, B)
-            # hash inputs per gate: (a0, a0^R, b0, b0^R) against (j0 j0 j1 j1)
-            K = np.empty((S, n, 4, 2), dtype=np.uint64)
-            K[:, :, 0] = a0
-            K[:, :, 1] = a0 ^ off3
-            K[:, :, 2] = b0
-            K[:, :, 3] = b0 ^ off3
-            H = self.hash.hash_words(K, tw[None, :, :, :])
+            # AB[s, g] = the AND-form zero labels (a0, b0) of each gate
+            AB = W[:, stage.ab_idx]
+            AB ^= off4 & stage.flip_ab
+            # hash inputs per gate: (a0, a0^R) against j0, (b0, b0^R) against j1
+            K = np.empty((S, n, 2, 2, 2), dtype=np.uint64)
+            K[:, :, :, 0] = AB
+            K[:, :, :, 1] = AB ^ off4
+            H = self.hash.hash_words(K, tw[None, :, :, None, :])
             if telemetry is not None:
                 telemetry.counter("gc.aes_batch_calls").inc()
-            p_a = (a0[..., 1] & _ONE).astype(bool)[..., None]
-            p_b = (b0[..., 1] & _ONE).astype(bool)[..., None]
-            h_a0, h_a1 = H[:, :, 0], H[:, :, 1]
-            h_b0, h_b1 = H[:, :, 2], H[:, :, 3]
-            t_g = h_a0 ^ h_a1 ^ np.where(p_b, off3, _ZERO)
-            w_g = np.where(p_a, h_a0 ^ t_g, h_a0)
-            t_e = h_b0 ^ h_b1 ^ a0
-            w_e = np.where(p_b, h_b0 ^ t_e ^ a0, h_b0)
-            out0 = w_g ^ w_e
-            out0 = np.where(stage.gamma[None, :, None], out0 ^ off3, out0)
+            a0 = AB[:, :, 0]
+            # all-ones where the colour bit of a0 / b0 is set
+            colour = -(AB[..., 1:] & _ONE)
+            p_a, p_b = colour[:, :, 0], colour[:, :, 1]
+            h_a0, h_b0 = H[:, :, 0, 0], H[:, :, 1, 0]
+            t_g = h_a0 ^ H[:, :, 0, 1] ^ (off3 & p_b)
+            t_e = h_b0 ^ H[:, :, 1, 1] ^ a0
+            out0 = h_a0 ^ (t_g & p_a) ^ h_b0 ^ ((t_e ^ a0) & p_b)
+            out0 ^= off3 & stage.flip_out
             W[:, stage.out_idx] = out0
-            tables_be[:, stage.table_pos, 0] = t_g[..., 0]
-            tables_be[:, stage.table_pos, 1] = t_g[..., 1]
-            tables_be[:, stage.table_pos, 2] = t_e[..., 0]
-            tables_be[:, stage.table_pos, 3] = t_e[..., 1]
+            tables_be[:, stage.table_pos, 0:2] = t_g
+            tables_be[:, stage.table_pos, 2:4] = t_e
 
         if telemetry is not None:
             telemetry.counter("gc.vector_garbles").inc()
@@ -229,6 +228,76 @@ class VectorGarbler:
             tables_be=tables_be,
             tweak_offset=tweak_offset,
             preset_keys=preset_keys,
+        )
+
+
+class VectorEvaluator:
+    """The evaluator's half of the stage plan: one AES call per AND stage.
+
+    Holds one active label per wire in a ``(wires, 2)`` uint64 array
+    laid out exactly like one session of :class:`VectorGarbler`'s
+    ``W``, reads the garbled tables straight from the received payload
+    (the big-endian table array the garbler serialised) and hashes each
+    AND stage's ``2 * n_and`` labels in a single ``hash_words`` call.
+    The scalar :class:`~repro.gc.evaluate.Evaluator` is its
+    differential-testing oracle.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        hash_fn: GarblingHash | None = None,
+        plan: StagePlan | None = None,
+    ):
+        netlist.validate()
+        self.netlist = netlist
+        self.plan = plan if plan is not None else stage_plan_for(netlist)
+        self.hash = hash_fn or GarblingHash()
+        self._needed = frozenset(netlist.input_wires) | frozenset(netlist.constants)
+
+    def decode_tables(self, payload) -> np.ndarray:
+        """The ``seq.tables`` frame body as ``(n_and, 2, 2)`` uint64
+        [t_g, t_e] rows in netlist non-free order; a payload of the
+        wrong length raises :class:`~repro.errors.GCProtocolError`."""
+        expected = TABLE_BYTES * self.plan.n_and
+        if len(payload) != expected:
+            raise GCProtocolError(
+                f"expected {expected} table bytes, got {len(payload)}"
+            )
+        return np.frombuffer(payload, dtype=">u8").reshape(-1, 2, 2).astype(np.uint64)
+
+    def evaluate(
+        self, input_labels: dict[int, int], tables: np.ndarray, tweak_offset: int = 0
+    ) -> EvaluationResult:
+        """Evaluate once from the active input labels and the decoded
+        tables (:meth:`decode_tables`).
+
+        ``input_labels`` must cover every input and constant wire; a
+        missing label raises :class:`~repro.errors.GCProtocolError`.
+        """
+        plan = self.plan
+        missing = self._needed - input_labels.keys()
+        if missing:
+            raise GCProtocolError(f"missing labels for wires {sorted(missing)[:8]}")
+        lab = np.zeros((plan.label_rows, 2), dtype=np.uint64)
+        lab[list(input_labels)] = u128_rows(list(input_labels.values()))
+        for stage, tw in zip(plan.stages, plan.tweak_words(tweak_offset)):
+            for level in stage.free_levels:
+                lab[level.out_idx] = lab[level.a_idx] ^ lab[level.b_idx]
+            if not stage.n_and:
+                continue
+            L = lab[stage.ab_idx]  # [la, lb] per gate, hashed against [j0, j1]
+            H = self.hash.hash_words(L, tw)
+            # W_G = H(la) ^ s_a·T_G,  W_E = H(lb) ^ s_b·(T_E ^ la)
+            T = tables[stage.table_pos]
+            T[:, 1] ^= L[:, 0]
+            T &= -(L[:, :, 1:] & _ONE)
+            H ^= T
+            lab[stage.out_idx] = H[:, 0] ^ H[:, 1]
+        return EvaluationResult(
+            output_labels=[words_to_u128(lab[w]) for w in self.netlist.outputs],
+            output_bits=None,
+            hash_calls=2 * plan.n_and,
         )
 
 
@@ -300,6 +369,7 @@ def garble_mac_runs(
     factories: list[LabelFactory],
     hash_fn: GarblingHash | None = None,
     telemetry=None,
+    plan: StagePlan | None = None,
 ) -> list[VectorRun]:
     """Garble ``len(factories)`` independent M-round MAC runs together.
 
@@ -307,12 +377,13 @@ def garble_mac_runs(
     (round ``r`` presets the feedback outputs of round ``r - 1`` and
     tweaks by ``r * len(gates)``), so each returned run is bit-identical
     to a seeded :class:`~repro.gc.garble.Garbler` chain over the same
-    label stream.
+    label stream.  ``plan`` is the holder's already-resolved plan for
+    ``circuit.netlist`` (looked up by fingerprint when omitted).
     """
     if n_rounds <= 0:
         raise GCProtocolError("sequential GC needs at least one round")
     net = circuit.netlist
-    vg = VectorGarbler(net, hash_fn=hash_fn)
+    vg = VectorGarbler(net, hash_fn=hash_fn, plan=plan)
     S = len(factories)
     feedback_wires = [net.outputs[i] for i in circuit.circuit.state_feedback]
     batches: list[VectorBatch] = []

@@ -39,9 +39,10 @@ from repro.gc.channel import local_channel, run_two_party
 from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
 from repro.telemetry import MetricsRegistry
 
-#: How the host garbles: gate-at-a-time on the FSM simulator
-#: (``sequential``, the differential-testing reference) or stage-batched
-#: through the vectorised fixed-key AES (``vectorized``).
+#: How the host garbles: stage-batched through the vectorised fixed-key
+#: AES (``vectorized``, the serving default) or gate-at-a-time on the
+#: FSM simulator (``sequential``, the paper-reproduction reference and
+#: test oracle, chosen only by passing it to :class:`CloudServer`).
 GARBLE_MODES = ("sequential", "vectorized")
 
 
@@ -85,7 +86,7 @@ class CloudServer:
         seed: int | None = None,
         auto_refill: bool = True,
         telemetry: MetricsRegistry | None = None,
-        garble_mode: str = "sequential",
+        garble_mode: str = "vectorized",
     ):
         self.fmt = fmt
         self.group = group
@@ -143,15 +144,6 @@ class CloudServer:
             self._fingerprint = None
         self.refill_pool()
 
-    def set_garble_mode(self, mode: str) -> None:
-        """Switch garbling paths (applied by the serving layer's config)."""
-        if mode not in GARBLE_MODES:
-            raise ConfigurationError(
-                f"unknown garble mode {mode!r} (expected one of {GARBLE_MODES})"
-            )
-        with self._lock:
-            self.garble_mode = mode
-
     def refill_pool(self) -> int:
         """Garble ahead of demand; returns the number of runs added.
 
@@ -169,11 +161,10 @@ class CloudServer:
                     deficit = self.pool_size - len(self._pool)
                     accelerator = self.accelerator
                     rounds = self.rounds_per_request
-                    mode = self.garble_mode
                 if deficit <= 0:
                     break
                 with self.telemetry.timer("garble.refill"):
-                    if mode == "vectorized":
+                    if self.garble_mode == "vectorized":
                         runs = accelerator.garble_vectorized(
                             rounds, deficit, telemetry=self.telemetry
                         )
@@ -244,7 +235,6 @@ class CloudServer:
                 run = None
             accelerator = self.accelerator
             rounds = self.rounds_per_request
-            mode = self.garble_mode
         if run is not None:
             self.stats.bump("pool_hits")
             self.telemetry.counter("pool.hits").inc()
@@ -254,7 +244,7 @@ class CloudServer:
         self.telemetry.counter("pool.misses").inc()
         station = self._garble_station
         with self.telemetry.timer("garble.on_demand"):
-            if mode == "vectorized":
+            if self.garble_mode == "vectorized":
                 if station is not None:
                     # co-batch concurrent misses that share a circuit
                     # fingerprint (possibly across tenants and servers)
@@ -470,9 +460,12 @@ class AnalyticsClient:
             )
         fmt = self.server.fmt
         x_bits = [to_bits(int(v), fmt.total_bits) for v in fmt.encode_array(x)]
-        circuit = self.server.accelerator.circuit.circuit
+        accelerator = self.server.accelerator
         g_chan, e_chan = local_channel(recv_timeout_s=self.recv_timeout_s)
-        evaluator = SequentialEvaluator(circuit, e_chan, self.server.group)
+        evaluator = SequentialEvaluator(
+            accelerator.circuit.circuit, e_chan, self.server.group,
+            plan=accelerator.plan,
+        )
         _, report = run_two_party(
             lambda: self.server.serve_row(g_chan, row_index, ot_mode=ot_mode),
             lambda: evaluator.run(x_bits),

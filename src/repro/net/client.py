@@ -45,6 +45,7 @@ from repro.errors import (
 )
 from repro.fixedpoint import FixedPointFormat
 from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.stage_plan import stage_plan_for
 from repro.he import (
     HE_QUERY_TAG,
     HE_RESULT_TAG,
@@ -152,6 +153,7 @@ class RemoteAnalyticsClient:
                 )
             self._he = HEMacClient(params, self.fmt, seed=he_seed)
             self.circuit = None  # HE sessions never evaluate the GC circuit
+            self._plan = None
         else:
             self.circuit = build_scheduled_mac(d.total_bits, d.acc_width).circuit
             local_print = netlist_fingerprint(self.circuit)
@@ -162,6 +164,8 @@ class RemoteAnalyticsClient:
                     f"{d.fingerprint[:16]}..., this client built {local_print[:16]}... "
                     "(version skew between client and gateway builds)"
                 )
+            # every query of this connection evaluates on the same plan
+            self._plan = stage_plan_for(self.circuit.netlist)
         self.group = d.group
         self.session_id = str(welcome.get("session_id", ""))
         if (
@@ -314,7 +318,7 @@ class RemoteAnalyticsClient:
         a drain notice or a restart-mode resume."""
         ep = self.endpoint
         progress = EvaluatorProgress()
-        evaluator = SequentialEvaluator(self.circuit, ep, self.group)
+        evaluator = SequentialEvaluator(self.circuit, ep, self.group, plan=self._plan)
         start_round = 0
         state_labels = None
         while True:

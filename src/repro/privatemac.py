@@ -125,7 +125,7 @@ class GCPrivateMACSession(PrivateMACSession):
 
     def __init__(self, model_matrix, fmt: FixedPointFormat = Q16_8, *,
                  seed: int | None = None, group: DHGroup = TOY_GROUP,
-                 garble_mode: str = "sequential", ot_mode: str = "per_round",
+                 garble_mode: str = "vectorized", ot_mode: str = "per_round",
                  pool_size: int = 1):
         if ot_mode not in OT_MODES:
             raise ConfigurationError(
@@ -148,9 +148,12 @@ class GCPrivateMACSession(PrivateMACSession):
             raise GCProtocolError(f"query vector must have {self.rounds} entries")
         x_bits = [to_bits(int(v), self.fmt.total_bits)
                   for v in self.fmt.encode_array(x)]
-        circuit = self.server.accelerator.circuit.circuit
+        accelerator = self.server.accelerator
         g_chan, e_chan = local_channel()
-        evaluator = SequentialEvaluator(circuit, e_chan, self.server.group)
+        evaluator = SequentialEvaluator(
+            accelerator.circuit.circuit, e_chan, self.server.group,
+            plan=accelerator.plan,
+        )
         _, report = run_two_party(
             lambda: self.server.serve_row(g_chan, row_index, ot_mode=self.ot_mode),
             lambda: evaluator.run(x_bits),

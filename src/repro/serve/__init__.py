@@ -29,7 +29,6 @@ from repro.serve.config import (
     resolve_backend,
     resolve_choice,
     resolve_controller,
-    resolve_garble_mode,
     resolve_reaper_timeout,
     resolve_scheduler,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "resolve_backend",
     "resolve_choice",
     "resolve_controller",
-    "resolve_garble_mode",
     "resolve_reaper_timeout",
     "resolve_scheduler",
 ]

@@ -6,12 +6,9 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.host import GARBLE_MODES
 from repro.privatemac import BACKENDS
 
 REAPER_TIMEOUT_ENV = "REPRO_REAPER_TIMEOUT_S"
-
-GARBLE_MODE_ENV = "REPRO_GARBLE_MODE"
 
 BACKEND_ENV = "REPRO_BACKEND"
 
@@ -67,22 +64,6 @@ def resolve_choice(
             )
         return value
     return default
-
-
-def resolve_garble_mode(
-    explicit: str | None = None, configured: str | None = None
-) -> str | None:
-    """Garble-mode precedence: explicit argument >
-    ``ServingConfig.garble_mode`` > ``REPRO_GARBLE_MODE`` > ``None``
-    (leave the server's constructor-chosen mode untouched)."""
-    return resolve_choice(
-        explicit,
-        configured,
-        GARBLE_MODE_ENV,
-        GARBLE_MODES,
-        explicit_name="explicit garble mode",
-        configured_name="ServingConfig.garble_mode",
-    )
 
 
 def resolve_backend(
@@ -225,11 +206,6 @@ class ServingConfig:
     lease_ttl_s: float = 30.0
     resume_batch_window_s: float = 0.02
     resume_batch_max: int = 4
-    #: Garbling path applied to the server at ``ServingServer.start()``:
-    #: ``sequential`` (FSM reference), ``vectorized`` (stage-batched
-    #: AES), or ``None`` to defer to ``REPRO_GARBLE_MODE`` and then to
-    #: whatever mode the :class:`~repro.host.CloudServer` was built with.
-    garble_mode: str | None = None
     #: Default private-MAC backend granted to v4 clients that do not
     #: request one (``gc`` or ``he``); ``None`` defers to
     #: ``REPRO_BACKEND`` and then to ``gc``.  Pre-v4 clients always
@@ -307,10 +283,6 @@ class ServingConfig:
             raise ConfigurationError("resume batch window cannot be negative")
         if self.resume_batch_max < 1:
             raise ConfigurationError("resume batch must admit at least one session")
-        if self.garble_mode is not None and self.garble_mode not in GARBLE_MODES:
-            raise ConfigurationError(
-                f"garble_mode must be one of {GARBLE_MODES}, got {self.garble_mode!r}"
-            )
         if self.backend is not None and self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"

@@ -27,7 +27,6 @@ from repro.host import AnalyticsClient, CloudServer
 from repro.serve.config import (
     ServingConfig,
     resolve_controller,
-    resolve_garble_mode,
     resolve_scheduler,
 )
 from repro.serve.control import LoadSample, SLOController
@@ -241,9 +240,6 @@ class ServingServer:
     def start(self) -> "ServingServer":
         if self._workers:
             return self
-        mode = resolve_garble_mode(configured=self.config.garble_mode)
-        if mode is not None:
-            self.server.set_garble_mode(mode)
         if self.scheduler is not None and self.server.garble_mode == "vectorized":
             # ring + vectorized: pool misses from different tenants that
             # share a circuit fingerprint co-batch into one AES pass

@@ -8,7 +8,12 @@ Two invariants guard the vectorised garbling hot path:
    garbling hash uses).
 2. One topological stage is ONE AES invocation, regardless of how many
    gates or sessions ride in it — proven from the cipher's own
-   ``batch_calls`` counter and the ``gc.aes_batch_calls`` telemetry.
+   ``batch_calls`` counter and the ``gc.aes_batch_calls`` telemetry, on
+   the garbler and on the evaluator alike.
+
+The batch kernel itself is pinned to the FIPS-197 vectors and to the
+scalar ``encrypt_block`` on random batches of every awkward size, in
+both word layouts.
 """
 
 import random
@@ -20,13 +25,79 @@ from repro.crypto.aes import AES128
 from repro.crypto.labels import LabelFactory
 from repro.crypto.prf import FIXED_KEY, GarblingHash
 from repro.errors import CryptoError
-from repro.gc.vector_garble import VectorGarbler, garble_mac_runs
+from repro.gc.vector_garble import VectorEvaluator, VectorGarbler, garble_mac_runs
 from repro.telemetry import MetricsRegistry
 
 
 def _blocks(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2**32, size=(n, 4), dtype=np.uint32)
+
+
+def _as_u64(words32):
+    """(n, 4) uint32 column words -> (n, 2) uint64 [hi, lo] halves."""
+    w = words32.astype(np.uint64)
+    return np.stack([(w[:, 0] << np.uint64(32)) | w[:, 1],
+                     (w[:, 2] << np.uint64(32)) | w[:, 3]], axis=1)
+
+
+def _scalar(aes, words32):
+    """The scalar path, block by block, in the uint32 layout."""
+    out = np.empty_like(words32)
+    for i, row in enumerate(words32):
+        block = aes.encrypt_block(b"".join(int(w).to_bytes(4, "big") for w in row))
+        out[i] = np.frombuffer(block, dtype=">u4")
+    return out
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize(
+        "key,plain,cipher",
+        [
+            ("2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+             "3925841d02dc09fbdc118597196a0b32"),
+            ("000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+             "69c4e0d86a7b0430d8cdb78070b4c55a"),
+        ],
+        ids=["fips-b", "fips-c1"],
+    )
+    def test_fips197_vectors_in_both_layouts(self, key, plain, cipher):
+        aes = AES128(bytes.fromhex(key))
+        words = np.frombuffer(bytes.fromhex(plain), dtype=">u4").astype(np.uint32)[None]
+        expected = np.frombuffer(bytes.fromhex(cipher), dtype=">u4").astype(np.uint32)[None]
+        np.testing.assert_array_equal(aes.encrypt_words(words), expected)
+        np.testing.assert_array_equal(aes.encrypt_words(_as_u64(words)), _as_u64(expected))
+        assert aes.encrypt_blocks(bytes.fromhex(plain)) == bytes.fromhex(cipher)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 64, 1025, 4097])
+    def test_random_batches_match_the_scalar_path(self, n):
+        aes = AES128(FIXED_KEY)
+        words = _blocks(n, seed=n)
+        expected = _scalar(aes, words)
+        out32 = aes.encrypt_words(words, allow_copy=False)
+        assert out32.dtype == np.uint32 and out32.shape == (n, 4)
+        np.testing.assert_array_equal(out32, expected)
+        out64 = aes.encrypt_words(_as_u64(words), allow_copy=False)
+        assert out64.dtype == np.uint64 and out64.shape == (n, 2)
+        np.testing.assert_array_equal(out64, _as_u64(expected))
+        assert aes.batch_calls == 2 and aes.batch_blocks == 2 * n
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1025])
+    @pytest.mark.parametrize("layout", ["u32", "u64"])
+    def test_non_contiguous_batches(self, n, layout):
+        """A strided view is copied when allowed — and then matches the
+        scalar path — or refused without touching the engine."""
+        aes = AES128(FIXED_KEY)
+        base = _blocks(2 * n, seed=n)
+        expected = _scalar(aes, base[::2])
+        strided = (base if layout == "u32" else _as_u64(base))[::2]
+        assert not strided.flags.c_contiguous
+        with pytest.raises(CryptoError, match="C-contiguous"):
+            aes.encrypt_words(strided, allow_copy=False)
+        assert aes.batch_calls == 0
+        out = aes.encrypt_words(strided, allow_copy=True)
+        want = expected if layout == "u32" else _as_u64(expected)
+        np.testing.assert_array_equal(out, want)
 
 
 class TestExplicitLayoutContract:
@@ -114,6 +185,38 @@ class TestOneInvocationPerStage:
             garble_mac_runs(scheduled, 3, factories, telemetry=tm)
             assert tm.counter("gc.aes_batch_calls").value == 3 * n_stages
             assert tm.counter("gc.vector_sessions").value == 3 * n_sessions
+
+    @pytest.mark.parametrize("n_rounds", [1, 3])
+    def test_evaluator_one_hash_words_call_per_and_stage(self, n_rounds):
+        """The client mirrors the garbler: each AND stage of each round
+        is one ``hash_words`` call (two blocks per gate), no scalar AES."""
+        from repro.accel.tree_mac import build_scheduled_mac
+
+        scheduled = build_scheduled_mac(8)
+        net = scheduled.netlist
+        [run] = garble_mac_runs(
+            scheduled, n_rounds, [LabelFactory(source=random.Random(5))]
+        )
+        hash_fn = GarblingHash()
+        ev = VectorEvaluator(net, hash_fn=hash_fn)
+        state = [p.zero for p in run.rounds[0].state_pairs]
+        for r in range(n_rounds):
+            meta = run.rounds[r]
+            labels = dict(zip(net.state_inputs, state))
+            for wires, pairs in (
+                (net.garbler_inputs, meta.garbler_pairs),
+                (net.evaluator_inputs, meta.evaluator_pairs),
+            ):
+                labels.update({w: p.zero for w, p in zip(wires, pairs)})
+            labels.update({w: p.zero for w, p in meta.const_pairs.items()})
+            result = ev.evaluate(
+                labels, ev.decode_tables(run.tables_payload(r)), r * len(net.gates)
+            )
+            state = result.labels_for_state(scheduled.circuit.state_feedback)
+        assert hash_fn.batch_calls == n_rounds * ev.plan.n_stages
+        assert hash_fn.aes.batch_calls == n_rounds * ev.plan.n_stages
+        assert hash_fn.aes.batch_blocks == n_rounds * 2 * ev.plan.n_and
+        assert hash_fn.aes.scalar_calls == 0
 
     def test_hash_words_refuses_copies_on_the_hot_path(self):
         """hash_words hands the cipher an already-contiguous buffer; the

@@ -10,9 +10,11 @@ from repro.bits import from_bits, to_bits
 from repro.circuits.division import build_divider_netlist
 from repro.circuits.mac import build_mac_netlist
 from repro.circuits.multipliers import build_multiplier_netlist
-from repro.crypto.labels import LabelFactory
+from repro.crypto.labels import LabelFactory, color
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
+from repro.gc.tables import serialize_tables
+from repro.gc.vector_garble import VectorEvaluator
 
 from tests.gc.test_random_circuits import netlist_with_inputs, random_netlists
 
@@ -71,6 +73,9 @@ class TestBatchedEvaluation:
 
 
 class TestBatchedEvaluatorPath:
+    """The stage-plan evaluator (one hash batch per AND stage) on
+    tables from either garbling path."""
+
     def _labels(self, net, gc, a, x):
         labels = {}
         for w, bit in zip(net.garbler_inputs, to_bits(a, 8)):
@@ -81,28 +86,33 @@ class TestBatchedEvaluatorPath:
             labels[w] = gc.wire_pairs[w].select(bit)
         return labels
 
+    def _staged(self, net, gc, labels):
+        ev = VectorEvaluator(net)
+        result = ev.evaluate(labels, ev.decode_tables(serialize_tables(gc.tables)))
+        bits = [color(l) ^ p for l, p in zip(result.output_labels, gc.output_permute_bits)]
+        return result, bits
+
     def test_batched_eval_equals_scalar_eval(self):
         net = build_multiplier_netlist(8, kind="tree", signed=True)
         gc = Garbler(net).garble()
         labels = self._labels(net, gc, -3, 99)
         scalar = Evaluator(net).evaluate(gc.tables, labels, gc.output_permute_bits)
-        batched = Evaluator(net).evaluate(
-            gc.tables, labels, gc.output_permute_bits, batch=True
-        )
-        assert scalar.output_labels == batched.output_labels
-        assert scalar.output_bits == batched.output_bits
-        assert scalar.hash_calls == batched.hash_calls
+        staged, bits = self._staged(net, gc, labels)
+        assert scalar.output_labels == staged.output_labels
+        assert scalar.output_bits == bits
+        assert scalar.hash_calls == staged.hash_calls
 
     def test_full_batch_pipeline(self):
         net = build_multiplier_netlist(8, kind="tree", signed=True)
         gc = Garbler(net).garble(batch=True)
         labels = self._labels(net, gc, -101, 42)
-        result = Evaluator(net).evaluate(
-            gc.tables, labels, gc.output_permute_bits, batch=True
-        )
-        assert from_bits(result.output_bits, signed=True) == -101 * 42
+        _, bits = self._staged(net, gc, labels)
+        assert from_bits(bits, signed=True) == -101 * 42
 
     def test_batched_eval_checks_table_order(self):
+        """Tables are positional in the payload: a reordered stream
+        evaluates to garbage on the stage-plan path, and the scalar
+        oracle still rejects it by gate index."""
         from repro.errors import GCProtocolError
 
         net = build_multiplier_netlist(8, kind="tree", signed=True)
@@ -110,7 +120,10 @@ class TestBatchedEvaluatorPath:
         labels = self._labels(net, gc, 1, 1)
         shuffled = list(reversed(gc.tables))
         with pytest.raises(GCProtocolError):
-            Evaluator(net).evaluate(shuffled, labels, batch=True)
+            Evaluator(net).evaluate(shuffled, labels)
+        ev = VectorEvaluator(net)
+        garbage = ev.evaluate(labels, ev.decode_tables(serialize_tables(shuffled)))
+        assert garbage.output_labels != self._staged(net, gc, labels)[0].output_labels
 
 
 class TestOnRandomCircuits:

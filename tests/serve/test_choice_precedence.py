@@ -5,11 +5,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve.config import (
     BACKEND_ENV,
-    GARBLE_MODE_ENV,
+    SCHEDULER_ENV,
     ServingConfig,
     resolve_backend,
     resolve_choice,
-    resolve_garble_mode,
+    resolve_scheduler,
 )
 
 ALLOWED = ("alpha", "beta")
@@ -100,10 +100,15 @@ class TestBackendKnob:
             ServingConfig(backend="paillier").validate()
 
 
-class TestGarbleModeKnob:
+class TestSchedulerKnob:
     def test_uses_the_shared_helper_semantics(self, monkeypatch):
-        monkeypatch.setenv(GARBLE_MODE_ENV, "vectorized")
-        assert resolve_garble_mode() == "vectorized"
-        assert resolve_garble_mode("sequential", None) == "sequential"
-        monkeypatch.delenv(GARBLE_MODE_ENV, raising=False)
-        assert resolve_garble_mode() is None
+        monkeypatch.setenv(SCHEDULER_ENV, "ring")
+        assert resolve_scheduler() == "ring"
+        assert resolve_scheduler("fifo", None) == "fifo"
+        assert resolve_scheduler(None, "fifo") == "fifo"
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        assert resolve_scheduler() == "fifo"
+        assert resolve_scheduler(default=None) is None
+        monkeypatch.setenv(SCHEDULER_ENV, "lottery")
+        with pytest.raises(ConfigurationError, match="REPRO_SCHEDULER"):
+            resolve_scheduler()

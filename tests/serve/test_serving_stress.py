@@ -96,10 +96,19 @@ class TestFreshLabelInvariant:
         assert len({id(run) for run in consumed}) == len(consumed)
 
     def test_every_consumed_run_has_fresh_labels(self, stress_run):
-        # distinct first tables across all served runs: a repeat would
-        # mean two sessions shared garbled material
-        first_tables = [run.stream[0].table for run in stress_run["consumed"]]
+        # distinct tables and input labels across all served runs: a
+        # repeat would mean two sessions shared garbled material
+        consumed = stress_run["consumed"]
+        first_tables = [bytes(run.tables_payload(0))[:32] for run in consumed]
         assert len(set(first_tables)) == len(first_tables)
+        last = consumed[0].n_rounds - 1
+        for r in (0, last):
+            zeros = [
+                p.zero
+                for run in consumed
+                for p in run.rounds[r].garbler_pairs + run.rounds[r].evaluator_pairs
+            ]
+            assert len(set(zeros)) == len(zeros), r
 
     def test_distinct_free_xor_offsets(self, stress_run):
         offsets = [run.offset for run in stress_run["consumed"]]

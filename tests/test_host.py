@@ -1,11 +1,15 @@
 """Cloud-server runtime tests (Figure 1's operational pattern)."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.accel.label_generator import LabelGenerator
+from repro.crypto.labels import LabelFactory
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import Q8_4
-from repro.host import AnalyticsClient, CloudServer
+from repro.host import GARBLE_MODES, AnalyticsClient, CloudServer
 
 MODEL = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]])
 
@@ -117,9 +121,48 @@ class TestModelManagement:
             CloudServer(MODEL, Q8_4, pool_size=-1)
 
 
+def input_label_zeros(run, r):
+    """Every zero label a round draws fresh, through the interface both
+    run types (FSM and vectorised) expose."""
+    meta = run.rounds[r]
+    pairs = meta.garbler_pairs + meta.evaluator_pairs + list(meta.const_pairs.values())
+    if r == 0:
+        pairs += meta.state_pairs
+    return [p.zero for p in pairs]
+
+
 class TestFreshLabelsPerServing:
     def test_two_servings_use_different_tables(self):
         # each pooled run is consumed once; reuse would break security
+        for mode in GARBLE_MODES:
+            server = CloudServer(MODEL, Q8_4, pool_size=2, seed=27, garble_mode=mode)
+            a, b = list(server._pool)
+            assert a.offset != b.offset, mode
+            for r in range(server.rounds_per_request):
+                pa, pb = bytes(a.tables_payload(r)), bytes(b.tables_payload(r))
+                tables_a = {pa[i : i + 32] for i in range(0, len(pa), 32)}
+                tables_b = {pb[i : i + 32] for i in range(0, len(pb), 32)}
+                assert not tables_a & tables_b, (mode, r)
+                labels_a = set(input_label_zeros(a, r))
+                labels_b = set(input_label_zeros(b, r))
+                assert not labels_a & labels_b, (mode, r)
+
+    def test_seeded_vectorized_labels_come_from_the_drbg(self):
+        """A seeded vectorised run draws its offset and input labels from
+        the accelerator's AES-CTR label generator, seeded per garbling
+        exactly like the FSM path — not from a Mersenne Twister, whose
+        state the evaluator could recover from the labels it sees."""
         server = CloudServer(MODEL, Q8_4, pool_size=2, seed=27)
-        runs = list(server._pool)
-        assert runs[0].stream[0].table != runs[1].stream[0].table
+        assert server.garble_mode == "vectorized"
+        net = server.accelerator.circuit.netlist
+        for i, run in enumerate(server._pool):
+            factory = LabelGenerator(Q8_4.total_bits, seed=27 + i).factory
+            assert run.offset == factory.offset
+            meta = run.rounds[0]
+            drawn = [
+                p.zero
+                for p in meta.garbler_pairs + meta.evaluator_pairs + meta.state_pairs
+            ] + [meta.const_pairs[w].zero for w in net.constants]
+            assert drawn == factory.fresh_zeros(len(drawn))
+            mersenne = LabelFactory(source=random.Random(27 + i))
+            assert run.offset != mersenne.offset
