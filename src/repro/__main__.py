@@ -239,7 +239,7 @@ def cmd_gateway(args) -> str:
         server, host=args.host, port=args.port, config=config, store=store
     ) as gateway:
         # SIGTERM drains gracefully: stop accepting, checkpoint in-flight
-        # sessions at their next round boundary, tell v3 clients to resume
+        # sessions at their next round boundary, tell clients to resume
         gateway.install_signal_handlers()
         host, port = gateway.address
         print(

@@ -2,9 +2,10 @@
 
 :class:`MAXelerator` bundles the scheduled MAC circuit, the FSM
 simulator, the timing model (Table 2's MAXelerator column) and the
-PCIe/memory model.  :class:`MaxSequentialGarbler` speaks the *same wire
-protocol* as the software :class:`repro.gc.sequential_gc.SequentialGarbler`,
-so the unmodified client-side evaluator works against it — the paper's
+PCIe/memory model.  :class:`MaxSequentialGarbler` streams through the
+same garbler-side code as the software
+:class:`repro.gc.sequential_gc.SequentialGarbler`, so the unmodified
+client-side evaluator works against it — the paper's
 "the hardware acceleration is transparent to the evaluator".
 """
 
@@ -27,12 +28,16 @@ from repro.accel.tree_mac import (
     build_scheduled_mac,
     total_cores,
 )
-from repro.crypto.ot import DEFAULT_GROUP, DHGroup, BaseOTSender, OTExtensionSender, K_SECURITY
+from repro.crypto.ot import DEFAULT_GROUP, DHGroup
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.gc.channel import Endpoint
-from repro.gc.sequential_gc import SequentialReport
+from repro.gc.sequential_gc import (
+    OT_MODES,
+    SequentialReport,
+    SequentialStreamer,
+    materials_for_run,
+)
 from repro.gc.stage_plan import StagePlan, stage_plan_for
-from repro.gc.tables import serialize_tables
 from repro.gc.vector_garble import VectorRun, garble_mac_runs
 
 DEFAULT_CLOCK_MHZ = 200.0  # Virtex UltraSCALE implementation result
@@ -182,9 +187,10 @@ class MaxSequentialGarbler:
     """Drop-in replacement for the software SequentialGarbler.
 
     Garbles ahead of time on the accelerator (the paper's 'stored garbled
-    circuits' usage), then plays the byte-identical sequential-GC wire
-    protocol; the host CPU's reorder buffer presents each round's tables
-    in netlist order.
+    circuits' usage), then streams the run through the one garbler-side
+    dialogue (:class:`~repro.gc.sequential_gc.SequentialStreamer`); the
+    host CPU's reorder buffer presents each round's tables in netlist
+    order.
     """
 
     def __init__(
@@ -204,71 +210,25 @@ class MaxSequentialGarbler:
         reveal: str = "evaluator",
         ot_mode: str = "per_round",
     ) -> SequentialReport:
-        acc = self.accelerator
-        circuit = acc.circuit
-        net = circuit.netlist
-        chan = self.channel
         rounds = len(round_inputs)
         if rounds == 0:
             raise GCProtocolError("sequential GC needs at least one round")
-        if ot_mode not in ("per_round", "upfront"):
-            raise GCProtocolError("ot_mode must be 'per_round' or 'upfront'")
+        if ot_mode not in OT_MODES:
+            raise GCProtocolError(f"ot_mode must be one of {OT_MODES}")
 
-        run = acc.garble(rounds)
+        run = self.accelerator.garble(rounds)
         self.last_run = run
-        chan.send("seq.rounds", rounds.to_bytes(4, "big"))
-        chan.send("seq.ot_mode", ot_mode.encode())
-
-        if ot_mode == "upfront" and net.evaluator_inputs:
-            all_pairs = [
-                (p.zero, p.one)
-                for meta in run.rounds
-                for p in meta.evaluator_pairs
-            ]
-            sender = (
-                OTExtensionSender(chan, self.group)
-                if len(all_pairs) > K_SECURITY
-                else BaseOTSender(chan, self.group)
-            )
-            sender.send(all_pairs)
-
-        for r, bits in enumerate(round_inputs):
-            if len(bits) != len(net.garbler_inputs):
-                raise GCProtocolError(
-                    f"round {r}: expected {len(net.garbler_inputs)} garbler bits"
-                )
-            meta = run.rounds[r]
-            chan.send("seq.tables", serialize_tables(run.tables_for_round(r)))
-            chan.send_u128_list(
-                "seq.garbler_labels",
-                [p.select(b) for p, b in zip(meta.garbler_pairs, bits)],
-            )
-            const_wires = sorted(net.constants)
-            chan.send_u128_list(
-                "seq.const_labels",
-                [meta.const_pairs[w].select(net.constants[w]) for w in const_wires],
-            )
-            if r == 0:
-                init = circuit.circuit.initial_state
-                chan.send_u128_list(
-                    "seq.state_labels",
-                    [p.select(b) for p, b in zip(meta.state_pairs, init)],
-                )
-            if ot_mode == "per_round" and net.evaluator_inputs:
-                pairs = [(p.zero, p.one) for p in meta.evaluator_pairs]
-                use_ext = len(pairs) > K_SECURITY
-                sender = (
-                    OTExtensionSender(chan, self.group)
-                    if use_ext
-                    else BaseOTSender(chan, self.group)
-                )
-                sender.send(pairs)
-
+        reveal_map = run.output_permute_bits if reveal in ("evaluator", "both") else None
+        SequentialStreamer(
+            self.channel,
+            materials_for_run(run, round_inputs),
+            reveal_map,
+            ot_mode,
+            self.group,
+        ).run()
         output_bits = None
-        if reveal in ("evaluator", "both"):
-            chan.send("seq.output_map", bytes(run.output_permute_bits))
         if reveal in ("garbler", "both"):
-            labels = chan.recv_u128_list("seq.output_labels")
+            labels = self.channel.recv_u128_list("seq.output_labels")
             output_bits = [
                 pair.decode(label)
                 for pair, label in zip(run.rounds[-1].output_pairs, labels)
@@ -277,7 +237,7 @@ class MaxSequentialGarbler:
         return SequentialReport(
             rounds=rounds,
             output_bits=output_bits,
-            bytes_sent=chan.sent.payload_bytes,
+            bytes_sent=self.channel.sent.payload_bytes,
             n_tables=run.total_tables,
-            hash_calls=sum(c.engine.stats.aes_activations for c in run.cores),
+            hash_calls=run.hash_calls,
         )

@@ -241,6 +241,36 @@ class OTExtensionReceiver:
         return results
 
 
+def _extends(n_transfers: int, extension: bool | None) -> bool:
+    """The OT-size policy: IKNP extension once the transfers outnumber
+    the base-OT security parameter (base OTs amortise away, per the
+    paper's OT-extension [24]), base OT below; ``extension`` forces
+    either."""
+    return n_transfers > K_SECURITY if extension is None else extension
+
+
+def ot_sender(
+    channel: Endpoint,
+    n_transfers: int,
+    group: DHGroup = DEFAULT_GROUP,
+    extension: bool | None = None,
+) -> BaseOTSender | OTExtensionSender:
+    """The sender for one OT of ``n_transfers`` label pairs."""
+    cls = OTExtensionSender if _extends(n_transfers, extension) else BaseOTSender
+    return cls(channel, group)
+
+
+def ot_receiver(
+    channel: Endpoint,
+    n_transfers: int,
+    group: DHGroup = DEFAULT_GROUP,
+    extension: bool | None = None,
+) -> BaseOTReceiver | OTExtensionReceiver:
+    """The receiver matching :func:`ot_sender` for the same count."""
+    cls = OTExtensionReceiver if _extends(n_transfers, extension) else BaseOTReceiver
+    return cls(channel, group)
+
+
 def transfer_labels(
     sender_channel: Endpoint,
     receiver_channel: Endpoint,
@@ -251,19 +281,12 @@ def transfer_labels(
 ) -> list[int]:
     """Run a complete OT (both sides, interleaved) and return the labels.
 
-    With ``use_extension`` unset, IKNP extension is used once the number
-    of transfers exceeds the base-OT security parameter, mirroring
-    practice (base OTs amortise away, per the paper's OT-extension [24]).
+    With ``use_extension`` unset the OT-size policy of :func:`ot_sender`
+    picks base OT or IKNP extension.
     """
     if len(pairs) != len(choices):
         raise CryptoError("need exactly one choice bit per message pair")
-    if use_extension is None:
-        use_extension = len(pairs) > K_SECURITY
-    if use_extension:
-        sender = OTExtensionSender(sender_channel, group)
-        receiver = OTExtensionReceiver(receiver_channel, group)
-    else:
-        sender = BaseOTSender(sender_channel, group)
-        receiver = BaseOTReceiver(receiver_channel, group)
+    sender = ot_sender(sender_channel, len(pairs), group, use_extension)
+    receiver = ot_receiver(receiver_channel, len(pairs), group, use_extension)
     _, labels = run_two_party(lambda: sender.send(pairs), lambda: receiver.receive(choices))
     return labels

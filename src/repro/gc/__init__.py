@@ -14,6 +14,7 @@ from repro.gc.sequential_gc import (
     SequentialEvaluator,
     SequentialGarbler,
     SequentialReport,
+    SequentialStreamer,
     run_sequential,
 )
 from repro.gc.stage_plan import StagePlan, netlist_fingerprint, plan_stages, stage_plan_for
@@ -41,6 +42,7 @@ __all__ = [
     "SequentialEvaluator",
     "SequentialGarbler",
     "SequentialReport",
+    "SequentialStreamer",
     "StagePlan",
     "TABLE_BYTES",
     "TrafficStats",

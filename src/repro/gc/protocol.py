@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 from repro.circuits.netlist import Netlist
 from repro.crypto.labels import LabelFactory
-from repro.crypto.ot import (
-    DEFAULT_GROUP,
-    DHGroup,
-    OTExtensionReceiver,
-    OTExtensionSender,
-    BaseOTReceiver,
-    BaseOTSender,
-    K_SECURITY,
-)
+from repro.crypto.ot import DEFAULT_GROUP, DHGroup, ot_receiver, ot_sender
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
 from repro.gc.evaluate import EvaluationResult, Evaluator
@@ -100,12 +92,7 @@ class GarblerParty:
 
         pairs = gc.evaluator_input_pairs()
         if pairs:
-            use_ext = len(pairs) > K_SECURITY
-            sender = (
-                OTExtensionSender(chan, self.group)
-                if use_ext
-                else BaseOTSender(chan, self.group)
-            )
+            sender = ot_sender(chan, len(pairs), self.group)
             with tm.timer("protocol.ot"):
                 sender.send(pairs)
             tm.counter("ot.transfers").inc(len(pairs))
@@ -157,12 +144,7 @@ class EvaluatorParty:
 
         my_labels: list[int] = []
         if net.evaluator_inputs:
-            use_ext = len(net.evaluator_inputs) > K_SECURITY
-            receiver = (
-                OTExtensionReceiver(chan, self.group)
-                if use_ext
-                else BaseOTReceiver(chan, self.group)
-            )
+            receiver = ot_receiver(chan, len(net.evaluator_inputs), self.group)
             my_labels = receiver.receive(list(input_bits))
 
         labels: dict[int, int] = {}

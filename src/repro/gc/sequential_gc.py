@@ -13,25 +13,20 @@ reference semantics that the MAXelerator accelerator stream must match.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 from repro.circuits.sequential import SequentialCircuit
 from repro.crypto.labels import LabelFactory, color
-from repro.crypto.ot import (
-    DEFAULT_GROUP,
-    DHGroup,
-    BaseOTReceiver,
-    BaseOTSender,
-    OTExtensionReceiver,
-    OTExtensionSender,
-    K_SECURITY,
-)
+from repro.crypto.ot import DEFAULT_GROUP, DHGroup, ot_receiver, ot_sender
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
 from repro.gc.garble import Garbler
 from repro.gc.stage_plan import StagePlan
 from repro.gc.tables import serialize_tables
 from repro.gc.vector_garble import VectorEvaluator
+from repro.he.mac import HE_RESULT_TAG
+from repro.telemetry import MetricsRegistry
 
 
 #: OT scheduling modes (Section 3 of the paper): per-round OT keeps the
@@ -56,6 +51,212 @@ class SequentialReport:
     peak_input_label_bytes: int = 0
 
 
+@dataclass
+class RoundMaterial:
+    """Everything the garbler transmits for one round of one query.
+
+    Selected once per query (:func:`materials_for_run`): the garbled
+    tables as their ``seq.tables`` payload, the active garbler and
+    constant labels, and the evaluator's label pairs for OT.  A session
+    checkpoint stores the same objects, so a resumed stream sends what
+    the fresh one would have.  An HE session's single round carries the
+    result ciphertext in ``tables`` and nothing else.
+    """
+
+    round_index: int
+    tables: bytes
+    #: active labels for the garbler's (model) input bits
+    garbler_labels: list[int]
+    #: active labels for the netlist's constant wires
+    const_labels: list[int]
+    #: (zero, one) pairs for the evaluator's input wires — OT material
+    evaluator_pairs: list[tuple[int, int]]
+    #: active initial-state labels; only round 0 carries them
+    state_labels: list[int] | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "round_index": self.round_index,
+            "tables": base64.b64encode(self.tables).decode("ascii"),
+            "garbler_labels": self.garbler_labels,
+            "const_labels": self.const_labels,
+            "evaluator_pairs": [list(p) for p in self.evaluator_pairs],
+            "state_labels": self.state_labels,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RoundMaterial":
+        state = data["state_labels"]
+        return cls(
+            round_index=int(data["round_index"]),
+            tables=base64.b64decode(data["tables"].encode("ascii")),
+            garbler_labels=[int(v) for v in data["garbler_labels"]],
+            const_labels=[int(v) for v in data["const_labels"]],
+            evaluator_pairs=[
+                (int(p[0]), int(p[1])) for p in data["evaluator_pairs"]
+            ],
+            state_labels=None if state is None else [int(v) for v in state],
+        )
+
+
+def materials_for_run(run, round_bits: list[list[int]]) -> list[RoundMaterial]:
+    """Select one query's material from a garbled MAC run.
+
+    ``run`` is an :class:`~repro.accel.fsm.AcceleratorRun` or a
+    :class:`~repro.gc.vector_garble.VectorRun`; ``round_bits`` holds the
+    garbler's input bits for each round.  Tables are copied out of the
+    run — a vectorised run's payload is a view into a batch shared with
+    other sessions — so the material can outlive it in a checkpoint.
+    """
+    net = run.circuit.netlist
+    const_wires = sorted(net.constants)
+    initial_state = run.circuit.circuit.initial_state
+    materials = []
+    for r, bits in enumerate(round_bits):
+        meta = run.rounds[r]
+        if len(bits) != len(meta.garbler_pairs):
+            raise GCProtocolError(
+                f"round {r}: expected {len(meta.garbler_pairs)} garbler bits"
+            )
+        materials.append(RoundMaterial(
+            round_index=r,
+            tables=bytes(run.tables_payload(r)),
+            garbler_labels=[p.select(b) for p, b in zip(meta.garbler_pairs, bits)],
+            const_labels=[
+                meta.const_pairs[w].select(net.constants[w]) for w in const_wires
+            ],
+            evaluator_pairs=[(p.zero, p.one) for p in meta.evaluator_pairs],
+            state_labels=(
+                [p.select(b) for p, b in zip(meta.state_pairs, initial_state)]
+                if r == 0
+                else None
+            ),
+        ))
+    return materials
+
+
+class SequentialStreamer:
+    """The garbler half of the sequential-GC dialogue — its one implementation.
+
+    Whoever garbled, the evaluator (:class:`SequentialEvaluator`) sees
+    these frames: fresh queries (:meth:`repro.host.CloudServer.serve_row`,
+    and ``serve_row_he`` for the one-round HE dialogue), resumed
+    sessions (:class:`repro.recover.checkpoint.CheckpointStreamer`) and
+    the reference garblers (:class:`SequentialGarbler`,
+    :class:`repro.accel.maxelerator.MaxSequentialGarbler`) all stream
+    through it.
+
+    ``begin()`` sends the preamble (``seq.rounds``, ``seq.ot_mode``)
+    and, in ``upfront`` mode, one OT over every remaining round's
+    evaluator pairs in round order.  ``stream_round()`` sends one round
+    — ``seq.tables``, ``seq.garbler_labels``, ``seq.const_labels``,
+    ``seq.state_labels`` on round 0, then the round's OT in
+    ``per_round`` mode — and returns True while rounds remain.
+    ``finish()`` sends ``seq.output_map``, unless ``output_permute_bits``
+    is None (only the garbler learns the result).  An ``he`` stream has
+    no preamble and no output map; its one round is ``he.result``.
+
+    ``materials`` are the rounds from ``start_round`` on: a resumed
+    stream starts past round 0, and a tail resume streams no round at
+    all.  After each round is on the wire, ``checkpoint`` (when set) is
+    advanced to the channel's counters and then ``on_round(next_round)``
+    fires; either may raise to stop the stream at that boundary.
+    """
+
+    def __init__(
+        self,
+        channel: Endpoint,
+        materials: list[RoundMaterial],
+        output_permute_bits: list[int] | None = None,
+        ot_mode: str = "per_round",
+        group: DHGroup = DEFAULT_GROUP,
+        start_round: int = 0,
+        backend: str = "gc",
+        on_round=None,
+        telemetry: MetricsRegistry | None = None,
+        checkpoint=None,
+    ):
+        self.channel = channel
+        self.materials = list(materials)
+        self.output_permute_bits = output_permute_bits
+        self.ot_mode = ot_mode
+        self.group = group
+        self.start_round = start_round
+        self.rounds = start_round + len(self.materials)
+        self.backend = backend
+        self.on_round = on_round
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
+        #: the session checkpoint this stream advances at every round
+        #: boundary (anything with ``begin_stream`` / ``advance``)
+        self.checkpoint = checkpoint
+        self.streamed = 0
+        self._begun = False
+
+    def run(self) -> int:
+        """Stream the whole dialogue; returns the number of rounds streamed."""
+        self.begin()
+        while self.stream_round():
+            pass
+        return self.finish()
+
+    def begin(self) -> None:
+        """Send the preamble (and the remaining upfront OT)."""
+        self._begun = True
+        if self.checkpoint is not None:
+            self.checkpoint.begin_stream(self.start_round)
+        if self.backend == "he":
+            # the HE client is parked in recv("he.result") and expects it first
+            return
+        self.channel.send("seq.rounds", self.rounds.to_bytes(4, "big"))
+        self.channel.send("seq.ot_mode", self.ot_mode.encode("ascii"))
+        if self.ot_mode == "upfront":
+            # the evaluator slices its labels relative to start_round,
+            # so the transfer concatenates the remaining rounds in order
+            self._transfer([p for m in self.materials for p in m.evaluator_pairs])
+
+    def stream_round(self) -> bool:
+        """Stream one round; returns True while more rounds remain."""
+        if not self._begun:
+            raise GCProtocolError("stream_round() before begin()")
+        if self.streamed >= len(self.materials):
+            return False
+        chan = self.channel
+        tm = self.telemetry
+        m = self.materials[self.streamed]
+        if self.backend == "he":
+            chan.send(HE_RESULT_TAG, m.tables)
+        else:
+            with tm.timer("stream.round"):
+                chan.send("seq.tables", m.tables)
+                chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
+                chan.send_u128_list("seq.const_labels", m.const_labels)
+                if m.state_labels is not None:
+                    chan.send_u128_list("seq.state_labels", m.state_labels)
+            if self.ot_mode == "per_round":
+                self._transfer(m.evaluator_pairs)
+        tm.counter("stream.bytes").inc(len(m.tables))
+        self.streamed += 1
+        next_round = self.start_round + self.streamed
+        if self.checkpoint is not None:
+            self.checkpoint.advance(next_round, chan.send_seq, chan.recv_seq)
+        if self.on_round is not None:
+            self.on_round(next_round)
+        return self.streamed < len(self.materials)
+
+    def finish(self) -> int:
+        """Send the output map; returns the number of rounds streamed."""
+        if self.backend != "he" and self.output_permute_bits is not None:
+            self.channel.send("seq.output_map", bytes(self.output_permute_bits))
+        return self.streamed
+
+    def _transfer(self, pairs: list[tuple[int, int]]) -> None:
+        if not pairs:
+            return
+        with self.telemetry.timer("ot.send"):
+            ot_sender(self.channel, len(pairs), self.group).send(pairs)
+        self.telemetry.counter("ot.transfers").inc(len(pairs))
+
+
 class SequentialGarbler:
     """Garbles the round netlist M times with carried-over state pairs."""
 
@@ -77,25 +278,19 @@ class SequentialGarbler:
         round_inputs: list[list[int]],
         reveal: str = "evaluator",
         ot_mode: str = "per_round",
-        on_round=None,
     ) -> SequentialReport:
-        """``on_round(next_round)`` fires after each round's material
-        (tables, labels, OT) is fully on the wire — the checkpointing
-        hook of :mod:`repro.recover`.  It may raise to abort streaming
-        at a round boundary (graceful drain)."""
         net = self.circuit.netlist
-        chan = self.channel
         rounds = len(round_inputs)
         if rounds == 0:
             raise GCProtocolError("sequential GC needs at least one round")
         if ot_mode not in OT_MODES:
             raise GCProtocolError(f"ot_mode must be one of {OT_MODES}")
-        chan.send("seq.rounds", rounds.to_bytes(4, "big"))
-        chan.send("seq.ot_mode", ot_mode.encode())
 
-        # Garble every round up front (state pairs chain eagerly); the
-        # upfront OT mode needs all evaluator-input pairs before the loop.
-        gcs = []
+        # Garble every round up front: state pairs chain eagerly, and
+        # the upfront OT mode needs all evaluator-input pairs first.
+        const_wires = sorted(net.constants)
+        const_bits = [net.constants[w] for w in const_wires]
+        materials = []
         state_pairs = None
         hash_calls = 0
         n_tables = 0
@@ -113,66 +308,32 @@ class SequentialGarbler:
             hash_calls += gc.hash_calls
             n_tables += len(gc.tables)
             state_pairs = [gc.output_pairs[i] for i in self.circuit.state_feedback]
-            gcs.append(gc)
-        last_gc = gcs[-1]
+            materials.append(RoundMaterial(
+                round_index=r,
+                tables=serialize_tables(gc.tables),
+                garbler_labels=gc.input_labels_for(net.garbler_inputs, bits),
+                const_labels=gc.input_labels_for(const_wires, const_bits),
+                evaluator_pairs=gc.evaluator_input_pairs(),
+                # the initial state is garbler-known: send its active labels
+                state_labels=(
+                    gc.input_labels_for(net.state_inputs, self.circuit.initial_state)
+                    if r == 0
+                    else None
+                ),
+            ))
 
-        if ot_mode == "upfront" and net.evaluator_inputs:
-            all_pairs = [
-                (gc.wire_pairs[w].zero, gc.wire_pairs[w].one)
-                for gc in gcs
-                for w in net.evaluator_inputs
-            ]
-            sender = (
-                OTExtensionSender(chan, self.group)
-                if len(all_pairs) > K_SECURITY
-                else BaseOTSender(chan, self.group)
-            )
-            sender.send(all_pairs)
-
-        for r, (gc, bits) in enumerate(zip(gcs, round_inputs)):
-            chan.send("seq.tables", serialize_tables(gc.tables))
-            chan.send_u128_list(
-                "seq.garbler_labels",
-                gc.input_labels_for(net.garbler_inputs, bits),
-            )
-            const_wires = sorted(net.constants)
-            chan.send_u128_list(
-                "seq.const_labels",
-                gc.input_labels_for(const_wires, [net.constants[w] for w in const_wires]),
-            )
-            if r == 0:
-                # Initial state is garbler-known: send the active labels.
-                chan.send_u128_list(
-                    "seq.state_labels",
-                    gc.input_labels_for(net.state_inputs, self.circuit.initial_state),
-                )
-            if ot_mode == "per_round" and net.evaluator_inputs:
-                use_ext = len(net.evaluator_inputs) > K_SECURITY
-                sender = (
-                    OTExtensionSender(chan, self.group)
-                    if use_ext
-                    else BaseOTSender(chan, self.group)
-                )
-                sender.send(
-                    [
-                        (gc.wire_pairs[w].zero, gc.wire_pairs[w].one)
-                        for w in net.evaluator_inputs
-                    ]
-                )
-            if on_round is not None:
-                on_round(r + 1)
-
+        reveal_map = gc.output_permute_bits if reveal in ("evaluator", "both") else None
+        SequentialStreamer(
+            self.channel, materials, reveal_map, ot_mode, self.group
+        ).run()
         output_bits = None
-        if reveal in ("evaluator", "both"):
-            chan.send("seq.output_map", bytes(last_gc.output_permute_bits))
         if reveal in ("garbler", "both"):
-            labels = chan.recv_u128_list("seq.output_labels")
-            output_bits = last_gc.decode(labels)
+            output_bits = gc.decode(self.channel.recv_u128_list("seq.output_labels"))
 
         return SequentialReport(
             rounds=rounds,
             output_bits=output_bits,
-            bytes_sent=chan.sent.payload_bytes,
+            bytes_sent=self.channel.sent.payload_bytes,
             n_tables=n_tables,
             hash_calls=hash_calls,
         )
@@ -215,7 +376,7 @@ class SequentialEvaluator:
         a resume (``start_round > 0``) the completed rounds' inputs are
         skipped, the carried accumulator labels come from
         ``state_labels``, and the garbler re-streams only the remaining
-        rounds (:func:`repro.recover.checkpoint.serve_from_checkpoint`).
+        rounds (:class:`SequentialStreamer` from ``start_round``).
         ``progress`` (a :class:`~repro.recover.checkpoint.EvaluatorProgress`)
         is updated at every round boundary so the caller can resume
         after a mid-stream disconnect.
@@ -263,12 +424,7 @@ class SequentialEvaluator:
             # garbler (any gateway holding the checkpoint) re-runs one
             # OT over rounds start_round..M-1, concatenated in order.
             choices = [b for bits in round_inputs[start_round:] for b in bits]
-            receiver = (
-                OTExtensionReceiver(chan, self.group)
-                if len(choices) > K_SECURITY
-                else BaseOTReceiver(chan, self.group)
-            )
-            upfront_labels = receiver.receive(choices)
+            upfront_labels = ot_receiver(chan, len(choices), self.group).receive(choices)
             peak_label_bytes = 16 * len(choices)
 
         state_labels = list(state_labels) if state_labels else []
@@ -288,13 +444,7 @@ class SequentialEvaluator:
                     base = (r - start_round) * n_in
                     my_labels = upfront_labels[base : base + n_in]
                 else:
-                    use_ext = n_in > K_SECURITY
-                    receiver = (
-                        OTExtensionReceiver(chan, self.group)
-                        if use_ext
-                        else BaseOTReceiver(chan, self.group)
-                    )
-                    my_labels = receiver.receive(list(bits))
+                    my_labels = ot_receiver(chan, n_in, self.group).receive(list(bits))
 
             labels: dict[int, int] = {}
             for wire, label in zip(net.garbler_inputs, garbler_labels):

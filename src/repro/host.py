@@ -32,11 +32,17 @@ import numpy as np
 from repro.accel.fsm import AcceleratorRun
 from repro.accel.maxelerator import MAXelerator
 from repro.bits import from_bits, to_bits
-from repro.crypto.ot import DHGroup, TOY_GROUP, BaseOTSender, OTExtensionSender, K_SECURITY
+from repro.crypto.ot import DHGroup, TOY_GROUP
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import FixedPointFormat, Q16_8
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.sequential_gc import (
+    OT_MODES,
+    RoundMaterial,
+    SequentialEvaluator,
+    SequentialStreamer,
+    materials_for_run,
+)
 from repro.telemetry import MetricsRegistry
 
 #: How the host garbles: stage-batched through the vectorised fixed-key
@@ -279,13 +285,16 @@ class CloudServer:
                   ot_mode: str = "per_round") -> None:
         """Serve one dot product <model[row], x> to a connected client.
 
-        Recovery hooks (:mod:`repro.recover`): ``on_run(run,
-        encoded_row)`` fires once, after the pooled run is taken and
-        before anything is streamed — the gateway uses it to snapshot
-        the session's resumable material.  ``on_round(next_round)``
-        fires after each round's tables/labels/OT are fully on the wire;
-        it may raise (e.g. :class:`~repro.errors.SessionDrainedError`)
-        to abort streaming at a round boundary.
+        The pooled run's material (tables, selected labels, OT pairs) is
+        built once and streamed through
+        :class:`~repro.gc.sequential_gc.SequentialStreamer`.  Recovery
+        hooks (:mod:`repro.recover`): ``on_run(stream)`` fires once,
+        before anything is streamed — the gateway checkpoints the
+        stream's material there and binds the checkpoint to the stream.
+        ``on_round(next_round)`` fires after each round's
+        tables/labels/OT are fully on the wire; it may raise (e.g.
+        :class:`~repro.errors.SessionDrainedError`) to abort streaming
+        at a round boundary.
 
         ``ot_mode`` follows :data:`repro.gc.sequential_gc.OT_MODES`:
         ``per_round`` interleaves one OT per round, ``upfront``
@@ -301,78 +310,29 @@ class CloudServer:
             encoded_row = (
                 self._encoded[row_index] if 0 <= row_index < n_rows else None
             )
-            accelerator = self.accelerator
-            rounds = self.rounds_per_request
         if encoded_row is None:
             raise ConfigurationError(f"model has no row {row_index}")
         tm = self.telemetry
         with tm.span("serve_row"):
             run = self._take_run()
+            bits = [to_bits(int(v), self.fmt.total_bits) for v in encoded_row]
+            stream = SequentialStreamer(
+                channel,
+                materials_for_run(run, bits),
+                run.output_permute_bits,
+                ot_mode,
+                self.group,
+                on_round=on_round,
+                telemetry=tm,
+            )
             if on_run is not None:
-                on_run(run, encoded_row)
-            net = accelerator.circuit.netlist
-            bits_per_round = [
-                to_bits(int(v), self.fmt.total_bits) for v in encoded_row
-            ]
-            channel.send("seq.rounds", rounds.to_bytes(4, "big"))
-            channel.send("seq.ot_mode", ot_mode.encode("ascii"))
-            if ot_mode == "upfront":
-                all_pairs = [
-                    (p.zero, p.one)
-                    for meta in run.rounds
-                    for p in meta.evaluator_pairs
-                ]
-                if all_pairs:
-                    sender = (
-                        OTExtensionSender(channel, self.group)
-                        if len(all_pairs) > K_SECURITY
-                        else BaseOTSender(channel, self.group)
-                    )
-                    with tm.timer("ot.send"):
-                        sender.send(all_pairs)
-                    tm.counter("ot.transfers").inc(len(all_pairs))
-            for r, bits in enumerate(bits_per_round):
-                meta = run.rounds[r]
-                with tm.timer("stream.round"):
-                    # vectorized runs hand back a zero-copy view of the
-                    # table array; sequential runs serialise on the fly
-                    payload = run.tables_payload(r)
-                    channel.send("seq.tables", payload)
-                    tm.counter("stream.bytes").inc(len(payload))
-                    channel.send_u128_list(
-                        "seq.garbler_labels",
-                        [p.select(b) for p, b in zip(meta.garbler_pairs, bits)],
-                    )
-                    const_wires = sorted(net.constants)
-                    channel.send_u128_list(
-                        "seq.const_labels",
-                        [meta.const_pairs[w].select(net.constants[w]) for w in const_wires],
-                    )
-                    if r == 0:
-                        init = accelerator.circuit.circuit.initial_state
-                        channel.send_u128_list(
-                            "seq.state_labels",
-                            [p.select(b) for p, b in zip(meta.state_pairs, init)],
-                        )
-                if ot_mode == "per_round":
-                    pairs = [(p.zero, p.one) for p in meta.evaluator_pairs]
-                    sender = (
-                        OTExtensionSender(channel, self.group)
-                        if len(pairs) > K_SECURITY
-                        else BaseOTSender(channel, self.group)
-                    )
-                    with tm.timer("ot.send"):
-                        sender.send(pairs)
-                    tm.counter("ot.transfers").inc(len(pairs))
-                if on_round is not None:
-                    on_round(r + 1)
-            channel.send("seq.output_map", bytes(run.output_permute_bits))
+                on_run(stream)
+            stream.run()
         self.stats.bump("requests_served")
         self.stats.bump("tables_streamed", run.total_tables)
         tm.counter("stream.tables").inc(run.total_tables)
         tm.counter("gc.hash_calls").inc(run.hash_calls)
         self._after_serve()
-
 
     # ------------------------------------------------------------------
     # encrypted-MAC backend (repro.he)
@@ -408,13 +368,13 @@ class CloudServer:
         """Serve one encrypted MAC: recv ``he.query``, answer
         ``he.result``.
 
-        The recovery hooks mirror :meth:`serve_row`'s contract with
-        the round count fixed at one: ``on_run(result_bytes)`` fires
-        after the homomorphic product is computed and before it is
-        streamed (the gateway checkpoints the *result* — the server
-        holds no keys, so re-sending it after a crash is exactly a
-        garbled-table replay); ``on_round(1)`` fires once the result
-        is on the wire and may raise to abort at the boundary.
+        The result is streamed as a one-round ``he`` stream, so the
+        recovery hooks keep :meth:`serve_row`'s contract: ``on_run(stream)``
+        fires after the homomorphic product is computed and before it is
+        sent (the gateway checkpoints the *result* — the server holds no
+        keys, so re-sending it after a crash is exactly a garbled-table
+        replay); ``on_round(1)`` fires once the result is on the wire
+        and may raise to abort at the boundary.
         """
         with self._lock:
             n_rows = self.model.shape[0]
@@ -426,16 +386,21 @@ class CloudServer:
             query = channel.recv("he.query")
             with tm.timer("he.eval"):
                 result = he.answer_query(query, row_index)
+            stream = SequentialStreamer(
+                channel,
+                [RoundMaterial(0, bytes(result), [], [], [])],
+                backend="he",
+                on_round=on_round,
+                telemetry=tm,
+            )
             if on_run is not None:
-                on_run(result)
+                on_run(stream)
             # counted at eval, like runs_garbled: a checkpointed result
             # re-streamed by a peer after a crash must not count twice,
             # which makes the delta an exact zero-recompute oracle
             self.stats.bump("he_queries")
             tm.counter("he.queries").inc()
-            channel.send("he.result", result)
-            if on_round is not None:
-                on_round(1)
+            stream.run()
         self.stats.bump("requests_served")
 
 

@@ -31,7 +31,6 @@ from repro.net.frames import (
 from repro.net.gateway import GCGateway
 from repro.net.handshake import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     SessionDescriptor,
     client_handshake,
     client_session_handshake,
@@ -46,7 +45,6 @@ __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "FrameReader",
     "RemoteAnalyticsClient",
     "SessionDescriptor",

@@ -13,7 +13,7 @@ The evaluator that runs here is the *unmodified*
 endpoint is drop-in for the in-memory channel, which is the whole point
 of the transport layer.
 
-Recovery (protocol v3, :mod:`repro.recover`): when constructed with a
+Recovery (:mod:`repro.recover`): when constructed with a
 ``dial`` callable (or host+port, from which one is synthesized), the
 session endpoint is a :class:`ResumableClientEndpoint` — a wire break
 mid-query reconnects under capped exponential backoff, resumes the
@@ -69,11 +69,10 @@ class RemoteAnalyticsClient:
     ``dial`` is a zero-argument callable returning a *connected*
     transport endpoint (a :class:`SocketEndpoint`); it is what makes
     the session resumable — without one (the ``from_socket`` loopback
-    path) the client still speaks v3 but cannot reconnect, exactly like
-    the pre-recovery client.  ``backoff`` shapes both reconnect pacing
+    path) the client cannot reconnect.  ``backoff`` shapes both reconnect pacing
     and how a ``net.retry_after`` shed reply is honored.
 
-    ``backend`` picks the private-MAC backend (v4 negotiation,
+    ``backend`` picks the private-MAC backend (negotiated in the hello,
     :data:`repro.privatemac.BACKENDS`): ``None`` accepts the gateway's
     default, a named backend is a hard requirement.  An HE session
     re-derives the BFV ring parameters from the session descriptor and
@@ -176,11 +175,7 @@ class RemoteAnalyticsClient:
             # fleet placement: reconnects dial the session's rendezvous
             # owner first instead of whoever answered the handshake
             self._dial.pin(self.session_id)
-        if (
-            d.protocol_version >= 3
-            and self.session_id
-            and self._dial is not None
-        ):
+        if self.session_id and self._dial is not None:
             self.endpoint = ResumableClientEndpoint(
                 transport,
                 dial=self._dial,

@@ -19,7 +19,7 @@ Ordering matters on a single socket: the worker that streams tables
 must not start before ``net.ack`` is on the wire, which is what
 ``RemoteSessionRequest.start_gate`` enforces.
 
-Recovery (protocol v3, :mod:`repro.recover`): a reconnecting client
+Recovery (:mod:`repro.recover`): a reconnecting client
 opens with ``net.resume`` instead of ``net.hello``.  If the original
 session thread is still alive (parked on its broken wire inside a
 :class:`RebindableEndpoint`), the gateway *rebinds* the fresh socket to
@@ -28,7 +28,7 @@ never re-garbled.  If the thread is gone (graceful drain, gateway
 restart with a JSONL store), the gateway *restarts* the stream at the
 last checkpointed round boundary from the session store.  A SIGTERM
 drain stops accepting, lets in-flight sessions finish their current
-round, checkpoints them, and tells v3 clients where to resume.
+round, checkpoints them, and tells clients where to resume.
 
 For CI and benches the gateway also serves *adopted* sockets
 (:meth:`GCGateway.adopt`) — one half of a ``socketpair`` — so the whole
@@ -78,11 +78,7 @@ from repro.net.handshake import (
     server_handshake,
 )
 from repro.privatemac import BACKENDS
-from repro.recover.checkpoint import (
-    SessionCheckpoint,
-    checkpoint_from_he_result,
-    checkpoint_from_run,
-)
+from repro.recover.checkpoint import SessionCheckpoint, checkpoint_from_stream
 from repro.recover.endpoint import (
     DRAIN_TAG,
     RESUME_OK_TAG,
@@ -113,23 +109,22 @@ class _GatewaySession:
 
     __slots__ = (
         "thread", "endpoint", "channel", "started_at", "handshaken",
-        "reaped", "session_id", "client_name", "version", "in_query",
+        "reaped", "session_id", "client_name", "in_query",
         "handoff", "backend", "tenant",
     )
 
     def __init__(self, thread: threading.Thread | None, endpoint: SocketEndpoint):
         self.thread = thread
         self.endpoint = endpoint
-        #: the session-layer endpoint queries run on — a
-        #: :class:`RebindableEndpoint` for v3, the transport itself for v2
+        #: the session-layer endpoint queries run on (a
+        #: :class:`RebindableEndpoint` over the transport)
         self.channel = None
         self.started_at = time.monotonic()
         self.handshaken = False
         self.reaped = False
         self.session_id = ""
         self.client_name = "client"
-        self.version = 2
-        #: negotiated private-MAC backend (pre-v4 sessions are GC)
+        #: negotiated private-MAC backend
         self.backend = "gc"
         self.in_query = False
         #: admission account from the hello ("" = the default tenant)
@@ -199,7 +194,7 @@ class GCGateway:
         self.serving = serving
         self.host = host
         self.port = port
-        #: backend granted to v4 clients that don't request one
+        #: backend granted to clients that don't request one
         #: (explicit argument > ``ServingConfig.backend`` >
         #: ``REPRO_BACKEND`` > ``gc``)
         self.default_backend = resolve_backend(
@@ -549,7 +544,6 @@ class GCGateway:
                 session.handshaken = True
                 session.session_id = session_id
                 session.client_name = str(hello.get("name", "client"))
-                session.version = int(hello.get("negotiated_version", 2))
                 session.backend = str(hello.get("negotiated_backend", "gc"))
                 session.tenant = str(hello.get("tenant") or "")
                 tm.counter("gateway.sessions").inc()
@@ -596,29 +590,25 @@ class GCGateway:
     def _query_loop(self, session: _GatewaySession) -> None:
         """Serve QUERY/BYE on a handshaken session until it ends."""
         cfg = self.serving.config
-        if session.version >= 3:
-            # v3 sessions survive wire breaks: the rebindable wrapper
-            # inherits the transport's post-handshake counters, so the
-            # wire stream is identical to v2 until a resume happens
-            session.channel = RebindableEndpoint(
-                session.endpoint,
-                resume_window_s=cfg.resume_window_s,
-                telemetry=self.telemetry,
-                recv_timeout_s=cfg.recv_timeout_s,
-                replay_capacity=cfg.replay_buffer_frames,
-            )
-            with self._sessions_lock:
-                self._live[session.session_id] = session
-        else:
-            session.channel = session.endpoint
+        # sessions survive wire breaks: the rebindable wrapper inherits
+        # the transport's post-handshake counters, so the wire stream is
+        # the transport's own until a resume happens
+        session.channel = RebindableEndpoint(
+            session.endpoint,
+            resume_window_s=cfg.resume_window_s,
+            telemetry=self.telemetry,
+            recv_timeout_s=cfg.recv_timeout_s,
+            replay_capacity=cfg.replay_buffer_frames,
+        )
+        with self._sessions_lock:
+            self._live[session.session_id] = session
         channel = session.channel
         while not self._stopping.is_set():
             tag, payload = channel.recv_any((QUERY_TAG, BYE_TAG))
             if tag == BYE_TAG:
                 # an explicit goodbye confirms every answer arrived:
                 # nothing left for any gateway to resume
-                if session.version >= 3:
-                    self.store.delete(session.session_id)
+                self.store.delete(session.session_id)
                 break
             session.in_query = True
             try:
@@ -630,7 +620,6 @@ class GCGateway:
         tm = self.telemetry
         cfg = self.serving.config
         channel = session.channel
-        v3 = session.version >= 3
         try:
             query = json.loads(payload.decode())
             row = int(query["row"])
@@ -651,26 +640,21 @@ class GCGateway:
             )
             return
         if self._draining.is_set():
-            self._shed(channel, v3, "gateway is draining", tenant=session.tenant)
+            self._shed(channel, "gateway is draining", tenant=session.tenant)
             return
-        on_run = on_round = None
-        if v3:
-            # a new query proves the previous one fully arrived: drop its
-            # checkpoint (kept until now for the post-completion tail)
-            self.store.delete(session.session_id)
-            # lease before ack: peers answering an early failover resume
-            # (this gateway killed mid-garble, before the first put) must
-            # see a live lease — "shed, retry" — not an unknown session
-            lease = self.store.acquire_lease(
-                session.session_id, self.gateway_id, cfg.lease_ttl_s
-            )
-            if lease is None:
-                self._shed(channel, v3, "session is leased to a peer",
-                           tenant=session.tenant)
-                return
-            on_run, on_round = self._checkpoint_hooks(
-                session, row, ot_mode, backend=session.backend
-            )
+        # a new query proves the previous one fully arrived: drop its
+        # checkpoint (kept until now for the post-completion tail)
+        self.store.delete(session.session_id)
+        # lease before ack: peers answering an early failover resume
+        # (this gateway killed mid-garble, before the first put) must
+        # see a live lease — "shed, retry" — not an unknown session
+        lease = self.store.acquire_lease(
+            session.session_id, self.gateway_id, cfg.lease_ttl_s
+        )
+        if lease is None:
+            self._shed(channel, "session is leased to a peer", tenant=session.tenant)
+            return
+        on_run, on_round = self._checkpoint_hooks(session, row)
         try:
             request = self.serving.submit_remote(
                 row, channel, on_round=on_round, on_run=on_run,
@@ -678,13 +662,12 @@ class GCGateway:
                 tenant=session.tenant,
             )
         except OverloadedError as exc:  # transient saturation: shed with a hint
-            if v3:  # nothing was garbled: don't pin the admission lease
-                self.store.release_lease(session.session_id, self.gateway_id)
-            self._shed(channel, v3, str(exc), tenant=session.tenant)
+            # nothing was garbled: don't pin the admission lease
+            self.store.release_lease(session.session_id, self.gateway_id)
+            self._shed(channel, str(exc), tenant=session.tenant)
             return
         except ServingError as exc:  # not running / hard failure: terminal
-            if v3:
-                self.store.release_lease(session.session_id, self.gateway_id)
+            self.store.release_lease(session.session_id, self.gateway_id)
             tm.counter("gateway.rejected").inc()
             channel.send(ERROR_TAG, str(exc).encode())
             return
@@ -697,36 +680,28 @@ class GCGateway:
         except SessionDrainedError as exc:
             self._notify_drained(session, exc)
             raise
-        if v3:
-            # every round is streamed, but the client may not have read
-            # them all yet: keep the checkpoint (its unacked tail) until
-            # the client's next query/bye confirms delivery, or the TTL
-            # judges the session abandoned.  Ownership is released so a
-            # post-crash resume needs no lease steal.
-            self.store.release_lease(session.session_id, self.gateway_id)
+        # every round is streamed, but the client may not have read them
+        # all yet: keep the checkpoint (its unacked tail) until the
+        # client's next query/bye confirms delivery, or the TTL judges
+        # the session abandoned.  Ownership is released so a post-crash
+        # resume needs no lease steal.
+        self.store.release_lease(session.session_id, self.gateway_id)
         tm.counter("gateway.queries").inc()
 
-    def _checkpoint_hooks(self, session: _GatewaySession, row: int,
-                          ot_mode: str = "per_round", backend: str = "gc"):
-        """Build the ``on_run``/``on_round`` closures that snapshot one
-        query's resumable state into the session store.
+    def _checkpoint_hooks(self, session: _GatewaySession, row: int):
+        """Build a fresh query's ``on_run``/``on_round`` pair.
 
-        Every round boundary is committed through the store's fenced
-        compare-and-swap: if another gateway stole this session's lease
-        (this one looked dead) the CAS raises :class:`LeaseError` and
-        streaming stops at the boundary — two gateways never advance the
-        same session.
-
-        GC queries checkpoint the full garbled run *before* streaming;
-        HE queries checkpoint the single result ciphertext (the server
-        holds no HE keys, so re-sending it on restart is exactly as safe
-        as replaying a garbled table).  Both share ``on_round``.
+        ``on_run(stream)`` fires before the first byte is streamed: it
+        re-checks the session's lease, snapshots the stream's material
+        (GC rounds, or the one HE result ciphertext) into the store and
+        binds the checkpoint to the stream, which advances it at every
+        round boundary.  ``on_round`` is the one boundary hook that
+        resumed streams share (:meth:`_commit_boundaries`).
         """
-        channel = session.channel
         cfg = self.serving.config
-        holder: dict = {}
+        state: dict = {}
 
-        def _store_checkpoint(cp) -> None:
+        def on_run(stream) -> None:
             lease = self.store.acquire_lease(
                 session.session_id, self.gateway_id, cfg.lease_ttl_s
             )
@@ -735,72 +710,62 @@ class GCGateway:
                     f"session {session.session_id}: lease held by another "
                     "gateway; refusing to stream"
                 )
-            holder["cp"] = cp
-            holder["expected"] = cp.next_round
+            cp = checkpoint_from_stream(
+                stream, session.session_id, row,
+                client_name=session.client_name, tenant=session.tenant,
+            )
             self.store.put(cp)
+            state["cp"], state["expected"] = cp, cp.next_round
+            stream.checkpoint = cp
 
-        if backend == "he":
-            def on_run(result_bytes):
-                _store_checkpoint(checkpoint_from_he_result(
-                    result_bytes,
-                    session.session_id,
-                    row,
-                    client_name=session.client_name,
-                    tenant=session.tenant,
-                ))
-        else:
-            def on_run(run, encoded_row):
-                _store_checkpoint(checkpoint_from_run(
-                    run,
-                    encoded_row,
-                    self.server.fmt.total_bits,
-                    session.session_id,
-                    row,
-                    client_name=session.client_name,
-                    ot_mode=ot_mode,
-                    tenant=session.tenant,
-                ))
+        return on_run, self._commit_boundaries(session.session_id, state)
 
-        def on_round(next_round: int):
-            cp = holder.get("cp")
-            if cp is not None:
-                cp.advance(next_round, channel.send_seq, channel.recv_seq)
-                self.store.cas_advance(
-                    cp, self.gateway_id, holder["expected"], cfg.lease_ttl_s
-                )
-                holder["expected"] = cp.next_round
+    def _commit_boundaries(self, sid: str, state: dict):
+        """The ``on_round`` hook of every streamed query, fresh or resumed.
+
+        The stream has already advanced ``state["cp"]`` past the round
+        it just sent; the hook commits that boundary through the store's
+        fenced compare-and-swap against ``state["expected"]``.  If
+        another gateway stole this session's lease (this one looked
+        dead) the CAS raises :class:`LeaseError` and streaming stops at
+        the boundary — two gateways never advance the same session.  A
+        draining gateway stops every stream at its next boundary.
+        """
+        cfg = self.serving.config
+
+        def on_round(next_round: int) -> None:
+            cp = state["cp"]
+            self.store.cas_advance(
+                cp, self.gateway_id, state["expected"], cfg.lease_ttl_s
+            )
+            state["expected"] = cp.next_round
             if self._draining.is_set():
                 raise SessionDrainedError(
-                    f"gateway draining: session {session.session_id} "
-                    f"checkpointed at round {next_round}",
-                    session_id=session.session_id,
+                    f"gateway draining: session {sid} checkpointed at "
+                    f"round {next_round}",
+                    session_id=sid,
                     next_round=next_round,
                 )
 
-        return on_run, on_round
+        return on_round
 
-    def _shed(self, channel, v3: bool, reason: str, tenant: str = "") -> None:
-        """Overload reply: a v3 client gets a machine-readable backoff
-        hint; a v2 client gets the legacy typed error.  ``tenant``
-        attributes the shed — the hint names who was over budget and the
-        per-tenant counter makes noisy neighbours visible."""
+    def _shed(self, channel, reason: str, tenant: str = "") -> None:
+        """Overload reply: a machine-readable ``net.retry_after`` backoff
+        hint.  ``tenant`` attributes the shed — the hint names who was
+        over budget and the per-tenant counter makes noisy neighbours
+        visible."""
         self.telemetry.counter("gateway.shed").inc()
         if tenant:
             self.telemetry.counter(f"gateway.shed.tenant.{tenant}").inc()
-        if v3:
-            hint = {
-                # live value under the SLO controller (scales with how
-                # hard we are shedding), the static config otherwise
-                "delay_s": self.serving.retry_after_s,
-                "reason": reason,
-            }
-            if tenant:
-                hint["tenant"] = tenant
-            channel.send(
-                RETRY_AFTER_TAG, json.dumps(hint, sort_keys=True).encode()
-            )
-        else:
-            channel.send(ERROR_TAG, f"overloaded, retry later: {reason}".encode())
+        hint = {
+            # live value under the SLO controller (scales with how hard
+            # we are shedding), the static config otherwise
+            "delay_s": self.serving.retry_after_s,
+            "reason": reason,
+        }
+        if tenant:
+            hint["tenant"] = tenant
+        channel.send(RETRY_AFTER_TAG, json.dumps(hint, sort_keys=True).encode())
 
     def _notify_drained(self, session: _GatewaySession,
                         exc: SessionDrainedError) -> None:
@@ -814,12 +779,9 @@ class GCGateway:
             "next_round": exc.next_round,
         }
         try:
-            if session.version >= 3:
-                session.channel.send(
-                    DRAIN_TAG, json.dumps(notice, sort_keys=True).encode()
-                )
-            else:
-                session.channel.send(ERROR_TAG, f"gateway draining: {exc}".encode())
+            session.channel.send(
+                DRAIN_TAG, json.dumps(notice, sort_keys=True).encode()
+            )
         except (WireError, GCProtocolError):
             pass  # the checkpoint still exists; the client can resume blind
 
@@ -841,7 +803,6 @@ class GCGateway:
             raise HandshakeError(f"malformed resume request: {exc}") from exc
         session.handshaken = True  # negotiation is done; don't reap mid-resume
         session.session_id = sid
-        session.version = 3
 
         with self._sessions_lock:
             live = self._live.get(sid)
@@ -912,9 +873,7 @@ class GCGateway:
                 # put has not landed yet (the owner may have just been
                 # killed mid-garble — its put still completes).  Shed so
                 # the client retries once there is material to adopt.
-                self._shed(
-                    endpoint, True, f"session {sid} is admitting on {holder}"
-                )
+                self._shed(endpoint, f"session {sid} is admitting on {holder}")
                 raise ResumeError(
                     f"resume for {sid} shed: admission in flight on {holder}"
                 )
@@ -924,13 +883,13 @@ class GCGateway:
             )
             raise ResumeError(f"resume for unknown session {sid}")
         if self._draining.is_set():
-            self._shed(endpoint, True, "gateway is draining")
+            self._shed(endpoint, "gateway is draining")
             raise ResumeError(f"resume for {sid} shed: gateway draining")
         lease = self.store.acquire_lease(sid, self.gateway_id, cfg.lease_ttl_s)
         if lease is None:
             # a live peer owns the stream; tell the client to come back
             # (or rotate gateways) — the lease expires if the owner died
-            self._shed(endpoint, True, f"session {sid} is leased to a peer")
+            self._shed(endpoint, f"session {sid} is leased to a peer")
             raise ResumeError(f"resume for {sid} shed: lease held by a peer")
         checkpoint = SessionCheckpoint.from_dict(stored.to_dict())
         committed = self.store.committed_round(sid)
@@ -947,25 +906,11 @@ class GCGateway:
                 cfg.lease_ttl_s,
             )
         except LeaseError as exc:
-            self._shed(endpoint, True, str(exc))
+            self._shed(endpoint, str(exc))
             raise ResumeError(f"resume for {sid} lost the adoption race") from exc
-        state = {"expected": checkpoint.next_round}
-
-        def on_round(progress):
-            # CheckpointStreamer already advanced the checkpoint; commit
-            # the boundary or learn we lost the session
-            self.store.cas_advance(
-                checkpoint, self.gateway_id, state["expected"], cfg.lease_ttl_s
-            )
-            state["expected"] = checkpoint.next_round
-            if self._draining.is_set():
-                raise SessionDrainedError(
-                    f"gateway draining: session {sid} re-checkpointed at "
-                    f"round {progress.next_round}",
-                    session_id=sid,
-                    next_round=progress.next_round,
-                )
-
+        on_round = self._commit_boundaries(
+            sid, {"cp": checkpoint, "expected": checkpoint.next_round}
+        )
         try:
             handle = self._batcher.submit(
                 checkpoint, endpoint, self.server.group, on_round=on_round
@@ -973,7 +918,7 @@ class GCGateway:
         except OverloadedError as exc:
             # either the resume queue is full or the checkpoint's tenant
             # is over its credit budget — adoption does not jump queues
-            self._shed(endpoint, True, str(exc), tenant=checkpoint.tenant)
+            self._shed(endpoint, str(exc), tenant=checkpoint.tenant)
             return
         except ServingError as exc:
             endpoint.send(REJECT_TAG, str(exc).encode())
@@ -1009,5 +954,5 @@ class GCGateway:
         session.tenant = checkpoint.tenant
         tm.counter("gateway.queries").inc()
         # the resumed query is done; keep serving this connection like
-        # any other v3 session (the wrapper inherits the live counters)
+        # any other session (the wrapper inherits the live counters)
         self._query_loop(session)

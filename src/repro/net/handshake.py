@@ -19,34 +19,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from repro.circuits.netlist import Netlist
 from repro.circuits.sequential import SequentialCircuit
 from repro.crypto.ot import DHGroup
 from repro.errors import GCProtocolError, HandshakeError, WireError
 
-#: Bump on any wire-visible change to framing or the session protocol.
-#: v2: every message carries a CRC32 integrity trailer
-#: (:mod:`repro.gc.channel`), so a v1 peer cannot interoperate.
-#: v3: session resume (``net.resume``/``net.resume_ok``), load-shed
-#: ``net.retry_after`` replies, and ``net.drain`` notices
-#: (:mod:`repro.recover`).  v3 is a strict superset of v2 on the happy
-#: path — the welcome carries a ``session_id``, which a v2 client's
-#: descriptor parser ignores — so a v3 gateway still serves v2 clients
-#: (negotiating each session down to the client's version), while a v3
-#: client never silently assumes resume support from a v2 gateway.
-#: v4: backend negotiation.  The hello may name a private-MAC backend
-#: (``gc``/``he``, :data:`repro.privatemac.BACKENDS`); the welcome
-#: echoes the granted ``backend`` plus, for ``he``, the derived BFV
-#: ``backend_params``.  Both are welcome-dict extras that pre-v4
-#: descriptor parsers drop, and sessions negotiated below v4 are
-#: always granted ``gc`` — so v2/v3 clients keep working unchanged.
+#: The one wire version, bumped on any wire-visible change to framing
+#: or the session protocol.  v4 frames carry a CRC32 integrity trailer
+#: (:mod:`repro.gc.channel`); every session is resumable
+#: (``net.resume``/``net.resume_ok``, ``net.retry_after`` sheds,
+#: ``net.drain`` notices — :mod:`repro.recover`); and the hello may
+#: name a private-MAC backend (``gc``/``he``,
+#: :data:`repro.privatemac.BACKENDS`), which the welcome echoes with,
+#: for ``he``, the derived BFV ``backend_params``.  A hello at any
+#: other version gets a typed ``net.reject``.
 PROTOCOL_VERSION = 4
-
-#: Versions this build can serve.  A hello outside this set is
-#: rejected; one inside it is served *at the client's version*.
-SUPPORTED_VERSIONS = (2, 3, 4)
 
 HELLO_TAG = "net.hello"
 WELCOME_TAG = "net.welcome"
@@ -137,20 +126,17 @@ def server_handshake(
 ) -> dict:
     """Gateway side: validate the client's hello, answer welcome/reject.
 
-    Returns the parsed hello, with ``negotiated_version`` and
-    ``negotiated_backend`` added: the session runs at the *client's*
-    version when this build supports it (:data:`SUPPORTED_VERSIONS`),
-    so a v3 gateway still serves v2 clients.  The welcome's descriptor
-    carries the negotiated version; with ``session_id`` set (v3) it
-    also names the session the client can later resume.  On a version
-    mismatch the rejection is *sent to the client* before the typed
-    error is raised locally, so both sides see the same diagnosis.
+    Returns the parsed hello, with ``negotiated_backend`` added.  The
+    welcome is the descriptor plus, with ``session_id`` set, the
+    session the client can later resume.  A hello at any version but
+    the descriptor's is rejected; the rejection is *sent to the client*
+    before the typed error is raised locally, so both sides see the
+    same diagnosis.
 
-    Backend negotiation (v4): a hello naming a backend gets exactly
-    that backend or a typed rejection (never a silent substitute — the
+    Backend negotiation: a hello naming a backend gets exactly that
+    backend or a typed rejection (never a silent substitute — the
     client's cost model depends on it); a hello without one gets
-    ``default_backend``.  Sessions negotiated below v4 are granted
-    ``gc`` unconditionally.  ``backend_params`` is an optional callable
+    ``default_backend``.  ``backend_params`` is an optional callable
     mapping a granted backend to a parameter dict merged into the
     welcome as ``backend_params`` (the HE ring parameters, which the
     client re-derives and verifies).
@@ -180,43 +166,35 @@ def server_handshake(
     except (ValueError, KeyError, TypeError) as exc:
         _reject(endpoint, f"malformed hello: {exc}")
         raise HandshakeError(f"malformed client hello: {exc}") from exc
-    if version not in SUPPORTED_VERSIONS:
+    if version != descriptor.protocol_version:
         reason = (
             f"protocol version mismatch: client speaks v{version}, "
-            f"gateway serves v{min(SUPPORTED_VERSIONS)}..v{max(SUPPORTED_VERSIONS)}"
+            f"gateway serves v{descriptor.protocol_version}"
         )
         _reject(endpoint, reason)
         raise HandshakeError(reason)
-    negotiated = min(version, descriptor.protocol_version)
-    requested = str(hello.get("backend") or "")
-    if negotiated >= 4:
-        granted = requested or default_backend
-        if granted not in backends:
-            reason = (
-                f"unsupported backend {granted!r} "
-                f"(gateway serves {tuple(backends)})"
-            )
-            _reject(endpoint, reason)
-            raise HandshakeError(reason)
-    else:
-        # pre-v4 sessions predate backend negotiation: always GC
-        granted = "gc"
-    welcome = asdict(replace(descriptor, protocol_version=negotiated))
-    if session_id is not None and negotiated >= 3:
+    granted = str(hello.get("backend") or "") or default_backend
+    if granted not in backends:
+        reason = (
+            f"unsupported backend {granted!r} "
+            f"(gateway serves {tuple(backends)})"
+        )
+        _reject(endpoint, reason)
+        raise HandshakeError(reason)
+    welcome = asdict(descriptor)
+    if session_id is not None:
         welcome["session_id"] = session_id
-    if negotiated >= 4:
-        welcome["backend"] = granted
-        if backend_params is not None:
-            params = backend_params(granted)
-            if params is not None:
-                welcome["backend_params"] = params
+    welcome["backend"] = granted
+    if backend_params is not None:
+        params = backend_params(granted)
+        if params is not None:
+            welcome["backend_params"] = params
     try:
         endpoint.send(WELCOME_TAG, json.dumps(welcome, sort_keys=True).encode())
     except WireError as exc:
         raise HandshakeError(
             f"client vanished before the welcome could be sent: {exc}"
         ) from exc
-    hello["negotiated_version"] = negotiated
     hello["negotiated_backend"] = granted
     # tenant id is advisory metadata (admission accounting, not auth):
     # normalize whatever the client sent to a string, "" meaning the
@@ -230,19 +208,16 @@ def client_session_handshake(
     tenant: str = "",
 ) -> tuple[SessionDescriptor, dict]:
     """Client side: send hello, receive the descriptor *and* the raw
-    welcome (which carries the resumable ``session_id`` on v3 and the
-    granted ``backend`` on v4).
+    welcome (which carries the resumable ``session_id`` and the granted
+    ``backend``).
 
-    The gateway may negotiate the session down to an older version this
-    client still speaks (:data:`SUPPORTED_VERSIONS`); anything outside
-    that range — or *newer* than what the client offered — fails typed.
+    A welcome at any version but :data:`PROTOCOL_VERSION` fails typed.
     A gateway that vanishes mid-negotiation surfaces as
     :class:`HandshakeError` (not a bare wire error), mirroring
     :func:`server_handshake`.
 
     ``backend=None`` accepts whatever the gateway grants by default; a
-    named backend is a hard requirement — a session negotiated below
-    v4 (which can only be GC) or granted anything else fails typed.
+    named backend is a hard requirement — any other grant fails typed.
     The returned welcome always carries ``negotiated_backend``.
 
     ``tenant`` names the admission account this session's queries are
@@ -268,21 +243,18 @@ def client_session_handshake(
         reason = payload.decode(errors="replace")
         raise HandshakeError(f"gateway rejected the session: {reason}")
     descriptor = SessionDescriptor.from_payload(payload)
-    negotiated = descriptor.protocol_version
-    if negotiated not in SUPPORTED_VERSIONS or negotiated > PROTOCOL_VERSION:
+    if descriptor.protocol_version != PROTOCOL_VERSION:
         raise HandshakeError(
-            f"gateway negotiated protocol v{negotiated}, this client "
-            f"speaks v{min(SUPPORTED_VERSIONS)}..v{PROTOCOL_VERSION}"
+            f"gateway speaks protocol v{descriptor.protocol_version}, this "
+            f"client speaks v{PROTOCOL_VERSION}"
         )
-    try:
-        welcome = json.loads(payload.decode())
-    except ValueError:  # unreachable after from_payload, kept for safety
-        welcome = {}
-    granted = welcome.get("backend", "gc") if negotiated >= 4 else "gc"
+    welcome = json.loads(payload.decode())
+    granted = welcome.get("backend")
+    if granted is None:
+        raise HandshakeError("gateway welcome grants no backend")
     if backend is not None and granted != backend:
         raise HandshakeError(
-            f"gateway granted backend {granted!r} (negotiated v{negotiated}), "
-            f"this client requires {backend!r}"
+            f"gateway granted backend {granted!r}, this client requires {backend!r}"
         )
     welcome["negotiated_backend"] = granted
     return descriptor, welcome

@@ -20,11 +20,9 @@ This package closes that loop:
 from repro.recover.checkpoint import (
     CheckpointStreamer,
     EvaluatorProgress,
-    GarblerProgress,
     RoundMaterial,
     SessionCheckpoint,
-    checkpoint_from_he_result,
-    checkpoint_from_run,
+    checkpoint_from_stream,
     serve_from_checkpoint,
 )
 from repro.recover.endpoint import (
@@ -47,7 +45,6 @@ __all__ = [
     "CheckpointStreamer",
     "DEFAULT_LEASE_TTL_S",
     "EvaluatorProgress",
-    "GarblerProgress",
     "InMemorySessionStore",
     "JsonlSessionStore",
     "LeaseRecord",
@@ -56,8 +53,7 @@ __all__ = [
     "RoundMaterial",
     "SessionCheckpoint",
     "SessionStore",
-    "checkpoint_from_he_result",
-    "checkpoint_from_run",
+    "checkpoint_from_stream",
     "decode_record_line",
     "encode_record_v2",
     "serve_from_checkpoint",

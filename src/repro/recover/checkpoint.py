@@ -30,70 +30,11 @@ at ``start_round=k`` after a reconnect.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 
-from repro.crypto.ot import (
-    DHGroup,
-    TOY_GROUP,
-    BaseOTSender,
-    OTExtensionSender,
-    K_SECURITY,
-)
+from repro.crypto.ot import DHGroup, TOY_GROUP
 from repro.errors import ResumeError
-from repro.gc.sequential_gc import OT_MODES
-
-
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
-
-
-@dataclass
-class RoundMaterial:
-    """Everything the server must transmit for one remaining round."""
-
-    round_index: int
-    #: pre-serialized garbled tables (`seq.tables` payload, verbatim)
-    tables: bytes
-    #: active labels for the garbler's (model) input bits, already selected
-    garbler_labels: list[int]
-    #: active labels for the netlist's constant wires
-    const_labels: list[int]
-    #: (zero, one) pairs for the evaluator's input wires — OT material
-    evaluator_pairs: list[tuple[int, int]]
-    #: active initial-state labels; only round 0 carries them
-    state_labels: list[int] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "tables": _b64(self.tables),
-            "garbler_labels": self.garbler_labels,
-            "const_labels": self.const_labels,
-            "evaluator_pairs": [list(p) for p in self.evaluator_pairs],
-            "state_labels": self.state_labels,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoundMaterial":
-        return cls(
-            round_index=int(data["round_index"]),
-            tables=_unb64(data["tables"]),
-            garbler_labels=[int(v) for v in data["garbler_labels"]],
-            const_labels=[int(v) for v in data["const_labels"]],
-            evaluator_pairs=[
-                (int(p[0]), int(p[1])) for p in data["evaluator_pairs"]
-            ],
-            state_labels=(
-                [int(v) for v in data["state_labels"]]
-                if data.get("state_labels") is not None
-                else None
-            ),
-        )
+from repro.gc.sequential_gc import RoundMaterial, SequentialStreamer
 
 
 @dataclass
@@ -139,12 +80,11 @@ class SessionCheckpoint:
     #: carry tables/labels/OT pairs, ``he`` sessions carry the one
     #: result ciphertext in ``materials[0].tables``.  Carried so a
     #: *different* gateway adopting the session replays the right wire
-    #: dialogue; defaults to ``gc`` for checkpoints from older stores.
+    #: dialogue.
     backend: str = "gc"
     #: Admission account the session's queries are charged to: an
     #: adopting gateway routes the resume through this tenant's credits
-    #: (PR 8) so a mass-adoption burst cannot jump the queue.  Defaults
-    #: to ``""`` (the default tenant) for checkpoints from older stores.
+    #: so a mass-adoption burst cannot jump the queue.
     tenant: str = ""
 
     def advance(self, next_round: int, send_seq: int = 0, recv_seq: int = 0) -> None:
@@ -181,9 +121,8 @@ class SessionCheckpoint:
     def acked_round(self, peer_acked_seq: int) -> int:
         """Highest round boundary the client's verified-receive counter covers.
 
-        Falls back to ``next_round`` when no boundary map exists (a
-        checkpoint loaded from a pre-fleet store) — the old, optimistic
-        behaviour.
+        Falls back to ``next_round`` when no stream has begun (no
+        boundary map yet).
         """
         if not self.stream_boundaries:
             return self.next_round
@@ -242,24 +181,31 @@ class SessionCheckpoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionCheckpoint":
-        return cls(
-            session_id=data["session_id"],
-            row_index=int(data["row_index"]),
-            rounds=int(data["rounds"]),
-            next_round=int(data["next_round"]),
-            materials=[RoundMaterial.from_dict(m) for m in data["materials"]],
-            output_permute_bits=[int(b) for b in data["output_permute_bits"]],
-            send_seq=int(data.get("send_seq", 0)),
-            recv_seq=int(data.get("recv_seq", 0)),
-            client_name=data.get("client_name", ""),
-            ot_mode=data.get("ot_mode", "per_round"),
-            stream_boundaries=[
-                [int(b[0]), int(b[1])]
-                for b in data.get("stream_boundaries", [])
-            ],
-            backend=data.get("backend", "gc"),
-            tenant=data.get("tenant", ""),
-        )
+        """Rebuild a checkpoint from :meth:`to_dict` output; a record
+        missing a field (or holding a malformed one) is a typed
+        :class:`ResumeError`."""
+        try:
+            return cls(
+                session_id=str(data["session_id"]),
+                row_index=int(data["row_index"]),
+                rounds=int(data["rounds"]),
+                next_round=int(data["next_round"]),
+                materials=[RoundMaterial.from_dict(m) for m in data["materials"]],
+                output_permute_bits=[int(b) for b in data["output_permute_bits"]],
+                send_seq=int(data["send_seq"]),
+                recv_seq=int(data["recv_seq"]),
+                client_name=str(data["client_name"]),
+                ot_mode=str(data["ot_mode"]),
+                stream_boundaries=[
+                    [int(b[0]), int(b[1])] for b in data["stream_boundaries"]
+                ],
+                backend=str(data["backend"]),
+                tenant=str(data["tenant"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ResumeError(
+                f"malformed session checkpoint record: {exc!r}"
+            ) from exc
 
 
 @dataclass
@@ -282,137 +228,52 @@ class EvaluatorProgress:
     output_labels: list[int] = field(default_factory=list)
 
 
-@dataclass
-class GarblerProgress:
-    """Server-side round-boundary report handed to ``on_round`` hooks:
-    the next round to stream and the channel counters at the boundary."""
-
-    next_round: int
-    send_seq: int
-    recv_seq: int
-
-
-def checkpoint_from_run(
-    run,
-    encoded_row,
-    total_bits: int,
-    session_id: str,
-    row_index: int,
-    client_name: str = "",
-    ot_mode: str = "per_round",
-    tenant: str = "",
-) -> SessionCheckpoint:
-    """Snapshot a pooled :class:`AcceleratorRun` + one model row.
-
-    ``encoded_row`` is the fixed-point-encoded row (one integer per
-    round); the active garbler labels are selected here, once, so the
-    checkpoint never stores inactive garbler label material.
-    """
-    from repro.bits import to_bits
-
-    net = run.circuit.netlist
-    const_wires = sorted(net.constants)
-    initial_state = run.circuit.circuit.initial_state
-    materials = []
-    for r, value in enumerate(encoded_row):
-        meta = run.rounds[r]
-        bits = to_bits(int(value), total_bits)
-        materials.append(
-            RoundMaterial(
-                round_index=r,
-                # bytes() materialises the vectorized runs' zero-copy
-                # view; checkpoints must own their table material
-                tables=bytes(run.tables_payload(r)),
-                garbler_labels=[
-                    p.select(b) for p, b in zip(meta.garbler_pairs, bits)
-                ],
-                const_labels=[
-                    meta.const_pairs[w].select(net.constants[w])
-                    for w in const_wires
-                ],
-                evaluator_pairs=[
-                    (p.zero, p.one) for p in meta.evaluator_pairs
-                ],
-                state_labels=(
-                    [p.select(b) for p, b in zip(meta.state_pairs, initial_state)]
-                    if r == 0
-                    else None
-                ),
-            )
-        )
-    if ot_mode not in OT_MODES:
-        raise ResumeError(f"unknown OT mode {ot_mode!r} (expected one of {OT_MODES})")
-    cp = SessionCheckpoint(
-        session_id=session_id,
-        row_index=row_index,
-        rounds=len(materials),
-        next_round=0,
-        materials=materials,
-        output_permute_bits=list(run.output_permute_bits),
-        client_name=client_name,
-        ot_mode=ot_mode,
-        tenant=tenant,
-    )
-    cp.begin_stream(0)
-    return cp
-
-
-def checkpoint_from_he_result(
-    result_bytes: bytes,
+def checkpoint_from_stream(
+    stream: SequentialStreamer,
     session_id: str,
     row_index: int,
     client_name: str = "",
     tenant: str = "",
 ) -> SessionCheckpoint:
-    """Snapshot an encrypted-MAC session: one round, one ciphertext.
+    """Snapshot a query's stream before it sends anything.
 
-    The stored material is the *result* ciphertext — the server holds
-    no keys and the client's query needs no replay (only the answer
-    does), so an adopting gateway can finish the session by
-    re-sending ``he.result`` verbatim.  Every recovery invariant the
-    GC path relies on (``stream_boundaries``, ``acked_round``,
-    ``rewind_to``) works unchanged on the single-round shape.
+    The checkpoint shares the stream's :class:`RoundMaterial` — selected
+    once per query, never copied — so resuming re-sends exactly what the
+    fresh stream sends.  An ``he`` stream's one round is the result
+    ciphertext: the server holds no keys and the client's query needs
+    no replay, so an adopting gateway finishes the session by re-sending
+    ``he.result`` verbatim.
     """
     cp = SessionCheckpoint(
         session_id=session_id,
         row_index=row_index,
-        rounds=1,
-        next_round=0,
-        materials=[
-            RoundMaterial(
-                round_index=0,
-                tables=bytes(result_bytes),
-                garbler_labels=[],
-                const_labels=[],
-                evaluator_pairs=[],
-            )
-        ],
-        output_permute_bits=[],
+        rounds=stream.rounds,
+        next_round=stream.start_round,
+        materials=list(stream.materials),
+        output_permute_bits=list(stream.output_permute_bits or []),
         client_name=client_name,
-        ot_mode="per_round",
-        backend="he",
+        ot_mode=stream.ot_mode,
+        backend=stream.backend,
         tenant=tenant,
     )
-    cp.begin_stream(0)
+    cp.begin_stream(stream.start_round)
     return cp
 
 
-class CheckpointStreamer:
-    """Incremental resumed-session streamer: the round-at-a-time core of
-    :func:`serve_from_checkpoint`, split open so a batcher can interleave
-    many resumed sessions round-robin through one serving worker instead
-    of streaming each to completion serially.
+class CheckpointStreamer(SequentialStreamer):
+    """A resumed session's stream: the remaining rounds of a checkpoint.
 
-    Usage: ``begin()`` once (preamble + the remaining ``upfront`` OT when
-    the session was negotiated in that mode), then ``stream_round()``
-    until it returns ``False``, then ``finish()``.  The wire dialogue is
-    shaped exactly like a fresh ``serve_row`` resumed at ``start_round``
-    — no garbling happens here, only retransmission of stored material
-    plus fresh OT for rounds the client never evaluated.
+    Streams through the one garbler-side dialogue from
+    ``checkpoint.next_round``, advancing the checkpoint (and its
+    ``stream_boundaries``) at every round boundary.  No garbling
+    happens: stored material is retransmitted and OT re-runs only for
+    rounds the client never evaluated.  The resume batcher drives
+    ``begin()`` / ``stream_round()`` / ``finish()`` directly to
+    interleave many resumed sessions round-robin through one worker.
 
     A *tail* resume (``checkpoint.complete`` but the client never acked
-    ``seq.output_map``) is legal: ``begin()`` sends the preamble, zero
-    rounds follow, and ``finish()`` re-sends the output map.
+    ``seq.output_map``) is legal: the preamble goes out, zero rounds
+    follow, and ``finish()`` re-sends the output map.
     """
 
     def __init__(
@@ -423,105 +284,24 @@ class CheckpointStreamer:
         on_round=None,
         telemetry=None,
     ):
-        self.channel = channel
-        self.checkpoint = checkpoint
-        self.group = group
-        self.on_round = on_round
-        self.telemetry = telemetry
-        self.start = checkpoint.next_round
-        self.streamed = 0
-        self._round = self.start
-        self._begun = False
-
-    def begin(self) -> None:
-        """Send the stream preamble (and the remaining upfront OT)."""
-        cp = self.checkpoint
-        self._begun = True
-        if cp.backend == "he":
-            # the encrypted-MAC dialogue has no preamble: the client
-            # is parked in recv("he.result") and expects it first
-            cp.begin_stream(self.start)
-            return
-        self.channel.send("seq.rounds", cp.rounds.to_bytes(4, "big"))
-        self.channel.send("seq.ot_mode", cp.ot_mode.encode("ascii"))
-        cp.begin_stream(self.start)
-        if cp.ot_mode == "upfront":
-            # One OT over every *remaining* round's evaluator pairs, in
-            # round order — the evaluator slices its labels relative to
-            # start_round, so the concatenation must too.
-            pairs = [
-                pair
-                for r in range(self.start, cp.rounds)
-                for pair in cp.material_for(r).evaluator_pairs
-            ]
-            if pairs:
-                sender = (
-                    OTExtensionSender(self.channel, self.group)
-                    if len(pairs) > K_SECURITY
-                    else BaseOTSender(self.channel, self.group)
-                )
-                sender.send([tuple(p) for p in pairs])
-
-    def stream_round(self) -> bool:
-        """Stream one round; returns True while more rounds remain."""
-        if not self._begun:
-            raise ResumeError(
-                f"session {self.checkpoint.session_id}: stream_round() "
-                "before begin()"
-            )
-        cp = self.checkpoint
-        if self._round >= cp.rounds:
-            return False
-        r = self._round
-        m = cp.material_for(r)
-        if cp.backend == "he":
-            self.channel.send("he.result", m.tables)
-            if self.telemetry is not None:
-                self.telemetry.counter("recover.stream.bytes").inc(len(m.tables))
-            self.streamed += 1
-            self._round = r + 1
-            cp.advance(r + 1, self.channel.send_seq, self.channel.recv_seq)
-            if self.on_round is not None:
-                self.on_round(
-                    GarblerProgress(
-                        r + 1, self.channel.send_seq, self.channel.recv_seq
-                    )
-                )
-            return self._round < cp.rounds
-        self.channel.send("seq.tables", m.tables)
-        if self.telemetry is not None:
-            self.telemetry.counter("recover.stream.bytes").inc(len(m.tables))
-        self.channel.send_u128_list("seq.garbler_labels", m.garbler_labels)
-        self.channel.send_u128_list("seq.const_labels", m.const_labels)
-        if m.state_labels is not None:
-            self.channel.send_u128_list("seq.state_labels", m.state_labels)
-        if cp.ot_mode == "per_round" and m.evaluator_pairs:
-            sender = (
-                OTExtensionSender(self.channel, self.group)
-                if len(m.evaluator_pairs) > K_SECURITY
-                else BaseOTSender(self.channel, self.group)
-            )
-            sender.send(list(m.evaluator_pairs))
-        self.streamed += 1
-        self._round = r + 1
-        cp.advance(r + 1, self.channel.send_seq, self.channel.recv_seq)
-        if self.on_round is not None:
-            self.on_round(
-                GarblerProgress(r + 1, self.channel.send_seq, self.channel.recv_seq)
-            )
-        return self._round < cp.rounds
+        start = checkpoint.next_round
+        super().__init__(
+            channel,
+            [checkpoint.material_for(r) for r in range(start, checkpoint.rounds)],
+            checkpoint.output_permute_bits,
+            ot_mode=checkpoint.ot_mode,
+            group=group,
+            start_round=start,
+            backend=checkpoint.backend,
+            on_round=on_round,
+            telemetry=telemetry,
+            checkpoint=checkpoint,
+        )
 
     def finish(self) -> int:
-        """Send the output map; returns the number of rounds streamed."""
-        if self.checkpoint.backend != "he":
-            # HE sessions end at the result ciphertext; only the GC
-            # dialogue closes with an output permutation map
-            self.channel.send(
-                "seq.output_map", bytes(self.checkpoint.output_permute_bits)
-            )
-        if self.telemetry is not None:
-            self.telemetry.counter("recover.rounds.streamed").inc(self.streamed)
-        return self.streamed
+        streamed = super().finish()
+        self.telemetry.counter("recover.rounds.streamed").inc(streamed)
+        return streamed
 
 
 def serve_from_checkpoint(
@@ -544,10 +324,6 @@ def serve_from_checkpoint(
             f"session {checkpoint.session_id}: nothing to resume — all "
             f"{checkpoint.rounds} rounds already streamed"
         )
-    streamer = CheckpointStreamer(
+    return CheckpointStreamer(
         channel, checkpoint, group=group, on_round=on_round, telemetry=telemetry
-    )
-    streamer.begin()
-    while streamer.stream_round():
-        pass
-    return streamer.finish()
+    ).run()

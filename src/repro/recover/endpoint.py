@@ -39,7 +39,7 @@ from repro.errors import (
 )
 from repro.gc.channel import EndpointBase, TrafficStats
 
-#: Protocol-v3 control tags (shared with :mod:`repro.net.handshake`;
+#: Session-resume control tags (shared with :mod:`repro.net.handshake`;
 #: they live here so the recover package stays import-cycle-free).
 RESUME_TAG = "net.resume"
 RESUME_OK_TAG = "net.resume_ok"
@@ -108,8 +108,8 @@ class ResumableClientEndpoint(EndpointBase):
 
     ``transport`` is the connected endpoint the handshake already ran
     on; the session counters are inherited from it so the wire stream
-    is byte-identical to a non-resumable client's (a v2 gateway sees no
-    difference until a resume is actually attempted).  ``dial`` returns
+    is byte-identical to a non-resumable client's until a resume is
+    actually attempted.  ``dial`` returns
     a fresh connected transport endpoint; it is invoked under the
     backoff policy after every wire failure.
     """

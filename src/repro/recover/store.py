@@ -35,7 +35,7 @@ try:  # advisory file locking — POSIX only; the store degrades gracefully
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-from repro.errors import ConfigurationError, LeaseError
+from repro.errors import ConfigurationError, LeaseError, ResumeError
 from repro.recover.checkpoint import SessionCheckpoint
 
 #: Default checkpoint lifetime.  A client that has not resumed within
@@ -308,34 +308,31 @@ def encode_record_v2(rec: dict) -> bytes:
 
 
 def decode_record_line(line: bytes) -> dict:
-    """Decode one log line (v2-framed or bare v1 JSON).
+    """Decode one v2-framed log line.
 
-    Raises ``ValueError`` when the line is truncated, fails its CRC, or
-    is not valid JSON — callers decide whether that means a torn tail
-    (recoverable) or mid-file corruption (fatal).
+    Raises ``ValueError`` when the line is not v2-framed, is truncated,
+    fails its CRC, or is not a JSON object — callers decide whether
+    that means a torn tail (recoverable) or mid-file corruption (fatal).
     """
-    if line.startswith(_V2_MAGIC):
-        parts = line.split(b" ", 3)
-        if len(parts) != 4:
-            raise ValueError("v2 record missing framing fields")
-        try:
-            length = int(parts[1])
-            crc = int(parts[2], 16)
-        except ValueError as exc:
-            raise ValueError(f"v2 record has a malformed header: {exc}") from exc
-        payload = parts[3]
-        if len(payload) != length:
-            raise ValueError(
-                f"v2 record truncated: framed length {length}, "
-                f"got {len(payload)} bytes"
-            )
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            raise ValueError("v2 record failed its CRC32 check")
-        rec = json.loads(payload)
-    else:
-        # v1: a bare JSON line from a pre-CRC store — still accepted so a
-        # rolling upgrade (or an old drain file) keeps loading.
-        rec = json.loads(line.decode("utf-8"))
+    if not line.startswith(_V2_MAGIC):
+        raise ValueError("store record is not v2-framed")
+    parts = line.split(b" ", 3)
+    if len(parts) != 4:
+        raise ValueError("v2 record missing framing fields")
+    try:
+        length = int(parts[1])
+        crc = int(parts[2], 16)
+    except ValueError as exc:
+        raise ValueError(f"v2 record has a malformed header: {exc}") from exc
+    payload = parts[3]
+    if len(payload) != length:
+        raise ValueError(
+            f"v2 record truncated: framed length {length}, "
+            f"got {len(payload)} bytes"
+        )
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+        raise ValueError("v2 record failed its CRC32 check")
+    rec = json.loads(payload)
     if not isinstance(rec, dict):
         raise ValueError("store record is not a JSON object")
     return rec
@@ -352,8 +349,6 @@ class JsonlSessionStore(SessionStore):
     Crash consistency and cross-process sharing (format v2):
 
     * every record is CRC32 + length framed (:func:`encode_record_v2`);
-      bare-JSON v1 records are still decoded, so old files and mixed
-      v1/v2 files from a rolling upgrade load fine;
     * a torn final record (a writer SIGKILLed mid-append) is detected,
       counted (``store.torn_tail_recovered``) and truncated away — it
       must never poison future readers.  A corrupt record *followed by
@@ -464,7 +459,14 @@ class JsonlSessionStore(SessionStore):
                         f"corrupt checkpoint log {self.path!r} at byte "
                         f"{offset + pos}: {exc}"
                     ) from exc
-                self._apply_record(rec, now)
+                try:
+                    self._apply_record(rec, now)
+                except (KeyError, TypeError, ValueError, ResumeError) as exc:
+                    # intact framing, incomplete record: not a torn tail
+                    raise ConfigurationError(
+                        f"malformed record in checkpoint log {self.path!r} "
+                        f"at byte {offset + pos}: {exc!r}"
+                    ) from exc
             pos = nl + 1
         if torn_at is not None:
             self._truncate_torn_tail(torn_at)

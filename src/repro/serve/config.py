@@ -170,17 +170,17 @@ class ServingConfig:
     ``REPRO_RECV_TIMEOUT_S`` environment variable, then the channel
     default — see :func:`repro.gc.channel.resolve_recv_timeout`).
 
-    Recovery knobs (PR 4): ``reaper_timeout_s`` feeds the gateway's
+    Recovery knobs: ``reaper_timeout_s`` feeds the gateway's
     half-open-session reaper (``None`` defers to
     ``REPRO_REAPER_TIMEOUT_S`` then the default); ``retry_after_s`` is
     the backoff hint a load-shedding gateway sends with
-    ``net.retry_after``; ``resume_window_s`` is how long a broken v3
+    ``net.retry_after``; ``resume_window_s`` is how long a broken
     session waits parked for the client to reconnect before giving up;
     ``drain_timeout_s`` is the SIGTERM drain deadline;
     ``replay_buffer_frames`` bounds the per-endpoint resume replay
     buffer; ``checkpoint_ttl_s`` is the session-store eviction horizon.
 
-    Fleet knobs (PR 5): ``lease_ttl_s`` bounds how long a gateway owns
+    Fleet knobs: ``lease_ttl_s`` bounds how long a gateway owns
     a session without committing a round before another gateway may
     steal it; ``resume_batch_window_s``/``resume_batch_max`` shape the
     resumed-session admission batcher — restored sessions arriving
@@ -206,12 +206,11 @@ class ServingConfig:
     lease_ttl_s: float = 30.0
     resume_batch_window_s: float = 0.02
     resume_batch_max: int = 4
-    #: Default private-MAC backend granted to v4 clients that do not
+    #: Default private-MAC backend granted to clients that do not
     #: request one (``gc`` or ``he``); ``None`` defers to
-    #: ``REPRO_BACKEND`` and then to ``gc``.  Pre-v4 clients always
-    #: get ``gc`` regardless.
+    #: ``REPRO_BACKEND`` and then to ``gc``.
     backend: str | None = None
-    #: Admission scheduler (PR 8): ``fifo`` or ``ring``; ``None`` defers
+    #: Admission scheduler: ``fifo`` or ``ring``; ``None`` defers
     #: to ``REPRO_SCHEDULER`` and then to ``fifo``.  Under ``ring``,
     #: every request is charged to a per-tenant credit account and the
     #: gateway's shed answers carry the tenant they were shed for.
@@ -225,7 +224,7 @@ class ServingConfig:
     #: Optional ``(tenant, weight)`` pairs for weighted credit refill;
     #: tenants not named here refill at weight 1.0.
     tenant_weights: tuple = ()
-    #: Serving controller (PR 10): ``static`` or ``slo``; ``None``
+    #: Serving controller: ``static`` or ``slo``; ``None``
     #: defers to ``REPRO_CONTROLLER`` and then to ``static``.  Under
     #: ``slo``, the tick-driven controller autoscales the worker pool
     #: within ``[slo_min_workers, slo_max_workers]``, sizes resume

@@ -37,7 +37,7 @@ from repro.testkit.oracle import (
 #: Chaos fault profiles: ``default`` draws from the classic wire +
 #: environment kinds (its seed → plan mapping is pinned and must never
 #: change); ``recovery`` draws disconnect/shed/stall plans that
-#: exercise the protocol-v3 resume machinery; ``handoff`` kills/drains
+#: exercise the session-resume machinery; ``handoff`` kills/drains
 #: members of a multi-gateway fleet mid-stream (:mod:`repro.fleet`);
 #: ``vectorized`` reruns the recovery and handoff oracles with
 #: ``garble_mode=vectorized``, so the zero-regarble invariant and

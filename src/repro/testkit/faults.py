@@ -40,7 +40,7 @@ EXHAUST_POOL = "exhaust_pool"        #: drain the pre-garbled pool first
 KILL_WORKER = "kill_worker"          #: poison request aimed at a worker
 ABORT_HANDSHAKE = "abort_handshake"  #: client drops mid-negotiation
 
-# -- recovery faults (protocol v3, :mod:`repro.recover`) ---------------
+# -- recovery faults (:mod:`repro.recover`) ------------------------------
 DISCONNECT = "disconnect"  #: cut the client's wire after frame N; must resume
 SHED = "shed"              #: saturate the gateway queue; must retry after hint
 
@@ -191,7 +191,7 @@ class FaultPlan:
 
     @property
     def is_recovery(self) -> bool:
-        """True when the plan exercises the v3 resume/shed machinery."""
+        """True when the plan exercises the resume/shed machinery."""
         return any(f.kind in RECOVERY_FAULT_KINDS for f in self.faults)
 
     @property

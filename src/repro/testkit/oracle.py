@@ -78,7 +78,7 @@ from repro.testkit.faults import (
 TOLERATED = "tolerated"
 SURFACED = "surfaced"
 VIOLATION = "violation"
-#: The fourth outcome (protocol v3): the session lost its wire (or was
+#: The fourth outcome (session resume): the session lost its wire (or was
 #: shed) mid-query and still finished with the bit-identical result —
 #: without re-garbling any completed round.
 RECOVERED = "recovered"
@@ -689,7 +689,7 @@ class ConformanceOracle:
             gateway.stop()
 
     # ------------------------------------------------------------------
-    # recovery faults (protocol v3)
+    # recovery faults (session resume)
     # ------------------------------------------------------------------
     def run_gateway_recovery(self, plan: FaultPlan, row: int, x_values) -> SessionVerdict:
         """Cut or shed a live gateway session; the query must still end

@@ -29,7 +29,7 @@ from repro.gc.sequential_gc import SequentialEvaluator
 from repro.gc.tables import TABLE_BYTES, serialize_tables
 from repro.gc.vector_garble import VectorEvaluator, garble_mac_runs
 from repro.host import CloudServer
-from repro.recover import EvaluatorProgress, checkpoint_from_run, serve_from_checkpoint
+from repro.recover import EvaluatorProgress, checkpoint_from_stream, serve_from_checkpoint
 
 from tests.gc.test_random_circuits import netlist_with_inputs
 from tests.gc.test_vector_bit_identity import preset_cases, scalar_garble
@@ -168,13 +168,16 @@ class TestResume:
         net = circuit.netlist
         x_bits = [to_bits(int(v), Q8_4.total_bits) for v in Q8_4.encode_array(x)]
         captured = {}
+        take_run = server._take_run
 
-        def on_run(run, encoded_row):
-            captured["run"] = run
-            captured["row"] = encoded_row
-            captured["cp"] = checkpoint_from_run(
-                run, encoded_row, Q8_4.total_bits, f"s{seed}", 0, ot_mode=ot_mode
-            )
+        def capture_run():
+            captured["run"] = take_run()
+            return captured["run"]
+
+        server._take_run = capture_run
+
+        def on_run(stream):
+            captured["cp"] = checkpoint_from_stream(stream, f"s{seed}", 0)
 
         g, e = local_channel(recv_timeout_s=10.0)
         recording = _Recording()
@@ -186,7 +189,7 @@ class TestResume:
 
         # the scalar oracle over the same garbled run
         run = captured["run"]
-        row_bits = [to_bits(int(v), Q8_4.total_bits) for v in captured["row"]]
+        row_bits = [to_bits(int(v), Q8_4.total_bits) for v in Q8_4.encode_array(model[0])]
         oracle = Evaluator(net)
         state = [
             p.select(b)

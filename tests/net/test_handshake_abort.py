@@ -20,7 +20,7 @@ from repro.fixedpoint import Q8_4
 from repro.host import CloudServer
 from repro.net.endpoint import SocketEndpoint
 from repro.net.gateway import GCGateway
-from repro.net.handshake import HELLO_TAG, PROTOCOL_VERSION
+from repro.net.handshake import HELLO_TAG, PROTOCOL_VERSION, REJECT_TAG
 from repro.serve import ServingConfig, ServingServer
 from repro.telemetry import MetricsRegistry
 
@@ -100,13 +100,20 @@ class TestAbortBoundaries:
         _assert_handshake_failure(gateway, thread)
 
     def test_version_skew(self, gateway):
-        def old_client(sock):
-            ep = SocketEndpoint("abort-client", sock)
-            hello = {"protocol_version": PROTOCOL_VERSION - 1, "name": "old"}
-            ep.send(HELLO_TAG, json.dumps(hello, sort_keys=True).encode())
-            ep.close()
-
-        thread = _run_session(gateway, old_client)
+        """A hello at any other version is answered with a typed
+        ``net.reject`` naming both versions, which the client reads."""
+        ours, theirs = socket.socketpair()
+        ep = SocketEndpoint("abort-client", ours, recv_timeout_s=2.0)
+        hello = {"protocol_version": PROTOCOL_VERSION - 1, "name": "old"}
+        ep.send(HELLO_TAG, json.dumps(hello, sort_keys=True).encode())
+        thread = gateway.adopt(theirs)
+        reason = ep.recv(REJECT_TAG).decode()
+        ep.close()
+        thread.join(timeout=5.0)
+        assert reason == (
+            f"protocol version mismatch: client speaks v{PROTOCOL_VERSION - 1}, "
+            f"gateway serves v{PROTOCOL_VERSION}"
+        )
         _assert_handshake_failure(gateway, thread)
 
 

@@ -21,8 +21,8 @@ from repro.net import socketpair_endpoints
 from repro.net.endpoint import SocketEndpoint
 from repro.net.handshake import (
     HELLO_TAG,
+    REJECT_TAG,
     SessionDescriptor,
-    WELCOME_TAG,
     client_session_handshake,
     server_handshake,
 )
@@ -141,31 +141,27 @@ class TestNegotiation:
             client_session_handshake(ep, backend="paillier")
         ours.close()
 
-    def test_v3_client_is_served_gc_without_backend_fields(self, gateway):
-        """A pre-v4 client sends no backend field and must get a
-        welcome its descriptor parser already understands."""
+    def test_v3_client_is_rejected(self, gateway):
+        """A pre-v4 hello (no backend field) gets a typed ``net.reject``
+        naming the version, never a welcome."""
         ours, theirs = socket.socketpair()
         gateway.adopt(theirs)
         ep = SocketEndpoint("legacy", ours, recv_timeout_s=RECV_TIMEOUT)
         ep.send(HELLO_TAG, json.dumps(
             {"protocol_version": 3, "name": "legacy"}
         ).encode())
-        payload = ep.recv(WELCOME_TAG)
-        welcome = json.loads(payload.decode())
-        assert welcome.get("protocol_version") == 3
-        assert "backend" not in welcome
-        assert "backend_params" not in welcome
-        SessionDescriptor.from_payload(payload)  # still parses
+        reason = ep.recv(REJECT_TAG).decode()
+        assert "client speaks v3" in reason
         ours.close()
 
     def test_pre_v4_session_cannot_grant_he(self):
-        """Even with an HE default, a v3-negotiated session gets GC —
-        the client-side requirement check then fails typed."""
+        """Even with an HE default, a v3 hello is refused: the gateway
+        rejects it and the client sees the rejection typed."""
         import threading
 
         a, b = socketpair_endpoints("gateway", "client", recv_timeout_s=5.0)
         descriptor = SessionDescriptor(
-            protocol_version=3, total_bits=8, frac_bits=4, acc_width=19,
+            protocol_version=4, total_bits=8, frac_bits=4, acc_width=19,
             rounds=4, n_rows=3, fingerprint="f" * 64, group_p=23, group_g=5,
         )
         server_err = []
@@ -179,9 +175,12 @@ class TestNegotiation:
 
         t = threading.Thread(target=serve)
         t.start()
-        with pytest.raises(HandshakeError, match="requires 'he'"):
-            client_session_handshake(b, backend="he")
+        b.send(HELLO_TAG, json.dumps(
+            {"protocol_version": 3, "name": "legacy", "backend": "he"}
+        ).encode())
+        assert "client speaks v3" in b.recv(REJECT_TAG).decode()
         t.join(timeout=5.0)
+        assert server_err and "version mismatch" in str(server_err[0])
 
 
 class TestParameterCheck:

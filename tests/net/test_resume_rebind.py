@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ResumeError
+from repro.errors import HandshakeError, ResumeError
 from repro.fixedpoint import Q8_4
 from repro.host import CloudServer
 from repro.net import GCGateway, RemoteAnalyticsClient
@@ -224,19 +224,18 @@ class TestVersionNegotiation:
                 float(MODEL[0] @ X), abs=1e-12
             )
 
-    def test_v3_gateway_serves_v2_clients(self, gateway, monkeypatch):
-        """A v2 hello negotiates down; the session runs without a
-        session_id or any v3 control frames."""
+    def test_v2_client_is_rejected(self, gateway, monkeypatch):
+        """The gateway speaks only the current version: an older client
+        gets a typed rejection, not a negotiated-down session."""
         import repro.net.handshake as hs
 
         monkeypatch.setattr(hs, "PROTOCOL_VERSION", 2)
         ours, theirs = socket.socketpair()
         gateway.adopt(theirs)
-        with RemoteAnalyticsClient.from_socket(
-            ours, recv_timeout_s=RECV_TIMEOUT
-        ) as client:
-            assert client.descriptor.protocol_version == 2
-            assert not client.resumable
-            assert client.query_row(3, X) == pytest.approx(
-                float(MODEL[3] @ X), abs=1e-12
-            )
+        try:
+            with pytest.raises(HandshakeError, match="client speaks v2"):
+                RemoteAnalyticsClient.from_socket(
+                    ours, recv_timeout_s=RECV_TIMEOUT
+                )
+        finally:
+            ours.close()

@@ -21,7 +21,7 @@ from repro.recover import (
     EvaluatorProgress,
     RoundMaterial,
     SessionCheckpoint,
-    checkpoint_from_run,
+    checkpoint_from_stream,
     serve_from_checkpoint,
 )
 from repro.telemetry import MetricsRegistry
@@ -154,10 +154,9 @@ class _Harness:
         """Serve the row once end-to-end, capturing the on_run snapshot."""
         captured = {}
 
-        def on_run(run, encoded_row):
-            captured["cp"] = checkpoint_from_run(
-                run, encoded_row, self.server.fmt.total_bits,
-                "s-e2e", self.row, client_name="harness",
+        def on_run(stream):
+            captured["cp"] = checkpoint_from_stream(
+                stream, "s-e2e", self.row, client_name="harness",
             )
 
         g, e = local_channel(recv_timeout_s=10.0)

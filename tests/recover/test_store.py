@@ -178,34 +178,37 @@ class TestJsonlStore:
         assert reloaded.torn_tail_recovered == 1
         assert reloaded.get("s-a") is not None  # the torn delete never happened
 
-    def test_v1_plain_json_file_still_loads(self, tmp_path):
-        # a store written by the pre-CRC format must keep loading
+    def test_bare_json_line_is_torn_at_the_tail_and_corrupt_mid_file(self, tmp_path):
+        # one record format: a bare-JSON line is not a record.  As the
+        # final line it is a torn tail (truncated); followed by valid
+        # records it is corruption (typed, fatal).
         path = tmp_path / "sessions.jsonl"
-        cp = make_checkpoint("s-old", next_round=1)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"op": "put", "checkpoint": cp.to_dict()}) + "\n")
-            fh.write(json.dumps({
-                "op": "lease", "session_id": "s-old", "owner": "gw0",
-                "epoch": 3, "expires_in": 30.0,
-            }) + "\n")
+        bare = json.dumps({"op": "put", "checkpoint":
+                           make_checkpoint("s-bare").to_dict()}) + "\n"
         store = JsonlSessionStore(path, ttl_s=60.0)
-        assert store.get("s-old") is not None
-        assert store.committed_round("s-old") == 1
-        lease = store.get_lease("s-old")
-        assert lease is not None and lease.owner == "gw0" and lease.epoch == 3
-
-    def test_mixed_v1_v2_records_tolerated(self, tmp_path):
-        # rolling upgrade: old writer appended v1 lines, new writer v2
-        path = tmp_path / "sessions.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"op": "put", "checkpoint":
-                                 make_checkpoint("s-1").to_dict()}) + "\n")
-        store = JsonlSessionStore(path, ttl_s=60.0)
-        store.put(make_checkpoint("s-2"))  # appends a v2 record
-        store.delete("s-1")
+        store.put(make_checkpoint("s-1"))
+        intact_size = path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bare)
         reloaded = JsonlSessionStore(path, ttl_s=60.0)
-        assert reloaded.get("s-1") is None
-        assert reloaded.get("s-2") is not None
+        assert reloaded.torn_tail_recovered == 1
+        assert reloaded.get("s-bare") is None
+        assert reloaded.get("s-1") is not None
+        assert path.stat().st_size == intact_size
+        with open(path, "ab") as fh:
+            fh.write(bare.encode("utf-8"))
+            fh.write(encode_record_v2({"op": "delete", "session_id": "s-1"}))
+        with pytest.raises(ConfigurationError, match="corrupt checkpoint log"):
+            JsonlSessionStore(path, ttl_s=60.0)
+
+    def test_record_missing_a_field_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "sessions.jsonl"
+        record = make_checkpoint("s-old").to_dict()
+        del record["tenant"]
+        with open(path, "wb") as fh:
+            fh.write(encode_record_v2({"op": "put", "checkpoint": record}))
+        with pytest.raises(ConfigurationError, match="malformed record"):
+            JsonlSessionStore(path, ttl_s=60.0)
 
     def test_record_codec_roundtrip_and_crc(self):
         rec = {"op": "delete", "session_id": "s-π"}

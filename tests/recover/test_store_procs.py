@@ -70,9 +70,11 @@ while not os.path.exists(go):
     if time.monotonic() > deadline:
         sys.exit(3)
     time.sleep(0.001)
-# expiry re-anchors at *our* load time: wait out our view of the lease
+# expiry re-anchors at *our* load time: wait out our view of the dead
+# owner's lease — never the rival's fresh one, which a racer arriving
+# second would otherwise outwait and then legitimately steal
 lease0 = store.get_lease("s-race")
-if lease0 is not None:
+if lease0 is not None and lease0.owner == "gw-dead":
     delay = lease0.expires_at - time.monotonic()
     if delay > 0:
         time.sleep(delay + 0.01)

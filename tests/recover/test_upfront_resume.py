@@ -24,7 +24,7 @@ from repro.host import CloudServer
 from repro.recover import (
     EvaluatorProgress,
     SessionCheckpoint,
-    checkpoint_from_run,
+    checkpoint_from_stream,
     serve_from_checkpoint,
 )
 
@@ -77,11 +77,8 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
     # the carried labels at every boundary from the same garbled run
     captured = {}
 
-    def on_run(run, encoded_row):
-        captured["cp"] = checkpoint_from_run(
-            run, encoded_row, fmt.total_bits, f"s-up{seed}", 0,
-            ot_mode="upfront",
-        )
+    def on_run(stream):
+        captured["cp"] = checkpoint_from_stream(stream, f"s-up{seed}", 0)
 
     g, e = local_channel(recv_timeout_s=10.0)
     recording = _Recording()
@@ -137,11 +134,8 @@ def test_per_round_resume_matches_upfront_results(seed):
     x_bits = [to_bits(int(v), fmt.total_bits) for v in fmt.encode_array(x)]
     captured = {}
 
-    def on_run(run, encoded_row):
-        captured["cp"] = checkpoint_from_run(
-            run, encoded_row, fmt.total_bits, f"s-pr{seed}", 0,
-            ot_mode="per_round",
-        )
+    def on_run(stream):
+        captured["cp"] = checkpoint_from_stream(stream, f"s-pr{seed}", 0)
 
     g, e = local_channel(recv_timeout_s=10.0)
     recording = _Recording()

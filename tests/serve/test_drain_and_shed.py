@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, OverloadedError, ServingError
+from repro.errors import ConfigurationError, OverloadedError
 from repro.fixedpoint import Q8_4
 from repro.host import CloudServer
 from repro.net import GCGateway, RemoteAnalyticsClient
@@ -162,23 +162,20 @@ class TestShedding:
         finally:
             gw.stop()
 
-    def test_v2_client_gets_the_legacy_typed_overload_error(self):
+    def test_draining_gateway_sheds_with_retry_after_not_error(self):
+        """Every session is resumable, so a draining gateway's overload
+        reply is always the ``net.retry_after`` hint, never ``net.error``."""
         server = fresh_server()
         gw = make_gateway(server)
         try:
             ours, theirs = socket.socketpair()
             gw.adopt(theirs)
-            import repro.net.handshake as hs
-            saved = hs.PROTOCOL_VERSION
-            hs.PROTOCOL_VERSION = 2
-            try:
-                client = RemoteAnalyticsClient.from_socket(
-                    ours, recv_timeout_s=RECV_TIMEOUT
-                )
-            finally:
-                hs.PROTOCOL_VERSION = saved
+            client = RemoteAnalyticsClient.from_socket(
+                ours, recv_timeout_s=RECV_TIMEOUT,
+                backoff=BackoffPolicy(max_attempts=1),
+            )
             gw._draining.set()
-            with pytest.raises(ServingError, match="overloaded"):
+            with pytest.raises(OverloadedError, match="still shedding"):
                 client.query_row(0, X)
             client.close()
         finally:

@@ -19,8 +19,9 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.recover import SessionCheckpoint, checkpoint_from_he_result
+from repro.errors import ConfigurationError, ResumeError
+from repro.gc.sequential_gc import RoundMaterial, SequentialStreamer
+from repro.recover import SessionCheckpoint, checkpoint_from_stream
 from repro.testkit import (
     RECOVERED,
     SURFACED,
@@ -113,6 +114,14 @@ class TestBackendsTier:
             assert v.verdict in (TOLERATED, RECOVERED, SURFACED)
 
 
+def checkpoint_from_he_result(result, session_id, row_index, **kwargs):
+    """Checkpoint the one-round stream ``serve_row_he`` sends."""
+    stream = SequentialStreamer(
+        None, [RoundMaterial(0, result, [], [], [])], backend="he"
+    )
+    return checkpoint_from_stream(stream, session_id, row_index, **kwargs)
+
+
 class TestHECheckpoints:
     def test_checkpoint_from_he_result_shape(self):
         cp = checkpoint_from_he_result(b"ct-bytes", "sess-1", 2,
@@ -129,10 +138,11 @@ class TestHECheckpoints:
         assert back.backend == "he"
         assert back.materials[0].tables == b"ct"
 
-    def test_backend_defaults_to_gc_for_old_records(self):
-        """Checkpoints written before the backend field existed must
-        load as GC sessions."""
+    def test_record_without_backend_is_a_typed_error(self):
+        """Every checkpoint record names its backend: one missing it is
+        malformed, never silently loaded as a GC session."""
         cp = checkpoint_from_he_result(b"ct", "sess-3", 0)
         record = cp.to_dict()
         del record["backend"]
-        assert SessionCheckpoint.from_dict(record).backend == "gc"
+        with pytest.raises(ResumeError, match="backend"):
+            SessionCheckpoint.from_dict(record)
