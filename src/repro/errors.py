@@ -52,6 +52,14 @@ class WireError(GCProtocolError):
     """
 
 
+class ChannelClosedError(GCProtocolError):
+    """The other party of an in-memory dialogue failed while this side
+    was waiting for its next message
+    (:func:`repro.gc.channel.run_two_party`).  Raised at once instead
+    of after the receive timeout.
+    """
+
+
 class IntegrityError(GCProtocolError):
     """A message failed its end-to-end integrity check (flipped or lost
     bytes between the sender's endpoint and the receiver's).

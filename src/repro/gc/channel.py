@@ -11,7 +11,11 @@ code is written once against the endpoint contract and runs unchanged
 over the wire.
 
 ``recv`` blocks until the peer's message arrives, so protocol code can
-be written in the natural sequential style on each side.
+be written in the natural sequential style on each side.  When a party
+run by :func:`run_two_party` raises, the in-memory endpoints of the
+dialogue stop waiting: the other party's pending (or next) ``recv``
+fails at once with :class:`~repro.errors.ChannelClosedError` instead
+of waiting out the receive timeout.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, GCProtocolError, IntegrityError
+from repro.errors import (
+    ChannelClosedError,
+    ConfigurationError,
+    GCProtocolError,
+    IntegrityError,
+)
 
 #: Fallback safety net so a protocol bug surfaces as an error, not a
 #: hang.  Resolution order for an endpoint's receive timeout:
@@ -103,21 +112,38 @@ class TrafficStats:
 
 
 class _Queue:
-    """A blocking FIFO of (tag, payload) messages."""
+    """A blocking FIFO of (tag, payload) messages.
+
+    Once closed (a party of its dialogue failed), the messages already
+    queued are still delivered; a receive that would then wait raises
+    :class:`~repro.errors.ChannelClosedError` at once.
+    """
 
     def __init__(self) -> None:
         self._items: deque = deque()
         self._cond = threading.Condition()
+        self._closed = False
 
     def put(self, item: tuple[str, bytes]) -> None:
         with self._cond:
             self._items.append(item)
             self._cond.notify()
 
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
     def get(self, timeout: float) -> tuple[str, bytes]:
         with self._cond:
-            if not self._cond.wait_for(lambda: bool(self._items), timeout=timeout):
+            if not self._cond.wait_for(
+                lambda: bool(self._items) or self._closed, timeout=timeout
+            ):
                 raise GCProtocolError("channel receive timed out (protocol deadlock?)")
+            if not self._items:
+                raise ChannelClosedError(
+                    "the other party failed: no more messages will arrive"
+                )
             return self._items.popleft()
 
     def __len__(self) -> int:
@@ -387,9 +413,11 @@ class Endpoint(EndpointBase):
         self._inbox = inbox
 
     def _send_message(self, tag: str, payload: bytes) -> None:
+        _joined(self)
         self._outbox.put((tag, payload))
 
     def _recv_message(self, timeout: float) -> tuple[str, bytes]:
+        _joined(self)
         return self._inbox.get(timeout)
 
     @property
@@ -417,15 +445,68 @@ def local_channel(
     return left_end, right_end
 
 
+class _Dialogue:
+    """The in-memory endpoints two parties of one :func:`run_two_party`
+    use.  Once either party fails, every receive on them — pending or
+    later — stops waiting for messages that will never come."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._endpoints: set[Endpoint] = set()
+        self._failed = False
+
+    def join(self, endpoint: Endpoint) -> None:
+        with self._lock:
+            if endpoint in self._endpoints:
+                return
+            self._endpoints.add(endpoint)
+            failed = self._failed
+        if failed:
+            endpoint._inbox.close()
+
+    def fail(self) -> None:
+        with self._lock:
+            self._failed = True
+            endpoints = list(self._endpoints)
+        for endpoint in endpoints:
+            endpoint._inbox.close()
+
+
+#: per thread: the dialogue of the party running on it
+_party = threading.local()
+
+
+def _joined(endpoint: Endpoint) -> None:
+    dialogue = getattr(_party, "dialogue", None)
+    if dialogue is not None:
+        dialogue.join(endpoint)
+
+
+def _as_party(dialogue: _Dialogue, fn):
+    """Run ``fn`` as one party of ``dialogue``; if it raises, the
+    dialogue's endpoints stop waiting on it."""
+    outer = getattr(_party, "dialogue", None)
+    _party.dialogue = dialogue
+    try:
+        return fn()
+    except BaseException:
+        dialogue.fail()
+        raise
+    finally:
+        _party.dialogue = outer
+
+
 def run_two_party(left_fn, right_fn, cleanup=None, join_timeout_s: float | None = None):
     """Run the two protocol sides concurrently and return their results.
 
     ``left_fn``/``right_fn`` take no arguments (bind their endpoint with a
-    closure).  Exceptions on either side are re-raised in the caller;
-    when *both* sides fail (the usual shape of a deadlock post-mortem:
-    one side dies, the other times out), the left error is re-raised
-    ``from`` the right one with both messages combined, so a single
-    traceback shows both failures.
+    closure).  Exceptions on either side are re-raised in the caller,
+    and once a side raises, the other side's pending or next receive on
+    an in-memory endpoint fails at once.  When *both* sides fail (the
+    usual shape of a post-mortem: one side dies, the other stops
+    waiting on it), the left error is re-raised ``from`` the right one
+    with both messages combined, so a single traceback shows both
+    failures.
 
     ``cleanup`` (no arguments) runs after both parties have finished —
     the place to close socket endpoints.  A cleanup that raises can
@@ -439,11 +520,12 @@ def run_two_party(left_fn, right_fn, cleanup=None, join_timeout_s: float | None 
     """
     results: dict[str, object] = {}
     errors: list[BaseException] = []
+    dialogue = _Dialogue()
 
     def wrap(name, fn):
         def runner():
             try:
-                results[name] = fn()
+                results[name] = _as_party(dialogue, fn)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -457,7 +539,7 @@ def run_two_party(left_fn, right_fn, cleanup=None, join_timeout_s: float | None 
     primary: BaseException | None = None
     cause: BaseException | None = None
     try:
-        results["left"] = left_fn()
+        results["left"] = _as_party(dialogue, left_fn)
     except BaseException as left_exc:
         thread.join(timeout=join_timeout)
         if errors:

@@ -24,7 +24,7 @@ from repro.gc.channel import Endpoint, local_channel, run_two_party
 from repro.gc.garble import Garbler
 from repro.gc.stage_plan import StagePlan
 from repro.gc.tables import serialize_tables
-from repro.gc.vector_garble import VectorEvaluator
+from repro.gc.vector_garble import VectorEvaluator, evaluate_run
 from repro.he.mac import HE_RESULT_TAG
 from repro.telemetry import MetricsRegistry
 
@@ -340,14 +340,16 @@ class SequentialGarbler:
 
 
 class SequentialEvaluator:
-    """Evaluates round after round, carrying state labels forward.
+    """Receives round after round, then evaluates them in one pass.
 
-    Each round runs on the circuit's stage plan
-    (:class:`~repro.gc.vector_garble.VectorEvaluator`): one batched
-    AES call per AND stage, tables read straight from the received
-    ``seq.tables`` payload.  A caller that evaluates the same circuit
-    many times passes its resolved ``plan`` so no query re-hashes the
-    netlist to find it.
+    Each round's frames are read as they arrive and its OT is answered
+    at once, so the garbler never waits on evaluation.  Once every
+    round is in, the rounds are evaluated together on the circuit's run
+    plan (:func:`~repro.gc.vector_garble.evaluate_run`): one batched
+    AES call per AND stage of the whole run, tables read straight from
+    the received ``seq.tables`` payloads.  A caller that evaluates the
+    same circuit many times passes its resolved round ``plan`` so no
+    query re-hashes the netlist to find it.
     """
 
     def __init__(
@@ -379,7 +381,9 @@ class SequentialEvaluator:
         rounds (:class:`SequentialStreamer` from ``start_round``).
         ``progress`` (a :class:`~repro.recover.checkpoint.EvaluatorProgress`)
         is updated at every round boundary so the caller can resume
-        after a mid-stream disconnect.
+        after a mid-stream disconnect: when receiving stops early (a
+        drain notice, a wire break), the rounds fully received so far
+        are evaluated and recorded before the error propagates.
         """
         net = self.circuit.netlist
         chan = self.channel
@@ -427,51 +431,37 @@ class SequentialEvaluator:
             upfront_labels = ot_receiver(chan, len(choices), self.group).receive(choices)
             peak_label_bytes = 16 * len(choices)
 
-        state_labels = list(state_labels) if state_labels else []
-        hash_calls = 0
-        result = None
-        for r in range(start_round, rounds):
-            bits = round_inputs[r]
-            offset = r * len(net.gates)
-            tables = self.evaluator.decode_tables(chan.recv("seq.tables"))
-            garbler_labels = chan.recv_u128_list("seq.garbler_labels")
-            const_labels = chan.recv_u128_list("seq.const_labels")
-            if r == 0:
-                state_labels = chan.recv_u128_list("seq.state_labels")
-            my_labels: list[int] = []
-            if n_in:
-                if ot_mode == "upfront":
-                    base = (r - start_round) * n_in
-                    my_labels = upfront_labels[base : base + n_in]
-                else:
-                    my_labels = ot_receiver(chan, n_in, self.group).receive(list(bits))
+        state = list(state_labels) if state_labels else []
+        inputs: list[dict[int, int]] = []
+        tables: list = []
+        const_wires = sorted(net.constants)
+        try:
+            for r in range(start_round, rounds):
+                round_tables = self.evaluator.decode_tables(chan.recv("seq.tables"))
+                labels = dict(
+                    zip(net.garbler_inputs, chan.recv_u128_list("seq.garbler_labels"))
+                )
+                labels.update(zip(const_wires, chan.recv_u128_list("seq.const_labels")))
+                if r == 0:
+                    state = chan.recv_u128_list("seq.state_labels")
+                if n_in:
+                    if ot_mode == "upfront":
+                        base = (r - start_round) * n_in
+                        my_labels = upfront_labels[base : base + n_in]
+                    else:
+                        my_labels = ot_receiver(chan, n_in, self.group).receive(
+                            list(round_inputs[r])
+                        )
+                    labels.update(zip(net.evaluator_inputs, my_labels))
+                inputs.append(labels)
+                tables.append(round_tables)
+        except BaseException:
+            # keep the progress at the last fully received round
+            self._evaluate(start_round, state, inputs, tables, progress)
+            raise
+        outputs = self._evaluate(start_round, state, inputs, tables, progress)
 
-            labels: dict[int, int] = {}
-            for wire, label in zip(net.garbler_inputs, garbler_labels):
-                labels[wire] = label
-            for wire, label in zip(sorted(net.constants), const_labels):
-                labels[wire] = label
-            for wire, label in zip(net.state_inputs, state_labels):
-                labels[wire] = label
-            for wire, label in zip(net.evaluator_inputs, my_labels):
-                labels[wire] = label
-
-            result = self.evaluator.evaluate(labels, tables, tweak_offset=offset)
-            hash_calls += result.hash_calls
-            state_labels = result.labels_for_state(self.circuit.state_feedback)
-            if progress is not None:
-                # record the boundary *after* the carry labels exist, so
-                # a disconnect mid-round resumes at this round, not past it
-                progress.completed_rounds = r + 1
-                progress.state_labels = list(state_labels)
-                progress.hash_calls += result.hash_calls
-                progress.output_labels = list(result.output_labels)
-
-        out_labels = (
-            list(result.output_labels)
-            if result is not None
-            else list(progress.output_labels)
-        )
+        out_labels = outputs[-1] if outputs else list(progress.output_labels)
         output_bits = None
         if reveal in ("evaluator", "both"):
             output_map = list(chan.recv("seq.output_map"))
@@ -486,9 +476,34 @@ class SequentialEvaluator:
             output_bits=output_bits,
             bytes_sent=chan.sent.payload_bytes,
             n_tables=0,
-            hash_calls=hash_calls,
+            hash_calls=2 * self.evaluator.plan.n_and * len(outputs),
             peak_input_label_bytes=peak_label_bytes,
         )
+
+    def _evaluate(self, start_round, state, inputs, tables, progress) -> list:
+        """Evaluate the received rounds in one run-plan pass, record each
+        round boundary in ``progress`` and return every round's output
+        labels."""
+        if not inputs:
+            return []
+        outputs = evaluate_run(
+            self.circuit,
+            start_round,
+            state,
+            inputs,
+            tables,
+            hash_fn=self.evaluator.hash,
+            plan=self.evaluator.plan,
+        )
+        if progress is not None:
+            feedback = self.circuit.state_feedback
+            for r, labels in enumerate(outputs, start_round):
+                # completed_rounds first: the carried labels belong to it
+                progress.completed_rounds = r + 1
+                progress.state_labels = [labels[i] for i in feedback]
+                progress.hash_calls += 2 * self.evaluator.plan.n_and
+                progress.output_labels = list(labels)
+        return outputs
 
 
 def run_sequential(

@@ -43,6 +43,7 @@ from repro.gc.sequential_gc import (
     SequentialStreamer,
     materials_for_run,
 )
+from repro.gc.stage_plan import warm_run_plans
 from repro.telemetry import MetricsRegistry
 
 #: How the host garbles: stage-batched through the vectorised fixed-key
@@ -135,6 +136,8 @@ class CloudServer:
             acc_width=2 * self.fmt.total_bits + max(1, (m - 1).bit_length() + 1),
             seed=self._seed,
         )
+        # plan the whole M-round run now, not on the first query
+        warm_run_plans(accelerator.circuit.circuit, m, accelerator.plan)
         with self._lock:
             self.model = matrix
             self._encoded = self.fmt.encode_array(matrix)

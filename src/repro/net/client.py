@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.fixedpoint import FixedPointFormat
 from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
-from repro.gc.stage_plan import stage_plan_for
+from repro.gc.stage_plan import stage_plan_for, warm_run_plans
 from repro.he import (
     HE_QUERY_TAG,
     HE_RESULT_TAG,
@@ -163,8 +163,9 @@ class RemoteAnalyticsClient:
                     f"{d.fingerprint[:16]}..., this client built {local_print[:16]}... "
                     "(version skew between client and gateway builds)"
                 )
-            # every query of this connection evaluates on the same plan
+            # every query of this connection evaluates on the same plans
             self._plan = stage_plan_for(self.circuit.netlist)
+            warm_run_plans(self.circuit, d.rounds, self._plan)
         self.group = d.group
         self.session_id = str(welcome.get("session_id", ""))
         if (

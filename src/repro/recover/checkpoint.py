@@ -212,8 +212,10 @@ class SessionCheckpoint:
 class EvaluatorProgress:
     """Client-side resume state: rounds done + carried accumulator labels.
 
-    Passed into :meth:`SequentialEvaluator.run`, which updates it at
-    every round boundary; after a ``WireError`` mid-stream the client
+    Passed into :meth:`SequentialEvaluator.run`, which records every
+    round boundary once it evaluates the received rounds — also when
+    the stream breaks early, so ``completed_rounds`` is the last round
+    fully received.  After a ``WireError`` mid-stream the client
     re-enters ``run(start_round=progress.completed_rounds,
     state_labels=progress.state_labels)`` on a resumed channel.
     """

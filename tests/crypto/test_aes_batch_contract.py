@@ -21,10 +21,19 @@ import random
 import numpy as np
 import pytest
 
+from repro.accel.tree_mac import build_scheduled_mac
+from repro.bits import to_bits
 from repro.crypto.aes import AES128
 from repro.crypto.labels import LabelFactory
 from repro.crypto.prf import FIXED_KEY, GarblingHash
 from repro.errors import CryptoError
+from repro.gc.channel import local_channel, run_two_party
+from repro.gc.sequential_gc import (
+    SequentialEvaluator,
+    SequentialStreamer,
+    materials_for_run,
+)
+from repro.gc.stage_plan import run_plan_for
 from repro.gc.vector_garble import VectorEvaluator, VectorGarbler, garble_mac_runs
 from repro.telemetry import MetricsRegistry
 
@@ -172,19 +181,21 @@ class TestOneInvocationPerStage:
         assert hash_fn.calls == n_sessions * 4 * vg.plan.n_and
         assert hash_fn.aes.batch_blocks == n_sessions * 4 * vg.plan.n_and
 
-    def test_telemetry_counter_scales_with_rounds_not_sessions(self):
+    def test_one_call_per_run_stage(self):
+        """A whole MAC run is one pass over its run plan: neither rounds
+        nor sessions add AES invocations."""
         from repro.accel.tree_mac import build_scheduled_mac
 
         scheduled = build_scheduled_mac(8)
-        n_stages = VectorGarbler(scheduled.netlist).plan.n_stages
+        n_stages = run_plan_for(scheduled.circuit, 3).n_stages
         for n_sessions in (1, 3):
             tm = MetricsRegistry()
             factories = [
                 LabelFactory(source=random.Random(s)) for s in range(n_sessions)
             ]
             garble_mac_runs(scheduled, 3, factories, telemetry=tm)
-            assert tm.counter("gc.aes_batch_calls").value == 3 * n_stages
-            assert tm.counter("gc.vector_sessions").value == 3 * n_sessions
+            assert tm.counter("gc.aes_batch_calls").value == n_stages
+            assert tm.counter("gc.vector_sessions").value == n_sessions
 
     @pytest.mark.parametrize("n_rounds", [1, 3])
     def test_evaluator_one_hash_words_call_per_and_stage(self, n_rounds):
@@ -244,3 +255,50 @@ class TestOneInvocationPerStage:
         assert out.shape == (0, 2)
         assert hash_fn.batch_calls == 0
         assert hash_fn.aes.batch_calls == 0
+
+
+class TestRunPlanCallCount:
+    """Regression pin: a query costs about one round's AND depth of AES
+    calls on each party, not M times it (the perfbench circuit: Q8.4,
+    b = 8 with a 19-bit accumulator)."""
+
+    def _perfbench_circuit(self):
+        return build_scheduled_mac(8, 19)
+
+    def test_garbling_and_evaluating_one_run_each_take_one_call_per_run_stage(self):
+        scheduled = self._perfbench_circuit()
+        n_stages = run_plan_for(scheduled.circuit, 4).n_stages
+        assert n_stages <= 25
+        g_hash = GarblingHash()
+        [run] = garble_mac_runs(
+            scheduled, 4, [LabelFactory(source=random.Random(3))], hash_fn=g_hash
+        )
+        assert g_hash.batch_calls == g_hash.aes.batch_calls == n_stages
+
+        weights, xs = [3, -5, 7, 1], [2, 4, -6, 9]
+        g_chan, e_chan = local_channel(recv_timeout_s=10.0)
+        evaluator = SequentialEvaluator(scheduled.circuit, e_chan)
+        e_hash = evaluator.evaluator.hash
+        stream = SequentialStreamer(
+            g_chan,
+            materials_for_run(run, [to_bits(w, 8) for w in weights]),
+            run.output_permute_bits,
+        )
+        _, report = run_two_party(
+            stream.run, lambda: evaluator.run([to_bits(x, 8) for x in xs])
+        )
+        assert e_hash.batch_calls == e_hash.aes.batch_calls == n_stages
+        assert e_hash.aes.scalar_calls == 0
+        assert report.hash_calls == 4 * 2 * run_plan_for(scheduled.circuit, 1).n_and
+
+    #: one AND level per accumulator carry between rounds: the bound
+    #: the pipelined run must stay within
+    CARRY_LAG = 1
+
+    @pytest.mark.parametrize("n_rounds,expected", [(4, 20), (16, 20), (64, 20)])
+    def test_and_stages_stay_at_one_round_depth(self, n_rounds, expected):
+        circuit = self._perfbench_circuit().circuit
+        depth = run_plan_for(circuit, 1).n_stages
+        n_stages = run_plan_for(circuit, n_rounds).n_stages
+        assert n_stages == expected
+        assert n_stages <= depth + (n_rounds - 1) * self.CARRY_LAG

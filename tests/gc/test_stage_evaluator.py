@@ -8,7 +8,10 @@ property drives both from the same garbling and demands equal output
 labels, decode bits and hash-call counts — on the random circuits of
 ``test_vector_bit_identity``, under tweak offsets and presets, across
 chained MAC rounds, and when a sequential session resumes mid-stream.
-Malformed payloads must fail typed, never evaluate.
+A whole run evaluated in one pass on its run plan must match both the
+per-round stage evaluator and the scalar one, and a drain mid-stream
+must leave the progress at the last fully received round.  Malformed
+payloads must fail typed, never evaluate.
 """
 
 import random
@@ -19,20 +22,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.tree_mac import build_scheduled_mac
-from repro.bits import to_bits
+from repro.bits import from_bits, to_bits
 from repro.crypto.labels import LabelFactory, color
-from repro.errors import GCProtocolError
+from repro.crypto.ot import TOY_GROUP
+from repro.errors import GCProtocolError, SessionDrainedError
 from repro.fixedpoint import Q8_4
 from repro.gc.channel import local_channel, run_two_party
 from repro.gc.evaluate import Evaluator
-from repro.gc.sequential_gc import SequentialEvaluator
+from repro.gc.sequential_gc import (
+    SequentialEvaluator,
+    SequentialStreamer,
+    materials_for_run,
+)
 from repro.gc.tables import TABLE_BYTES, serialize_tables
-from repro.gc.vector_garble import VectorEvaluator, garble_mac_runs
+from repro.gc.vector_garble import VectorEvaluator, evaluate_run, garble_mac_runs
 from repro.host import CloudServer
 from repro.recover import EvaluatorProgress, checkpoint_from_stream, serve_from_checkpoint
 
 from tests.gc.test_random_circuits import netlist_with_inputs
-from tests.gc.test_vector_bit_identity import preset_cases, scalar_garble
+from tests.gc.test_vector_bit_identity import (
+    preset_cases,
+    scalar_garble,
+    sequential_mac,
+)
 
 
 def active_labels(net, gc, g_bits, e_bits):
@@ -255,3 +267,164 @@ class TestMalformedPayloads:
         del labels[net.evaluator_inputs[0]]
         with pytest.raises(GCProtocolError, match="missing labels"):
             ev.evaluate(labels, tables)
+
+
+def random_bits(data, n_rounds, width):
+    return [
+        [data.draw(st.integers(0, 1)) for _ in range(width)] for _ in range(n_rounds)
+    ]
+
+
+def initial_state(seq, run):
+    """Active labels of the run's initial accumulator state."""
+    return [p.select(b) for p, b in zip(run.rounds[0].state_pairs, seq.initial_state)]
+
+
+def scalar_outputs(seq, run, g_bits, e_bits):
+    """Every round's output labels from the scalar evaluator."""
+    net = seq.netlist
+    ev = Evaluator(net)
+    state = initial_state(seq, run)
+    outputs = []
+    for r in range(len(g_bits)):
+        labels = round_labels(net, run.rounds[r], state, g_bits[r], e_bits[r])
+        result = ev.evaluate(
+            run.tables_for_round(r), labels, tweak_offset=r * len(net.gates)
+        )
+        outputs.append(result.output_labels)
+        state = result.labels_for_state(seq.state_feedback)
+    return outputs
+
+
+class TestRunPlanEvaluator:
+    @given(
+        st.sampled_from(["tree", "serial"]),
+        st.integers(1, 32),
+        st.sampled_from([1, 3]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_one_pass_matches_per_round_and_scalar(
+        self, kind, n_rounds, n_sessions, seed, data
+    ):
+        """Every round's output labels of one run-plan pass equal the
+        per-round stage evaluator's and the scalar evaluator's, from
+        round 0 and from any resumed ``start_round``."""
+        circuit = sequential_mac(kind)
+        seq, net = circuit.circuit, circuit.netlist
+        runs = garble_mac_runs(
+            circuit,
+            n_rounds,
+            [LabelFactory(source=random.Random(seed + i)) for i in range(n_sessions)],
+        )
+        run = runs[data.draw(st.integers(0, n_sessions - 1))]
+        g_bits = random_bits(data, n_rounds, len(net.garbler_inputs))
+        e_bits = random_bits(data, n_rounds, len(net.evaluator_inputs))
+        expected = scalar_outputs(seq, run, g_bits, e_bits)
+
+        staged_ev = VectorEvaluator(net)
+        state = initial_state(seq, run)
+        for r in range(n_rounds):
+            labels = round_labels(net, run.rounds[r], state, g_bits[r], e_bits[r])
+            staged = staged_ev.evaluate(
+                labels,
+                staged_ev.decode_tables(run.tables_payload(r)),
+                r * len(net.gates),
+            )
+            assert staged.output_labels == expected[r]
+            state = staged.labels_for_state(seq.state_feedback)
+
+        start = data.draw(st.integers(0, n_rounds - 1))
+        carried = (
+            initial_state(seq, run)
+            if start == 0
+            else [expected[start - 1][i] for i in seq.state_feedback]
+        )
+        rest = range(start, n_rounds)
+        inputs = [
+            round_labels(net, run.rounds[r], [], g_bits[r], e_bits[r]) for r in rest
+        ]
+        tables = [staged_ev.decode_tables(run.tables_payload(r)) for r in rest]
+        assert evaluate_run(seq, start, carried, inputs, tables) == expected[start:]
+
+
+class TestDrainMidStream:
+    """A drain after ``k`` fully received (but not yet evaluated) rounds
+    leaves the progress at round ``k``; the resume is bit-exact."""
+
+    @given(
+        st.sampled_from(["tree", "serial"]),
+        st.integers(1, 10),
+        st.sampled_from(["per_round", "upfront"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_drain_then_resume_is_bit_exact(self, kind, n_rounds, ot_mode, seed, data):
+        circuit = sequential_mac(kind)
+        seq, net = circuit.circuit, circuit.netlist
+        drain_at = data.draw(st.integers(1, n_rounds))
+        [run] = garble_mac_runs(
+            circuit, n_rounds, [LabelFactory(source=random.Random(seed))]
+        )
+        weights = [data.draw(st.integers(-8, 7)) for _ in range(n_rounds)]
+        xs = [data.draw(st.integers(-8, 7)) for _ in range(n_rounds)]
+        g_bits = [to_bits(w, 4) for w in weights]
+        x_bits = [to_bits(x, 4) for x in xs]
+        expected = scalar_outputs(seq, run, g_bits, x_bits)
+        materials = materials_for_run(run, g_bits)
+
+        g, e = local_channel(recv_timeout_s=10.0)
+
+        def drain_notice(tag, body):
+            if tag == "test.drain":
+                raise SessionDrainedError("drained", next_round=drain_at)
+
+        e._intercept = drain_notice
+
+        def on_round(next_round):
+            if next_round == drain_at:
+                g.send("test.drain", b"")
+                raise SessionDrainedError("drained", next_round=drain_at)
+
+        progress = EvaluatorProgress()
+        stream = SequentialStreamer(
+            g, materials, run.output_permute_bits, ot_mode, TOY_GROUP, on_round=on_round
+        )
+        with pytest.raises(SessionDrainedError):
+            run_two_party(
+                stream.run,
+                lambda: SequentialEvaluator(seq, e, TOY_GROUP).run(
+                    x_bits, progress=progress
+                ),
+            )
+        assert progress.completed_rounds == drain_at
+        assert progress.state_labels == [
+            expected[drain_at - 1][i] for i in seq.state_feedback
+        ]
+        assert progress.output_labels == expected[drain_at - 1]
+
+        g2, e2 = local_channel(recv_timeout_s=10.0)
+        resumed = SequentialStreamer(
+            g2,
+            materials[drain_at:],
+            run.output_permute_bits,
+            ot_mode,
+            TOY_GROUP,
+            start_round=drain_at,
+        )
+        _, report = run_two_party(
+            resumed.run,
+            lambda: SequentialEvaluator(seq, e2, TOY_GROUP).run(
+                x_bits,
+                start_round=drain_at,
+                state_labels=list(progress.state_labels),
+                progress=progress,
+            ),
+        )
+        assert progress.completed_rounds == n_rounds
+        assert progress.output_labels == expected[-1]
+        assert from_bits(report.output_bits, signed=True) == sum(
+            w * x for w, x in zip(weights, xs)
+        )

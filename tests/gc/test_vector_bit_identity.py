@@ -6,10 +6,12 @@ every property here drives both paths from identically-seeded label
 factories and demands byte-for-byte agreement — tables, wire pairs,
 decode (permute) bits, serialised payloads — across random circuits,
 preset/tweak configurations, multi-session batches and chained MAC
-rounds.
+rounds — and for a whole MAC run garbled in one pass on its run plan,
+against both the per-round vector chain and the scalar chain.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro.bits import from_bits, to_bits
 from repro.circuits.division import build_divider_netlist
-from repro.circuits.mac import build_mac_netlist
+from repro.circuits.mac import build_mac_netlist, build_sequential_mac
 from repro.circuits.multipliers import build_multiplier_netlist
 from repro.crypto.labels import LabelFactory
+from repro.crypto.prf import make_tweak
 from repro.errors import GCProtocolError
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
+from repro.gc import stage_plan
 from repro.gc.tables import serialize_tables
 from repro.gc.vector_garble import VectorGarbler, garble_mac_runs
 from repro.telemetry import MetricsRegistry
@@ -275,3 +279,111 @@ class TestEndToEndMac:
         acc_bits = [result.output_bits[i] for i in feedback]
         expected = sum(w * x for w, x in zip(weights, xs))
         assert from_bits(acc_bits, signed=True) == expected
+
+
+def sequential_mac(kind: str, bitwidth: int = 4):
+    """A ``build_sequential_mac`` circuit in the shape ``garble_mac_runs``
+    takes (``.circuit`` plus ``.netlist``)."""
+    seq = build_sequential_mac(bitwidth, kind=kind)
+    return SimpleNamespace(circuit=seq, netlist=seq.netlist)
+
+
+def scalar_chain(circuit, n_rounds, seed):
+    """The scalar ``Garbler`` round chain of one session."""
+    return TestChainedMacRounds()._sequential_chain(circuit, n_rounds, seed)
+
+
+def per_round_vector_chain(circuit, n_rounds, seeds):
+    """``VectorGarbler`` round after round, state pairs preset from the
+    previous round's feedback outputs: one batch per round."""
+    net = circuit.netlist
+    feedback = [net.outputs[i] for i in circuit.state_feedback]
+    factories = [LabelFactory(source=random.Random(s)) for s in seeds]
+    vg = VectorGarbler(net)
+    batches, preset = [], None
+    for r in range(n_rounds):
+        batch = vg.garble(
+            factories, preset_pairs=preset, tweak_offset=r * len(net.gates)
+        )
+        batches.append(batch)
+        preset = [
+            {w: batch.pair(s, fw) for w, fw in zip(net.state_inputs, feedback)}
+            for s in range(len(seeds))
+        ]
+    return batches
+
+
+class TestRunPlan:
+    """``garble_mac_runs`` garbles every round of every session in one
+    pass on the run plan; each round's tables must be the bytes the
+    round-by-round garblers produce."""
+
+    @given(
+        st.sampled_from(["tree", "serial"]),
+        st.integers(1, 32),
+        st.sampled_from([1, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_run_plan_tables_match_per_round_and_scalar_chains(
+        self, kind, n_rounds, n_sessions, seed
+    ):
+        circuit = sequential_mac(kind)
+        seq = circuit.circuit
+        seeds = [seed + i for i in range(n_sessions)]
+        runs = garble_mac_runs(
+            circuit, n_rounds, [LabelFactory(source=random.Random(s)) for s in seeds]
+        )
+        batches = per_round_vector_chain(seq, n_rounds, seeds)
+        for s, (run, sd) in enumerate(zip(runs, seeds)):
+            chain = scalar_chain(seq, n_rounds, sd)
+            for r in range(n_rounds):
+                payload = bytes(run.tables_payload(r))
+                assert payload == bytes(batches[r].tables_payload(s))
+                assert payload == serialize_tables(chain[r].tables)
+                assert run.rounds[r].state_pairs == [
+                    chain[r].wire_pairs[w] for w in seq.netlist.state_inputs
+                ]
+            assert run.output_permute_bits == chain[-1].output_permute_bits
+            assert run.rounds[-1].output_pairs == chain[-1].output_pairs
+
+    def test_windows_chain_like_rounds(self, monkeypatch):
+        """A run longer than the window is garbled window by window, each
+        window's state inputs carrying the last one's feedback labels."""
+        monkeypatch.setattr(stage_plan, "RUN_WINDOW", 5)
+        circuit = sequential_mac("tree")
+        [run] = garble_mac_runs(circuit, 12, [LabelFactory(source=random.Random(8))])
+        assert [w.plan.n_rounds for w in run.windows] == [5, 5, 2]
+        chain = scalar_chain(circuit.circuit, 12, 8)
+        for r, gc in enumerate(chain):
+            assert bytes(run.tables_payload(r)) == serialize_tables(gc.tables)
+            assert run.tables_for_round(r) == gc.tables
+        assert run.output_permute_bits == chain[-1].output_permute_bits
+
+    def test_scheduled_mac_run_matches_scalar_chain(self):
+        from repro.accel.tree_mac import build_scheduled_mac
+
+        scheduled = build_scheduled_mac(8, 19)
+        [run] = garble_mac_runs(scheduled, 4, [LabelFactory(source=random.Random(1))])
+        chain = scalar_chain(scheduled.circuit, 4, 1)
+        for r, gc in enumerate(chain):
+            assert bytes(run.tables_payload(r)) == serialize_tables(gc.tables)
+        assert run.output_permute_bits == chain[-1].output_permute_bits
+
+
+class TestTweakWords:
+    """Plans build their tweak words once; every offset — the uint64
+    fast path (one array add) and the exact 128-bit wrap-around path —
+    matches ``make_tweak`` gate by gate."""
+
+    @pytest.mark.parametrize(
+        "offset", [0, 1, 510, 10_000, 2**62, 2**63 - 600, 2**64, 2**127, -3]
+    )
+    def test_tweak_words_match_make_tweak(self, offset):
+        plan = stage_plan.stage_plan_for(build_mac_netlist(4))
+        for stage, words in zip(plan.stages, plan.tweak_words(offset)):
+            for gate, row in zip(stage.gate_idx.tolist(), words):
+                for half in (0, 1):
+                    expected = make_tweak(gate + offset, half)
+                    got = (int(row[half, 0]) << 64) | int(row[half, 1])
+                    assert got == expected
