@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSONL session store path (survives restarts; "
                                 "shared in fleet mode)")
             p.add_argument("--backend", default=None, choices=("gc", "he"),
-                           help="default private-MAC backend granted to v4 "
+                           help="default private-MAC backend granted to "
                                 "clients that don't request one (default: "
                                 "REPRO_BACKEND, then gc)")
         if name == "connect":

@@ -9,6 +9,13 @@ class CryptoError(ReproError):
     """Invalid cryptographic parameter or state."""
 
 
+class OTIndexError(CryptoError):
+    """An OT frame named a random-OT pool index the sender cannot use:
+    one already answered (every index is answered at most once), one
+    past the pool, or a top-up that does not continue the pool.
+    Raised before anything is answered."""
+
+
 class CircuitError(ReproError):
     """Malformed netlist or illegal circuit construction."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.circuits.netlist import Netlist
 from repro.crypto.labels import LabelFactory
-from repro.crypto.ot import DEFAULT_GROUP, DHGroup, ot_receiver, ot_sender
+from repro.crypto.ot import DEFAULT_GROUP, DHGroup, receive_labels, send_labels
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
 from repro.gc.evaluate import EvaluationResult, Evaluator
@@ -92,9 +92,8 @@ class GarblerParty:
 
         pairs = gc.evaluator_input_pairs()
         if pairs:
-            sender = ot_sender(chan, len(pairs), self.group)
             with tm.timer("protocol.ot"):
-                sender.send(pairs)
+                send_labels(chan, pairs, self.group)
             tm.counter("ot.transfers").inc(len(pairs))
 
         if reveal in ("evaluator", "both"):
@@ -144,8 +143,7 @@ class EvaluatorParty:
 
         my_labels: list[int] = []
         if net.evaluator_inputs:
-            receiver = ot_receiver(chan, len(net.evaluator_inputs), self.group)
-            my_labels = receiver.receive(list(input_bits))
+            my_labels = receive_labels(chan, list(input_bits), self.group)
 
         labels: dict[int, int] = {}
         for wire, label in zip(net.garbler_inputs, garbler_labels):

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 from repro.circuits.sequential import SequentialCircuit
 from repro.crypto.labels import LabelFactory, color
-from repro.crypto.ot import DEFAULT_GROUP, DHGroup, ot_receiver, ot_sender
+from repro.crypto.ot import (
+    DEFAULT_GROUP,
+    DHGroup,
+    OTExtensionReceiver,
+    OTExtensionSender,
+)
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
 from repro.gc.garble import Garbler
@@ -135,6 +140,10 @@ def materials_for_run(run, round_bits: list[list[int]]) -> list[RoundMaterial]:
     return materials
 
 
+def _u128_payload(values: list[int]) -> bytes:
+    return b"".join(v.to_bytes(16, "big") for v in values)
+
+
 class SequentialStreamer:
     """The garbler half of the sequential-GC dialogue — its one implementation.
 
@@ -149,18 +158,29 @@ class SequentialStreamer:
     ``begin()`` sends the preamble (``seq.rounds``, ``seq.ot_mode``)
     and, in ``upfront`` mode, one OT over every remaining round's
     evaluator pairs in round order.  ``stream_round()`` sends one round
-    — ``seq.tables``, ``seq.garbler_labels``, ``seq.const_labels``,
-    ``seq.state_labels`` on round 0, then the round's OT in
-    ``per_round`` mode — and returns True while rounds remain.
+    — ``seq.tables``, ``seq.garbler_labels``, the round's ``ot.e`` in
+    ``per_round`` mode, then ``seq.const_labels`` and
+    ``seq.state_labels`` on round 0 — and returns True while rounds
+    remain.
+    OT runs on ``ot``, the connection's
+    :class:`~repro.crypto.ot.OTExtensionSender` (a fresh pool when
+    None): the stream's first transfer announces the pool and takes
+    the client's corrections for every remaining round in one flight,
+    so later rounds' answers need no client message.
     ``finish()`` sends ``seq.output_map``, unless ``output_permute_bits``
     is None (only the garbler learns the result).  An ``he`` stream has
     no preamble and no output map; its one round is ``he.result``.
 
     ``materials`` are the rounds from ``start_round`` on: a resumed
     stream starts past round 0, and a tail resume streams no round at
-    all.  After each round is on the wire, ``checkpoint`` (when set) is
-    advanced to the channel's counters and then ``on_round(next_round)``
-    fires; either may raise to stop the stream at that boundary.
+    all.  Each round's boundary is committed before the round's last
+    frame: ``checkpoint`` (when set) is advanced to the channel's
+    counters as they will be after that frame, and
+    ``on_commit(next_round)`` fires.  A crash in between leaves the
+    store one round ahead of the client, which a resume rewinds, never
+    behind it.  Either may raise to withhold the last frame.  Once the
+    round is on the wire ``on_round(next_round)`` fires and may raise
+    to stop the stream at that boundary.
     """
 
     def __init__(
@@ -175,6 +195,8 @@ class SequentialStreamer:
         on_round=None,
         telemetry: MetricsRegistry | None = None,
         checkpoint=None,
+        ot: OTExtensionSender | None = None,
+        on_commit=None,
     ):
         self.channel = channel
         self.materials = list(materials)
@@ -185,12 +207,15 @@ class SequentialStreamer:
         self.rounds = start_round + len(self.materials)
         self.backend = backend
         self.on_round = on_round
+        self.on_commit = on_commit
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         #: the session checkpoint this stream advances at every round
         #: boundary (anything with ``begin_stream`` / ``advance``)
         self.checkpoint = checkpoint
+        self.ot = ot if ot is not None else OTExtensionSender(group)
         self.streamed = 0
         self._begun = False
+        self._ot_open = False
 
     def run(self) -> int:
         """Stream the whole dialogue; returns the number of rounds streamed."""
@@ -212,7 +237,7 @@ class SequentialStreamer:
         if self.ot_mode == "upfront":
             # the evaluator slices its labels relative to start_round,
             # so the transfer concatenates the remaining rounds in order
-            self._transfer([p for m in self.materials for p in m.evaluator_pairs])
+            self._transfer([p for m in self.materials for p in m.evaluator_pairs], 0)
 
     def stream_round(self) -> bool:
         """Stream one round; returns True while more rounds remain."""
@@ -224,21 +249,30 @@ class SequentialStreamer:
         tm = self.telemetry
         m = self.materials[self.streamed]
         if self.backend == "he":
-            chan.send(HE_RESULT_TAG, m.tables)
+            frames = [(HE_RESULT_TAG, m.tables)]
         else:
-            with tm.timer("stream.round"):
-                chan.send("seq.tables", m.tables)
-                chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
-                chan.send_u128_list("seq.const_labels", m.const_labels)
-                if m.state_labels is not None:
-                    chan.send_u128_list("seq.state_labels", m.state_labels)
+            chan.send("seq.tables", m.tables)
+            chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
             if self.ot_mode == "per_round":
-                self._transfer(m.evaluator_pairs)
+                later = self.materials[self.streamed + 1 :]
+                self._transfer(
+                    m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
+                )
+            # the round ends on a label frame, sent after its commit
+            frames = [("seq.const_labels", _u128_payload(m.const_labels))]
+            if m.state_labels is not None:
+                frames.append(("seq.state_labels", _u128_payload(m.state_labels)))
+        next_round = self.start_round + self.streamed + 1
+        with tm.timer("stream.round"):
+            for tag, payload in frames[:-1]:
+                chan.send(tag, payload)
+            if self.checkpoint is not None:
+                self.checkpoint.advance(next_round, chan.send_seq + 1, chan.recv_seq)
+            if self.on_commit is not None:
+                self.on_commit(next_round)
+            chan.send(*frames[-1])
         tm.counter("stream.bytes").inc(len(m.tables))
         self.streamed += 1
-        next_round = self.start_round + self.streamed
-        if self.checkpoint is not None:
-            self.checkpoint.advance(next_round, chan.send_seq, chan.recv_seq)
         if self.on_round is not None:
             self.on_round(next_round)
         return self.streamed < len(self.materials)
@@ -249,11 +283,15 @@ class SequentialStreamer:
             self.channel.send("seq.output_map", bytes(self.output_permute_bits))
         return self.streamed
 
-    def _transfer(self, pairs: list[tuple[int, int]]) -> None:
+    def _transfer(self, pairs: list[tuple[int, int]], upcoming: int) -> None:
+        """Answer ``pairs``; the stream's first transfer opens the OT
+        for these and the ``upcoming`` transfers after them."""
         if not pairs:
             return
+        opens = not self._ot_open
+        self._ot_open = True
         with self.telemetry.timer("ot.send"):
-            ot_sender(self.channel, len(pairs), self.group).send(pairs)
+            self.ot.send(self.channel, pairs, upcoming if opens else None)
         self.telemetry.counter("ot.transfers").inc(len(pairs))
 
 
@@ -342,8 +380,11 @@ class SequentialGarbler:
 class SequentialEvaluator:
     """Receives round after round, then evaluates them in one pass.
 
-    Each round's frames are read as they arrive and its OT is answered
-    at once, so the garbler never waits on evaluation.  Once every
+    Each round's frames are read as they arrive; the first round's OT
+    sends the corrections for every remaining round in one flight
+    (through ``ot``, the connection's
+    :class:`~repro.crypto.ot.OTExtensionReceiver`, or a fresh pool),
+    so the garbler never waits on evaluation.  Once every
     round is in, the rounds are evaluated together on the circuit's run
     plan (:func:`~repro.gc.vector_garble.evaluate_run`): one batched
     AES call per AND stage of the whole run, tables read straight from
@@ -358,10 +399,12 @@ class SequentialEvaluator:
         channel: Endpoint,
         group: DHGroup = DEFAULT_GROUP,
         plan: StagePlan | None = None,
+        ot: OTExtensionReceiver | None = None,
     ):
         self.circuit = circuit
         self.channel = channel
         self.group = group
+        self.ot = ot if ot is not None else OTExtensionReceiver(group)
         self.evaluator = VectorEvaluator(circuit.netlist, plan=plan)
 
     def run(
@@ -428,7 +471,7 @@ class SequentialEvaluator:
             # garbler (any gateway holding the checkpoint) re-runs one
             # OT over rounds start_round..M-1, concatenated in order.
             choices = [b for bits in round_inputs[start_round:] for b in bits]
-            upfront_labels = ot_receiver(chan, len(choices), self.group).receive(choices)
+            upfront_labels = self.ot.receive(chan, choices, upcoming=[])
             peak_label_bytes = 16 * len(choices)
 
         state = list(state_labels) if state_labels else []
@@ -441,18 +484,19 @@ class SequentialEvaluator:
                 labels = dict(
                     zip(net.garbler_inputs, chan.recv_u128_list("seq.garbler_labels"))
                 )
+                my_labels: list[int] = []
+                if ot_mode == "upfront":
+                    base = (r - start_round) * n_in
+                    my_labels = upfront_labels[base : base + n_in]
+                elif n_in:
+                    later = None
+                    if r == start_round:
+                        later = [b for bits in round_inputs[r + 1 :] for b in bits]
+                    my_labels = self.ot.receive(chan, list(round_inputs[r]), later)
                 labels.update(zip(const_wires, chan.recv_u128_list("seq.const_labels")))
                 if r == 0:
                     state = chan.recv_u128_list("seq.state_labels")
-                if n_in:
-                    if ot_mode == "upfront":
-                        base = (r - start_round) * n_in
-                        my_labels = upfront_labels[base : base + n_in]
-                    else:
-                        my_labels = ot_receiver(chan, n_in, self.group).receive(
-                            list(round_inputs[r])
-                        )
-                    labels.update(zip(net.evaluator_inputs, my_labels))
+                labels.update(zip(net.evaluator_inputs, my_labels))
                 inputs.append(labels)
                 tables.append(round_tables)
         except BaseException:

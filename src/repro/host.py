@@ -32,7 +32,12 @@ import numpy as np
 from repro.accel.fsm import AcceleratorRun
 from repro.accel.maxelerator import MAXelerator
 from repro.bits import from_bits, to_bits
-from repro.crypto.ot import DHGroup, TOY_GROUP
+from repro.crypto.ot import (
+    TOY_GROUP,
+    DHGroup,
+    OTExtensionReceiver,
+    OTExtensionSender,
+)
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import FixedPointFormat, Q16_8
 from repro.gc.channel import local_channel, run_two_party
@@ -285,7 +290,8 @@ class CloudServer:
     # serving
     # ------------------------------------------------------------------
     def serve_row(self, channel, row_index: int, on_round=None, on_run=None,
-                  ot_mode: str = "per_round") -> None:
+                  ot_mode: str = "per_round",
+                  ot: OTExtensionSender | None = None) -> None:
         """Serve one dot product <model[row], x> to a connected client.
 
         The pooled run's material (tables, selected labels, OT pairs) is
@@ -300,9 +306,11 @@ class CloudServer:
         at a round boundary.
 
         ``ot_mode`` follows :data:`repro.gc.sequential_gc.OT_MODES`:
-        ``per_round`` interleaves one OT per round, ``upfront``
-        transfers every round's evaluator labels in a single OT before
-        the first round (fewer flights, more client memory).
+        ``per_round`` sends each round's OT answer with the round,
+        ``upfront`` every round's evaluator labels before the first
+        round (more client memory).  ``ot`` is the connection's OT pool
+        (:class:`~repro.crypto.ot.OTExtensionSender`); without one the
+        query sets up a pool of its own.
         """
         if ot_mode not in OT_MODES:
             raise ConfigurationError(
@@ -327,6 +335,7 @@ class CloudServer:
                 self.group,
                 on_round=on_round,
                 telemetry=tm,
+                ot=ot,
             )
             if on_run is not None:
                 on_run(stream)
@@ -412,12 +421,16 @@ class AnalyticsClient:
 
     ``recv_timeout_s`` bounds every channel receive in the session
     (``None`` defers to ``REPRO_RECV_TIMEOUT_S`` / the channel
-    default); the serving layer sets it from ``ServingConfig``.
+    default); the serving layer sets it from ``ServingConfig``.  The
+    client is one long-lived connection: its OT pool pair (both ends
+    run in this process) is set up on the first query and reused.
     """
 
     def __init__(self, server: CloudServer, recv_timeout_s: float | None = None):
         self.server = server
         self.recv_timeout_s = recv_timeout_s
+        self._ot_sender = OTExtensionSender(server.group)
+        self._ot_receiver = OTExtensionReceiver(server.group)
 
     def query_row(self, row_index: int, x_values, ot_mode: str = "per_round") -> float:
         """Learn <model[row], x> without revealing x."""
@@ -432,10 +445,12 @@ class AnalyticsClient:
         g_chan, e_chan = local_channel(recv_timeout_s=self.recv_timeout_s)
         evaluator = SequentialEvaluator(
             accelerator.circuit.circuit, e_chan, self.server.group,
-            plan=accelerator.plan,
+            plan=accelerator.plan, ot=self._ot_receiver,
         )
         _, report = run_two_party(
-            lambda: self.server.serve_row(g_chan, row_index, ot_mode=ot_mode),
+            lambda: self.server.serve_row(
+                g_chan, row_index, ot_mode=ot_mode, ot=self._ot_sender
+            ),
             lambda: evaluator.run(x_bits),
         )
         raw = from_bits(report.output_bits, signed=True)

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.accel.tree_mac import build_scheduled_mac
 from repro.bits import from_bits, to_bits
+from repro.crypto.ot import OTExtensionReceiver
 from repro.errors import (
     GCProtocolError,
     HandshakeError,
@@ -167,6 +168,9 @@ class RemoteAnalyticsClient:
             self._plan = stage_plan_for(self.circuit.netlist)
             warm_run_plans(self.circuit, d.rounds, self._plan)
         self.group = d.group
+        #: this connection's OT pool: set up on the first GC query and
+        #: reused while the gateway announces the same one
+        self._ot = OTExtensionReceiver(self.group)
         self.session_id = str(welcome.get("session_id", ""))
         if (
             self.session_id
@@ -314,7 +318,9 @@ class RemoteAnalyticsClient:
         a drain notice or a restart-mode resume."""
         ep = self.endpoint
         progress = EvaluatorProgress()
-        evaluator = SequentialEvaluator(self.circuit, ep, self.group, plan=self._plan)
+        evaluator = SequentialEvaluator(
+            self.circuit, ep, self.group, plan=self._plan, ot=self._ot
+        )
         start_round = 0
         state_labels = None
         while True:

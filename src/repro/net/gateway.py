@@ -58,6 +58,7 @@ import threading
 import time
 import uuid
 
+from repro.crypto.ot import OTExtensionSender
 from repro.errors import (
     GCProtocolError,
     HandshakeError,
@@ -110,12 +111,16 @@ class _GatewaySession:
     __slots__ = (
         "thread", "endpoint", "channel", "started_at", "handshaken",
         "reaped", "session_id", "client_name", "in_query",
-        "handoff", "backend", "tenant",
+        "handoff", "backend", "tenant", "ot",
     )
 
-    def __init__(self, thread: threading.Thread | None, endpoint: SocketEndpoint):
+    def __init__(self, thread: threading.Thread | None, endpoint: SocketEndpoint,
+                 ot: OTExtensionSender):
         self.thread = thread
         self.endpoint = endpoint
+        #: this connection's OT pool: kept across its queries and across
+        #: rebinds; a resume on a new connection starts an empty one
+        self.ot = ot
         #: the session-layer endpoint queries run on (a
         #: :class:`RebindableEndpoint` over the transport)
         self.channel = None
@@ -468,7 +473,9 @@ class GCGateway:
             telemetry=self.telemetry,
             recv_timeout_s=self.serving.config.recv_timeout_s,
         )
-        session = _GatewaySession(None, endpoint)
+        session = _GatewaySession(
+            None, endpoint, OTExtensionSender(self.server.group)
+        )
         session.thread = threading.Thread(
             target=self._session, args=(session,), name="gateway-session", daemon=True
         )
@@ -610,6 +617,9 @@ class GCGateway:
                 # nothing left for any gateway to resume
                 self.store.delete(session.session_id)
                 break
+            # the client asks only once it has read every earlier frame,
+            # so none can need a replay: trim the buffer to this query
+            channel.replay_buffer.ack(channel.send_seq)
             session.in_query = True
             try:
                 self._serve_query(session, payload)
@@ -659,7 +669,7 @@ class GCGateway:
             request = self.serving.submit_remote(
                 row, channel, on_round=on_round, on_run=on_run,
                 ot_mode=ot_mode, backend=session.backend,
-                tenant=session.tenant,
+                tenant=session.tenant, ot=session.ot,
             )
         except OverloadedError as exc:  # transient saturation: shed with a hint
             # nothing was garbled: don't pin the admission lease
@@ -694,12 +704,14 @@ class GCGateway:
         ``on_run(stream)`` fires before the first byte is streamed: it
         re-checks the session's lease, snapshots the stream's material
         (GC rounds, or the one HE result ciphertext) into the store and
-        binds the checkpoint to the stream, which advances it at every
-        round boundary.  ``on_round`` is the one boundary hook that
-        resumed streams share (:meth:`_commit_boundaries`).
+        binds the checkpoint and the commit hook to the stream, which
+        advances and commits it at every round boundary.  The commit
+        and ``on_round`` hooks are the ones resumed streams share
+        (:meth:`_commit_boundaries`).
         """
         cfg = self.serving.config
         state: dict = {}
+        on_commit, on_round = self._commit_boundaries(session.session_id, state)
 
         def on_run(stream) -> None:
             lease = self.store.acquire_lease(
@@ -717,28 +729,33 @@ class GCGateway:
             self.store.put(cp)
             state["cp"], state["expected"] = cp, cp.next_round
             stream.checkpoint = cp
+            stream.on_commit = on_commit
 
-        return on_run, self._commit_boundaries(session.session_id, state)
+        return on_run, on_round
 
     def _commit_boundaries(self, sid: str, state: dict):
-        """The ``on_round`` hook of every streamed query, fresh or resumed.
+        """The ``on_commit`` / ``on_round`` hooks of every streamed
+        query, fresh or resumed.
 
-        The stream has already advanced ``state["cp"]`` past the round
-        it just sent; the hook commits that boundary through the store's
-        fenced compare-and-swap against ``state["expected"]``.  If
-        another gateway stole this session's lease (this one looked
-        dead) the CAS raises :class:`LeaseError` and streaming stops at
-        the boundary — two gateways never advance the same session.  A
-        draining gateway stops every stream at its next boundary.
+        Before a round's last frame the stream advances ``state["cp"]``
+        past the round; ``on_commit`` commits that boundary through the
+        store's fenced compare-and-swap against ``state["expected"]``.
+        If another gateway stole this session's lease (this one looked
+        dead) the CAS raises :class:`LeaseError` and the round's last
+        frame is withheld — two gateways never advance the same
+        session.  Once the round is on the wire, ``on_round`` stops
+        every stream of a draining gateway at that boundary.
         """
         cfg = self.serving.config
 
-        def on_round(next_round: int) -> None:
+        def on_commit(next_round: int) -> None:
             cp = state["cp"]
             self.store.cas_advance(
                 cp, self.gateway_id, state["expected"], cfg.lease_ttl_s
             )
             state["expected"] = cp.next_round
+
+        def on_round(next_round: int) -> None:
             if self._draining.is_set():
                 raise SessionDrainedError(
                     f"gateway draining: session {sid} checkpointed at "
@@ -747,7 +764,7 @@ class GCGateway:
                     next_round=next_round,
                 )
 
-        return on_round
+        return on_commit, on_round
 
     def _shed(self, channel, reason: str, tenant: str = "") -> None:
         """Overload reply: a machine-readable ``net.retry_after`` backoff
@@ -908,12 +925,13 @@ class GCGateway:
         except LeaseError as exc:
             self._shed(endpoint, str(exc))
             raise ResumeError(f"resume for {sid} lost the adoption race") from exc
-        on_round = self._commit_boundaries(
+        on_commit, on_round = self._commit_boundaries(
             sid, {"cp": checkpoint, "expected": checkpoint.next_round}
         )
         try:
             handle = self._batcher.submit(
-                checkpoint, endpoint, self.server.group, on_round=on_round
+                checkpoint, endpoint, self.server.group, on_round=on_round,
+                on_commit=on_commit, ot=session.ot,
             )
         except OverloadedError as exc:
             # either the resume queue is full or the checkpoint's tenant

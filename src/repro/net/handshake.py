@@ -27,15 +27,18 @@ from repro.crypto.ot import DHGroup
 from repro.errors import GCProtocolError, HandshakeError, WireError
 
 #: The one wire version, bumped on any wire-visible change to framing
-#: or the session protocol.  v4 frames carry a CRC32 integrity trailer
+#: or the session protocol.  Frames carry a CRC32 integrity trailer
 #: (:mod:`repro.gc.channel`); every session is resumable
 #: (``net.resume``/``net.resume_ok``, ``net.retry_after`` sheds,
-#: ``net.drain`` notices — :mod:`repro.recover`); and the hello may
-#: name a private-MAC backend (``gc``/``he``,
+#: ``net.drain`` notices — :mod:`repro.recover`); the hello may name a
+#: private-MAC backend (``gc``/``he``,
 #: :data:`repro.privatemac.BACKENDS`), which the welcome echoes with,
-#: for ``he``, the derived BFV ``backend_params``.  A hello at any
+#: for ``he``, the derived BFV ``backend_params``; and (v5) OT runs on
+#: a connection-scoped IKNP pool — ``ot.pool`` announcement, in-band
+#: ``ot.setup`` / ``ot.ext.u``, one ``ot.d`` correction flight per
+#: query, ``ot.e`` answers (:mod:`repro.crypto.ot`).  A hello at any
 #: other version gets a typed ``net.reject``.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 HELLO_TAG = "net.hello"
 WELCOME_TAG = "net.welcome"

@@ -31,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bits import from_bits, to_bits
-from repro.crypto.ot import DHGroup, TOY_GROUP
+from repro.crypto.ot import (
+    TOY_GROUP,
+    DHGroup,
+    OTExtensionReceiver,
+    OTExtensionSender,
+)
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import FixedPointFormat, Q16_8
 from repro.gc.channel import local_channel, run_two_party
@@ -118,7 +123,8 @@ class GCPrivateMACSession(PrivateMACSession):
     Wraps a :class:`~repro.host.CloudServer` + sequential evaluator
     pair over an in-process channel, with the channel's traffic stats
     folded into :attr:`accounting` so the costs are measured, not
-    estimated.
+    estimated.  The session is one connection: its OT pool is set up on
+    the first query and reused.
     """
 
     backend = "gc"
@@ -136,6 +142,8 @@ class GCPrivateMACSession(PrivateMACSession):
             garble_mode=garble_mode,
         )
         self.ot_mode = ot_mode
+        self._ot_sender = OTExtensionSender(group)
+        self._ot_receiver = OTExtensionReceiver(group)
         super().__init__(fmt, self.server.model.shape[0],
                          self.server.rounds_per_request)
 
@@ -152,10 +160,12 @@ class GCPrivateMACSession(PrivateMACSession):
         g_chan, e_chan = local_channel()
         evaluator = SequentialEvaluator(
             accelerator.circuit.circuit, e_chan, self.server.group,
-            plan=accelerator.plan,
+            plan=accelerator.plan, ot=self._ot_receiver,
         )
         _, report = run_two_party(
-            lambda: self.server.serve_row(g_chan, row_index, ot_mode=self.ot_mode),
+            lambda: self.server.serve_row(
+                g_chan, row_index, ot_mode=self.ot_mode, ot=self._ot_sender
+            ),
             lambda: evaluator.run(x_bits),
         )
         acct = self.accounting

@@ -5,22 +5,24 @@ boundary: everything needed to serve the *remaining* rounds of one
 ``serve_row`` query to a reconnecting client without re-garbling —
 the pre-serialized tables, the already-selected garbler/constant
 labels, the evaluator label pairs for fresh OT, and the output
-permutation map.  Material the client has *confirmed* is pruned as the
-session advances; because the server streams ahead of the client's
-verified-receive counter, each checkpoint also keeps an unacked tail
-(one round in ``per_round`` OT mode, every streamed round in
-``upfront`` mode, where nothing throttles the server's lead) plus a
-``stream_boundaries`` map from round boundaries to the send-sequence
-counter at each — which is how a *different* gateway adopting the
-session computes the exact round the client last completed from the
-``last_acked_seq`` in its ``net.resume``.
+permutation map.  The server streams ahead of the client's
+verified-receive counter — after the client's one OT-correction
+flight nothing throttles its lead, in either OT mode — so advancing
+prunes nothing: every streamed round stays as the unacked tail, and
+only :meth:`SessionCheckpoint.rewind_to` discards material.  Each
+checkpoint keeps a ``stream_boundaries`` map from round boundaries to
+the send-sequence counter at each — which is how a *different* gateway
+adopting the session computes the exact round the client last
+completed from the ``last_acked_seq`` in its ``net.resume``.
 
 The security argument for storing this is unchanged from the pooled
 :class:`~repro.accel.fsm.AcceleratorRun` it is derived from: each run
 is used by exactly one session, active labels for garbler inputs are
 already destined for this client, and evaluator label *pairs* are
 consumed by OT exactly once per round (a resume re-runs OT only for
-rounds the client never evaluated).
+rounds the client never evaluated, on fresh random-OT pool indices).
+No OT state is stored: an adopting gateway has no pool for the client,
+which sets up a new one in band.
 
 On the client side, :class:`EvaluatorProgress` is the mirror image:
 the rounds completed so far and the carried accumulator labels, enough
@@ -59,10 +61,9 @@ class SessionCheckpoint:
     whenever a stream starts on fresh channel counters.
 
     ``next_round == rounds`` means every round was *streamed*, not that
-    the client confirmed them: the unacked tail (the last round in
-    ``per_round`` OT mode, every streamed round in ``upfront`` mode) is
-    retained so a post-completion crash can still rewind and re-serve
-    what the client provably never received.
+    the client confirmed them: the unacked tail (every streamed round)
+    is retained so a post-completion crash can still rewind and
+    re-serve what the client provably never received.
     """
 
     session_id: str
@@ -88,12 +89,10 @@ class SessionCheckpoint:
     tenant: str = ""
 
     def advance(self, next_round: int, send_seq: int = 0, recv_seq: int = 0) -> None:
-        """Mark rounds below ``next_round`` streamed and prune confirmed material.
+        """Mark rounds below ``next_round`` streamed.
 
-        Pruning keeps an unacked tail: in ``per_round`` OT mode the
-        round just streamed (the client's interactive OT reply bounds
-        its lag to one round), in ``upfront`` mode everything — the
-        server free-runs arbitrarily far ahead of the client there, so
+        Nothing is pruned: past the client's OT corrections the server
+        free-runs arbitrarily far ahead of it in either OT mode, so
         only :meth:`rewind_to` (which knows what the client acked) may
         discard material.
         """
@@ -106,9 +105,6 @@ class SessionCheckpoint:
         self.send_seq = send_seq
         self.recv_seq = recv_seq
         self.stream_boundaries.append([next_round, send_seq])
-        if self.ot_mode == "per_round":
-            horizon = max(0, next_round - 1)
-            self.materials = [m for m in self.materials if m.round_index >= horizon]
 
     def begin_stream(self, start_round: int) -> None:
         """Reset the boundary map for a stream starting at ``start_round``.
@@ -285,6 +281,8 @@ class CheckpointStreamer(SequentialStreamer):
         group: DHGroup = TOY_GROUP,
         on_round=None,
         telemetry=None,
+        ot=None,
+        on_commit=None,
     ):
         start = checkpoint.next_round
         super().__init__(
@@ -298,6 +296,8 @@ class CheckpointStreamer(SequentialStreamer):
             on_round=on_round,
             telemetry=telemetry,
             checkpoint=checkpoint,
+            ot=ot,
+            on_commit=on_commit,
         )
 
     def finish(self) -> int:
@@ -312,6 +312,7 @@ def serve_from_checkpoint(
     group: DHGroup = TOY_GROUP,
     on_round=None,
     telemetry=None,
+    ot=None,
 ) -> int:
     """Stream the *remaining* rounds of a checkpointed session.
 
@@ -327,5 +328,6 @@ def serve_from_checkpoint(
             f"{checkpoint.rounds} rounds already streamed"
         )
     return CheckpointStreamer(
-        channel, checkpoint, group=group, on_round=on_round, telemetry=telemetry
+        channel, checkpoint, group=group, on_round=on_round,
+        telemetry=telemetry, ot=ot,
     ).run()

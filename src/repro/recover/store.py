@@ -221,7 +221,8 @@ class SessionStore:
         Raises :class:`LeaseError` otherwise — the caller's serve is a
         no-op from the fleet's point of view (some other gateway owns
         the session now) and must stop streaming.  Success renews the
-        lease and persists the checkpoint.
+        lease and persists the checkpoint's progress: an ``advance``
+        record, not the round material, which a ``put`` already holds.
         """
         sid = checkpoint.session_id
         with self._lock:
@@ -243,7 +244,7 @@ class SessionStore:
             self._committed[sid] = checkpoint.next_round
             lease = LeaseRecord(sid, owner, lease.epoch, now + lease_ttl_s)
             self._leases[sid] = lease
-            self._persist("put", checkpoint)
+            self._persist("advance", checkpoint)
             self._persist("lease", lease)
         if self.telemetry is not None:
             self.telemetry.counter("recover.store.cas_advances").inc()
@@ -341,10 +342,12 @@ def decode_record_line(line: bytes) -> dict:
 class JsonlSessionStore(SessionStore):
     """A crash-surviving, multi-process store: mutations appended to a log.
 
-    The log is replayed on construction (last record per session wins; a
-    ``delete`` record tombstones).  :meth:`compact` rewrites the log to
-    just the live entries — the drain path calls it so a restarted
-    gateway loads a minimal file.
+    The log is replayed on construction: a ``put`` record sets a
+    session's checkpoint, each later ``advance`` record (a committed
+    round boundary) moves its progress on without repeating the round
+    material, and a ``delete`` record tombstones.  :meth:`compact`
+    rewrites the log to just the live entries — the drain path calls
+    it so a restarted gateway loads a minimal file.
 
     Crash consistency and cross-process sharing (format v2):
 
@@ -378,11 +381,15 @@ class JsonlSessionStore(SessionStore):
         #: how many torn tails this instance has truncated away
         self.torn_tail_recovered = 0
         self._log_pos = 0
+        #: inode of the log file replayed so far: a compaction replaces
+        #: the file, which a reader must notice even when the new file
+        #: is longer than its replay offset
+        self._log_ino: int | None = None
         self._flock_depth = 0
         self._flock_mutex = threading.RLock()
         self._lock_fh = open(self.lock_path, "ab")
         with self._shared_log():
-            self._replay_from(0)
+            self._refresh_locked()
 
     def close(self) -> None:
         """Release the sidecar lock file handle."""
@@ -408,21 +415,24 @@ class JsonlSessionStore(SessionStore):
     def _refresh_locked(self) -> None:
         """Fold in records peers appended since our last look.
 
-        Caller holds the file lock.  A file smaller than our replay
-        offset means a peer compacted under us: drop everything and
-        replay from scratch (the compacted file is complete on its own).
+        Caller holds the file lock.  A different file (a new inode) or
+        one smaller than our replay offset means a peer compacted under
+        us: drop everything and replay from scratch (the compacted file
+        is complete on its own).
         """
         try:
-            size = os.path.getsize(self.path)
+            st = os.stat(self.path)
+            size, ino = st.st_size, st.st_ino
         except OSError:
-            size = 0
-        if size < self._log_pos:
+            size, ino = 0, None
+        if size < self._log_pos or ino != self._log_ino:
             with self._lock:
                 self._entries.clear()
                 self._leases.clear()
                 self._committed.clear()
                 self._meta.clear()
             self._log_pos = 0
+            self._log_ino = ino
         if size > self._log_pos:
             self._replay_from(self._log_pos)
 
@@ -492,6 +502,21 @@ class JsonlSessionStore(SessionStore):
                 cp = SessionCheckpoint.from_dict(rec["checkpoint"])
                 self._entries[cp.session_id] = (now, cp)
                 self._committed[cp.session_id] = cp.next_round
+            elif op == "advance":
+                sid = rec["session_id"]
+                entry = self._entries.get(sid)
+                if entry is not None:
+                    cp = entry[1]
+                    cp.next_round = int(rec["next_round"])
+                    cp.send_seq = int(rec["send_seq"])
+                    cp.recv_seq = int(rec["recv_seq"])
+                    cp.stream_boundaries = [
+                        [int(b[0]), int(b[1])] for b in rec["stream_boundaries"]
+                    ]
+                    first = int(rec["first_round"])
+                    cp.materials = [m for m in cp.materials if m.round_index >= first]
+                    self._entries[sid] = (now, cp)
+                    self._committed[sid] = cp.next_round
             elif op == "delete":
                 sid = rec.get("session_id")
                 self._entries.pop(sid, None)
@@ -521,6 +546,21 @@ class JsonlSessionStore(SessionStore):
     def _persist(self, op: str, value) -> None:
         if op == "put":
             rec = {"op": "put", "checkpoint": value.to_dict()}
+        elif op == "advance":
+            # the round material is already in the log: record only
+            # what a boundary commit (or an adoption's rewind) changes
+            rec = {
+                "op": "advance",
+                "session_id": value.session_id,
+                "next_round": value.next_round,
+                "send_seq": value.send_seq,
+                "recv_seq": value.recv_seq,
+                "stream_boundaries": value.stream_boundaries,
+                "first_round": min(
+                    (m.round_index for m in value.materials),
+                    default=value.next_round,
+                ),
+            }
         elif op == "lease":
             rec = {
                 "op": "lease",
@@ -542,6 +582,7 @@ class JsonlSessionStore(SessionStore):
             os.fsync(fh.fileno())
             # our own append must not be replayed back at us later
             self._log_pos = fh.tell()
+            self._log_ino = os.fstat(fh.fileno()).st_ino
 
     # -- public API: refresh-then-act under the file lock -----------------
     def put(self, checkpoint: SessionCheckpoint) -> None:
@@ -563,6 +604,11 @@ class JsonlSessionStore(SessionStore):
         with self._shared_log():
             self._refresh_locked()
             return super().committed_round(session_id)
+
+    def locked(self):
+        """Hold the log's file lock (reentrant in this thread): no
+        process commits a boundary until it is released."""
+        return self._shared_log()
 
     def acquire_lease(
         self, session_id: str, owner: str, ttl_s: float = DEFAULT_LEASE_TTL_S
@@ -661,7 +707,8 @@ class JsonlSessionStore(SessionStore):
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
-                self._log_pos = os.path.getsize(self.path)
+                st = os.stat(self.path)
+                self._log_pos, self._log_ino = st.st_size, st.st_ino
                 dir_fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
                 try:
                     os.fsync(dir_fd)

@@ -51,11 +51,15 @@ class ResumeHandle:
     """
 
     def __init__(self, checkpoint, endpoint, group, on_round=None,
-                 scheduler=None, tenant: str = ""):
+                 scheduler=None, tenant: str = "", ot=None, on_commit=None):
         self.checkpoint = checkpoint
         self.endpoint = endpoint
         self.group = group
         self.on_round = on_round
+        self.on_commit = on_commit
+        #: the adopting connection's OT pool
+        #: (:class:`~repro.crypto.ot.OTExtensionSender`)
+        self.ot = ot
         self.start_gate = threading.Event()
         self.rounds_streamed = 0
         #: credit accounting for this adopted session (set at batcher
@@ -135,6 +139,8 @@ class BatchedResumeRequest(PendingRequest):
                     handle.group,
                     on_round=handle.on_round,
                     telemetry=client.server.telemetry,
+                    ot=handle.ot,
+                    on_commit=handle.on_commit,
                 )
                 streamer.begin()
             except Exception as exc:  # noqa: BLE001 — isolate per session
@@ -210,7 +216,8 @@ class ResumeBatcher:
             cap = min(cap, headroom)
         return max(1, cap)
 
-    def submit(self, checkpoint, endpoint, group, on_round=None) -> ResumeHandle:
+    def submit(self, checkpoint, endpoint, group, on_round=None,
+               ot=None, on_commit=None) -> ResumeHandle:
         scheduler = getattr(self.serving, "scheduler", None)
         tenant = getattr(checkpoint, "tenant", "") or ""
         flush_now: list[ResumeHandle] | None = None
@@ -228,7 +235,8 @@ class ResumeBatcher:
                 tenant = scheduler.admit(tenant)
             handle = ResumeHandle(
                 checkpoint, endpoint, group, on_round=on_round,
-                scheduler=scheduler, tenant=tenant,
+                scheduler=scheduler, tenant=tenant, ot=ot,
+                on_commit=on_commit,
             )
             self._pending.append(handle)
             if len(self._pending) >= self.effective_max_batch():

@@ -116,7 +116,7 @@ class RemoteSessionRequest(PendingRequest):
 
     def __init__(self, row_index: int, endpoint, deadline: float,
                  on_round=None, on_run=None, ot_mode: str = "per_round",
-                 backend: str = "gc"):
+                 backend: str = "gc", ot=None):
         super().__init__(row_index, None, deadline)
         self.endpoint = endpoint
         self.start_gate = threading.Event()
@@ -128,6 +128,8 @@ class RemoteSessionRequest(PendingRequest):
         #: negotiated private-MAC backend: ``gc`` garbles to the
         #: client, ``he`` answers its ciphertext query
         self.backend = backend
+        #: the connection's OT pool (:class:`~repro.crypto.ot.OTExtensionSender`)
+        self.ot = ot
 
     def _execute(self, client: AnalyticsClient):
         if not self.start_gate.wait(timeout=max(0.0, self.deadline - time.perf_counter())):
@@ -143,7 +145,7 @@ class RemoteSessionRequest(PendingRequest):
         client.server.serve_row(
             self.endpoint, self.row_index,
             on_round=self.on_round, on_run=self.on_run,
-            ot_mode=self.ot_mode,
+            ot_mode=self.ot_mode, ot=self.ot,
         )
         return True
 
@@ -479,7 +481,7 @@ class ServingServer:
     def submit_remote(
         self, row_index: int, endpoint, block: bool = False,
         on_round=None, on_run=None, ot_mode: str = "per_round",
-        backend: str = "gc", tenant: str = "",
+        backend: str = "gc", tenant: str = "", ot=None,
     ) -> RemoteSessionRequest:
         """Enqueue a remote evaluator session (the gateway's entry point).
 
@@ -490,8 +492,9 @@ class ServingServer:
         of holding the client's socket silent.  ``on_round``/``on_run``
         are the checkpointing hooks threaded through to
         :meth:`CloudServer.serve_row`; ``ot_mode`` is the client's
-        negotiated OT scheduling mode; ``backend`` is the session's
-        negotiated private-MAC backend (``he`` sessions route to
+        negotiated OT scheduling mode and ``ot`` its connection's OT
+        pool; ``backend`` is the session's negotiated private-MAC
+        backend (``he`` sessions route to
         :meth:`CloudServer.serve_row_he`).
         """
         req = RemoteSessionRequest(
@@ -502,6 +505,7 @@ class ServingServer:
             on_run=on_run,
             ot_mode=ot_mode,
             backend=backend,
+            ot=ot,
         )
         req.tenant = tenant
         return self._enqueue(req, block)

@@ -23,6 +23,7 @@ drive the serving layer and gateway instead of the wire.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
@@ -177,6 +178,14 @@ class _StallRequest(PendingRequest):
     def _execute(self, client):
         time.sleep(self._duration_s)
         return 0.0
+
+
+def _file_size(path: str) -> int:
+    """Bytes in ``path``; 0 before anything created it."""
+    try:
+        return os.path.getsize(path)
+    except FileNotFoundError:
+        return 0
 
 
 class ConformanceOracle:
@@ -1367,6 +1376,9 @@ class ConformanceOracle:
         session's commit at ``spec.frame``; returns False if the query
         finished (or the deadline passed) before the trigger."""
         deadline = time.monotonic() + self.deadline_s
+        if spec.kind == KILL_PROCESS:
+            return self._kill_at_commit(audit, fleet, sid, spec.frame, victim,
+                                        worker, deadline)
         while time.monotonic() < deadline and worker.is_alive():
             committed = audit.committed_round(sid)
             if committed is not None and committed >= spec.frame:
@@ -1374,17 +1386,41 @@ class ConformanceOracle:
             time.sleep(0.001)
         else:
             return False
-        if spec.kind == KILL_PROCESS:
-            fleet.kill(victim)
-        elif spec.kind == TERM_PROCESS:
+        if spec.kind == TERM_PROCESS:
             fleet.terminate(victim, timeout_s=max(5.0, self.deadline_s))
-        else:
-            assert spec.kind == DISCONNECT_PROCESS, spec.kind
+        elif spec.kind == DISCONNECT_PROCESS:
             try:
                 client.endpoint.transport.close()
             except OSError:
                 pass
         return True
+
+    @staticmethod
+    def _kill_at_commit(audit, fleet, sid, frame: int, victim: int, worker,
+                        deadline: float) -> bool:
+        """SIGKILL ``victim`` once the session's commit reaches ``frame``,
+        before it can commit another boundary.
+
+        The stream commits each boundary before that round's last frame,
+        and a round costs far less than a poll interval, so polling
+        alone lets the victim finish the whole query before the signal
+        lands.  Instead the shared log stays locked between the victim's
+        appends: each time the log grows, the lock is taken again and
+        the committed round checked, so the victim advances one commit
+        at a time and dies with the lock held — mid-stream, at the
+        planned boundary.
+        """
+        while time.monotonic() < deadline and worker.is_alive():
+            with audit.locked():
+                committed = audit.committed_round(sid)
+                if committed is not None and committed >= frame:
+                    fleet.kill(victim)
+                    return True
+                size = _file_size(audit.path)
+            while (_file_size(audit.path) == size
+                   and worker.is_alive() and time.monotonic() < deadline):
+                time.sleep(0.0002)
+        return False
 
     def _check_process_counters(self, fleet, spec, victim: int, before) -> str:
         """The zero-re-garble oracle over the per-process counters.

@@ -48,19 +48,28 @@ class TestSoftwareOtModes:
         assert upfront.peak_input_label_bytes == 4 * per_round.peak_input_label_bytes
 
     def test_upfront_uses_ot_extension_for_many_rounds(self, seq8):
-        # 4 rounds x 8 bits = 32 choices with the toy case; force the
-        # extension by checking the traffic tag on a larger run
+        # every sequential run transfers its labels through the session's
+        # IKNP pool, whatever its size: here 20 rounds x 8 bits = 160
+        # transfers, more than one top-up chunk's worth of the base OTs
         g_chan, e_chan = local_channel()
+        sent = []
+        send = e_chan.send
+        e_chan.send = lambda tag, body: (sent.append((tag, bytes(body))), send(tag, body))
         garbler = SequentialGarbler(seq8, g_chan, TOY_GROUP)
         evaluator = SequentialEvaluator(seq8, e_chan, TOY_GROUP)
-        n = 20  # 20 * 8 = 160 > 128 -> IKNP extension
+        n = 20
         a = rounds([1] * n)
         x = rounds([1] * n)
-        run_two_party(
+        _, report = run_two_party(
             lambda: garbler.run(a, ot_mode="upfront"),
             lambda: evaluator.run(x),
         )
-        assert "ot.ext.u" in e_chan.sent.by_tag
+        assert from_bits(report.output_bits, signed=True) == n
+        tags = [tag for tag, _ in sent]
+        # one setup (128 base OTs), one top-up, one correction flight
+        assert tags == ["ot.setup", "ot.base.A", "ot.base.enc", "ot.ext.u", "ot.d"]
+        corrections = sent[-1][1]
+        assert int.from_bytes(corrections[8:12], "big") == 8 * n
 
     def test_bad_mode_rejected(self, seq8):
         g_chan, _ = local_channel()

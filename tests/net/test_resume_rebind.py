@@ -95,11 +95,14 @@ class TestRebind:
         with resumable_client(gateway) as client:
             client.query_row(0, X)
             garbled = server.stats.runs_garbled
+            pool = client._ot.pool_id
             cut_wire(client)
             assert client.query_row(2, X) == pytest.approx(
                 float(MODEL[2] @ X), abs=1e-12
             )
             assert client.endpoint.resumes == 1
+            # the rebound session kept its OT pool: no new base OTs
+            assert client._ot.pool_id == pool is not None
             # the second query garbled exactly once: no re-garbling
             assert server.stats.runs_garbled == garbled + 1
             assert (

@@ -51,18 +51,21 @@ def make_checkpoint(rounds=3) -> SessionCheckpoint:
 
 
 class TestAdvance:
-    def test_advance_prunes_completed_rounds(self):
+    @pytest.mark.parametrize("ot_mode", ["per_round", "upfront"])
+    def test_advance_keeps_every_unacked_round(self, ot_mode):
         cp = make_checkpoint(rounds=3)
+        cp.ot_mode = ot_mode
         cp.advance(2, send_seq=14, recv_seq=9)
         assert cp.next_round == 2
-        # round 1 is the unacked tail: streamed, but the client may not
-        # have verified it yet — a successor gateway can re-serve it
-        assert [m.round_index for m in cp.materials] == [1, 2]
+        # past the client's one OT-correction flight the stream runs
+        # free: rounds 0 and 1 are streamed but maybe unverified, so a
+        # successor gateway must still be able to re-serve them
+        assert [m.round_index for m in cp.materials] == [0, 1, 2]
         assert (cp.send_seq, cp.recv_seq) == (14, 9)
         assert not cp.complete
         cp.advance(3)
         assert cp.complete
-        assert [m.round_index for m in cp.materials] == [2]
+        assert [m.round_index for m in cp.materials] == [0, 1, 2]
 
     def test_upfront_mode_never_prunes_on_advance(self):
         cp = make_checkpoint(rounds=3)
@@ -98,9 +101,10 @@ class TestAdvance:
     def test_rewind_without_material_is_typed(self):
         cp = make_checkpoint(rounds=3)
         cp.advance(2, send_seq=9)
+        cp.rewind_to(1)
         cp.advance(3, send_seq=14)
-        # per_round pruning dropped rounds 0 and 1; only round 2 (the
-        # tail) is re-servable
+        # the rewind dropped round 0 (the client had verified it); only
+        # rounds 1 and 2 are re-servable
         with pytest.raises(ResumeError, match="never re-served"):
             cp.rewind_to(0)
         cp.rewind_to(2)
@@ -114,8 +118,8 @@ class TestAdvance:
 
     def test_material_for_pruned_round_is_typed(self):
         cp = make_checkpoint()
-        cp.advance(1)
         cp.advance(2)
+        cp.rewind_to(1)
         with pytest.raises(ResumeError, match="never re-served"):
             cp.material_for(0)
         assert cp.material_for(1).round_index == 1
@@ -125,6 +129,7 @@ class TestSerialization:
     def test_dict_roundtrip_is_lossless(self):
         cp = make_checkpoint()
         cp.advance(2, send_seq=7, recv_seq=4)
+        cp.rewind_to(1)
         rebuilt = SessionCheckpoint.from_dict(cp.to_dict())
         assert rebuilt.to_dict() == cp.to_dict()
         assert rebuilt.materials[0].tables == b"\xaa" * 32

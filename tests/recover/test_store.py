@@ -236,6 +236,23 @@ class TestJsonlStore:
         a.delete("s-shared")
         assert b.get("s-shared") is None
 
+    def test_reader_notices_a_compaction_that_left_a_longer_file(self, tmp_path):
+        """A reader whose replay offset is below the compacted file's
+        size must still reload: it tracks the log's inode, not only its
+        length."""
+        path = tmp_path / "sessions.jsonl"
+        reader = JsonlSessionStore(path, ttl_s=60.0)
+        writer = JsonlSessionStore(path, ttl_s=60.0)
+        writer.put(make_checkpoint("s-small", rounds=1))
+        assert reader.get("s-small") is not None
+        writer.put(make_checkpoint("s-big", rounds=6))
+        writer.delete("s-small")
+        writer.compact()
+        assert path.stat().st_size > 0
+        assert reader.get("s-big").to_dict() == writer.get("s-big").to_dict()
+        assert reader.get("s-small") is None
+        assert reader.torn_tail_recovered == 0
+
     def test_compact_rewrites_to_live_entries_only(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
         store = JsonlSessionStore(path, ttl_s=60.0)
@@ -389,6 +406,31 @@ class TestJsonlLeasePersistence:
         reloaded = JsonlSessionStore(path, ttl_s=60.0)
         assert reloaded.get_lease("s-l") is None
         assert reloaded.acquire_lease("s-l", "gw-b", ttl_s=30.0) is not None
+
+    def test_boundary_commits_append_progress_not_material(self, tmp_path):
+        """A CAS advance logs the checkpoint's progress only; a reload
+        (or a peer) replays it onto the material the put logged,
+        including an adoption's rewind."""
+        path = tmp_path / "sessions.jsonl"
+        store = JsonlSessionStore(path, ttl_s=60.0)
+        cp = make_checkpoint("s-adv", rounds=3)
+        store.put(cp)
+        store.acquire_lease("s-adv", "gw-a", ttl_s=30.0)
+        put_bytes = path.stat().st_size
+        cp.begin_stream(0)
+        cp.advance(1, send_seq=6, recv_seq=2)
+        store.cas_advance(cp, "gw-a", 0)
+        cp.advance(2, send_seq=9, recv_seq=2)
+        cp.rewind_to(1)
+        store.cas_advance(cp, "gw-a", 1)
+        records = [decode_record_line(line) for line in path.read_bytes().splitlines()]
+        advances = [r for r in records if r["op"] == "advance"]
+        assert len(advances) == 2
+        assert all("materials" not in json.dumps(r) for r in advances)
+        assert path.stat().st_size - put_bytes < put_bytes
+        reloaded = JsonlSessionStore(path, ttl_s=60.0).get("s-adv")
+        assert reloaded.to_dict() == cp.to_dict()
+        assert [m.round_index for m in reloaded.materials] == [1, 2]
 
     def test_compact_mid_handoff_keeps_lease_and_unacked_tail(self, tmp_path):
         """Satellite: compaction while a handoff is in flight must not
