@@ -157,8 +157,7 @@ def bench_cobatch(args) -> dict:
         np.linspace(-1.5, 1.5, rounds).reshape(1, rounds) * 16.0
     ) / 16.0
     accel = CloudServer(
-        model, Q8_4, pool_size=0, seed=2018, auto_refill=False,
-        garble_mode="vectorized",
+        model, Q8_4, pool_size=0, seed=2018, auto_refill=False
     ).accelerator
 
     solo = MetricsRegistry()

@@ -20,8 +20,6 @@ Quick start::
 
 from repro.accel import (
     MAXelerator,
-    MaxClient,
-    MaxSequentialGarbler,
     ResourceModel,
     TimingModel,
     build_scheduled_mac,
@@ -59,8 +57,6 @@ __all__ = [
     "FixedPointFormat",
     "GarbledCPUModel",
     "MAXelerator",
-    "MaxClient",
-    "MaxSequentialGarbler",
     "NetlistBuilder",
     "OverlayModel",
     "PortfolioRuntimeModel",

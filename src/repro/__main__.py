@@ -418,14 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-retries", type=int, default=1)
             p.add_argument("--profile", default="default",
                            choices=("default", "recovery", "handoff",
-                                    "vectorized", "backends", "tenants",
-                                    "processes", "slo"),
+                                    "backends", "tenants", "processes",
+                                    "slo"),
                            help="fault profile: classic wire faults, "
                                 "disconnect/shed/stall recovery plans, "
                                 "multi-gateway kill/drain handoffs, the "
-                                "recovery+handoff mix rerun with "
-                                "garble_mode=vectorized, the same mix "
-                                "against HE-backed sessions, "
+                                "recovery+handoff mix against HE-backed "
+                                "sessions, "
                                 "poison/stall/disconnect tenant-isolation "
                                 "faults under the ring scheduler, "
                                 "SIGKILL/SIGTERM/TCP-cut faults against a "
@@ -435,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "controller is mid-adaptation")
             p.add_argument("--gateways", type=int, default=3,
                            help="fleet size for --profile "
-                                "handoff/vectorized/backends/processes")
+                                "handoff/backends/processes")
             p.add_argument("--rounds", type=int, default=2,
                            help="MAC rounds per session (the processes "
                                 "profile draws its commit-round triggers "

@@ -1,7 +1,6 @@
 """MAXelerator: the paper's FPGA accelerator as a cycle-accurate simulation."""
 
 from repro.accel.bitstream import schedule_from_json, schedule_to_json
-from repro.accel.client import MaxClient
 from repro.accel.energy import EnergyReport, energy_report
 from repro.accel.fleet import FleetModel, FleetPlan
 from repro.accel.engine import GCCore, GCEngine
@@ -10,7 +9,6 @@ from repro.accel.label_generator import LabelGenerator, LabelGenStats
 from repro.accel.maxelerator import (
     DEFAULT_CLOCK_MHZ,
     MAXelerator,
-    MaxSequentialGarbler,
     TimingModel,
 )
 from repro.accel.memory import CoreMemorySimulator, TransferReport
@@ -53,8 +51,6 @@ __all__ = [
     "LabelGenerator",
     "MAXelerator",
     "MacSchedule",
-    "MaxClient",
-    "MaxSequentialGarbler",
     "PAPER_TABLE1",
     "ResourceEstimate",
     "ResourceModel",

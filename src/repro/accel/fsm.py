@@ -84,7 +84,7 @@ class AcceleratorRun:
         """Round ``r``'s tables serialised in netlist order.
 
         Shares a signature with :meth:`repro.gc.vector_garble.VectorRun.
-        tables_payload` so the serving path is garble-mode agnostic.
+        tables_payload` so the streaming path takes either kind of run.
         """
         from repro.gc.tables import serialize_tables
 

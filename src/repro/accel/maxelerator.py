@@ -1,12 +1,14 @@
 """MAXelerator top level: the accelerator as a protocol party.
 
-:class:`MAXelerator` bundles the scheduled MAC circuit, the FSM
-simulator, the timing model (Table 2's MAXelerator column) and the
-PCIe/memory model.  :class:`MaxSequentialGarbler` streams through the
-same garbler-side code as the software
-:class:`repro.gc.sequential_gc.SequentialGarbler`, so the unmodified
-client-side evaluator works against it — the paper's
-"the hardware acceleration is transparent to the evaluator".
+:class:`MAXelerator` bundles the scheduled MAC circuit, the timing model
+(Table 2's MAXelerator column), the PCIe/memory model and two ways to
+garble the same circuit: :meth:`MAXelerator.garble_vectorized`, the run
+plan (:func:`repro.gc.vector_garble.garble_mac_runs`) that serves every
+query, and :meth:`MAXelerator.garble`, the paper's cycle-accurate FSM
+model.  Both produce byte-identical runs at the same seed, and either
+streams through :class:`repro.gc.sequential_gc.SequentialGarbler` to
+the unmodified client-side evaluator — the paper's "the hardware
+acceleration is transparent to the evaluator".
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from repro.accel.tree_mac import (
     build_scheduled_mac,
     total_cores,
 )
-from repro.crypto.ot import DEFAULT_GROUP, DHGroup
-from repro.errors import ConfigurationError, GCProtocolError
-from repro.gc.channel import Endpoint
-from repro.gc.sequential_gc import (
-    OT_MODES,
-    SequentialReport,
-    SequentialStreamer,
-    materials_for_run,
-)
+from repro.errors import ConfigurationError
 from repro.gc.stage_plan import StagePlan, stage_plan_for
 from repro.gc.vector_garble import VectorRun, garble_mac_runs
 
@@ -129,7 +123,9 @@ class MAXelerator:
         return cached
 
     def garble(self, n_rounds: int) -> AcceleratorRun:
-        """Garble an M-round MAC (one dot-product element) on the FSM.
+        """Garble an M-round MAC (one dot-product element) on the FSM,
+        the paper's cycle model (the serving path garbles with
+        :meth:`garble_vectorized`).
 
         Every call uses fresh labels — even under a fixed seed the seed
         is diversified per garbling, because label reuse across garblings
@@ -168,7 +164,11 @@ class MAXelerator:
             for i in range(n_runs)
         ]
         return garble_mac_runs(
-            self.circuit, n_rounds, factories, telemetry=telemetry, plan=self.plan
+            self.circuit.circuit,
+            n_rounds,
+            factories,
+            telemetry=telemetry,
+            plan=self.plan,
         )
 
     def transfer_report(self, run: AcceleratorRun) -> TransferReport:
@@ -181,63 +181,3 @@ class MAXelerator:
 
     def garbling_time_s(self, run: AcceleratorRun) -> float:
         return run.total_cycles / (self.timing.clock_mhz * 1e6)
-
-
-class MaxSequentialGarbler:
-    """Drop-in replacement for the software SequentialGarbler.
-
-    Garbles ahead of time on the accelerator (the paper's 'stored garbled
-    circuits' usage), then streams the run through the one garbler-side
-    dialogue (:class:`~repro.gc.sequential_gc.SequentialStreamer`); the
-    host CPU's reorder buffer presents each round's tables in netlist
-    order.
-    """
-
-    def __init__(
-        self,
-        accelerator: MAXelerator,
-        channel: Endpoint,
-        group: DHGroup = DEFAULT_GROUP,
-    ):
-        self.accelerator = accelerator
-        self.channel = channel
-        self.group = group
-        self.last_run: AcceleratorRun | None = None
-
-    def run(
-        self,
-        round_inputs: list[list[int]],
-        reveal: str = "evaluator",
-        ot_mode: str = "per_round",
-    ) -> SequentialReport:
-        rounds = len(round_inputs)
-        if rounds == 0:
-            raise GCProtocolError("sequential GC needs at least one round")
-        if ot_mode not in OT_MODES:
-            raise GCProtocolError(f"ot_mode must be one of {OT_MODES}")
-
-        run = self.accelerator.garble(rounds)
-        self.last_run = run
-        reveal_map = run.output_permute_bits if reveal in ("evaluator", "both") else None
-        SequentialStreamer(
-            self.channel,
-            materials_for_run(run, round_inputs),
-            reveal_map,
-            ot_mode,
-            self.group,
-        ).run()
-        output_bits = None
-        if reveal in ("garbler", "both"):
-            labels = self.channel.recv_u128_list("seq.output_labels")
-            output_bits = [
-                pair.decode(label)
-                for pair, label in zip(run.rounds[-1].output_pairs, labels)
-            ]
-
-        return SequentialReport(
-            rounds=rounds,
-            output_bits=output_bits,
-            bytes_sent=self.channel.sent.payload_bytes,
-            n_tables=run.total_tables,
-            hash_calls=run.hash_calls,
-        )

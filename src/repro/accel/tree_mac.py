@@ -77,6 +77,10 @@ class ScheduledMacCircuit:
         return self.circuit.netlist
 
     @property
+    def initial_state(self) -> list[int]:
+        return self.circuit.initial_state
+
+    @property
     def n_seg1_cores(self) -> int:
         return seg1_cores(self.bitwidth)
 

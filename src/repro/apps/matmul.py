@@ -2,9 +2,10 @@
 
 The server (garbler) holds a matrix (the ML model); the client
 (evaluator) holds a vector (its private datum).  Every output element
-is one sequential-MAC run (Eq. 3 of the paper), executed either on the
-MAXelerator simulation or on the TinyGarble-style software baseline —
-in both cases the client runs the identical evaluator.
+is one sequential-MAC run (Eq. 3 of the paper), garbled on the run plan
+either for the MAXelerator's scheduled tree-multiplier circuit or for
+the TinyGarble-style serial-multiplier baseline — in both cases the
+client runs the identical evaluator.
 
 Because a cycle-true garbled execution in pure Python is slow, sizes in
 the *executed* path should stay small (the tests use b = 8/16 and short
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.accel.maxelerator import MAXelerator, MaxSequentialGarbler, TimingModel
+from repro.accel.maxelerator import MAXelerator, TimingModel
 from repro.accel.tree_mac import default_acc_width
 from repro.baselines.overlay import OverlayModel
 from repro.baselines.tinygarble import TinyGarbleModel
@@ -129,10 +130,13 @@ class PrivateMatVec:
         for i in range(n):
             a_rounds = [to_bits(int(v), self.bitwidth) for v in self._encoded[i]]
             g_chan, e_chan = local_channel()
-            garbler = self._make_garbler(g_chan)
+            garbler = SequentialGarbler(self._circuit, g_chan, self.group)
+            garbled = None
+            if self._accelerator is not None:
+                [garbled] = self._accelerator.garble_vectorized(m)
             client = SequentialEvaluator(self._circuit, e_chan, self.group)
             g_rep, e_rep = run_two_party(
-                lambda: garbler.run(a_rounds),
+                lambda: garbler.run(a_rounds, garbled=garbled),
                 lambda: client.run(x_rounds),
             )
             raw[i] = from_bits(e_rep.output_bits, signed=True)
@@ -166,11 +170,6 @@ class PrivateMatVec:
             tables=0,
             estimates=estimate_times_s(self.n_macs, self.bitwidth),
         )
-
-    def _make_garbler(self, channel):
-        if self.backend == "maxelerator":
-            return MaxSequentialGarbler(self._accelerator, channel, self.group)
-        return SequentialGarbler(self._circuit, channel, self.group)
 
     # ------------------------------------------------------------------
     def expected(self, x_values) -> np.ndarray:

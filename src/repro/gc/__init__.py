@@ -19,13 +19,7 @@ from repro.gc.sequential_gc import (
 )
 from repro.gc.stage_plan import StagePlan, netlist_fingerprint, plan_stages, stage_plan_for
 from repro.gc.tables import TABLE_BYTES, GarbledTable
-from repro.gc.vector_garble import (
-    VectorBatch,
-    VectorEvaluator,
-    VectorGarbler,
-    VectorRun,
-    garble_mac_runs,
-)
+from repro.gc.vector_garble import VectorRun, garble_mac_runs
 
 __all__ = [
     "ClassicEvaluator",
@@ -46,9 +40,6 @@ __all__ = [
     "StagePlan",
     "TABLE_BYTES",
     "TrafficStats",
-    "VectorBatch",
-    "VectorEvaluator",
-    "VectorGarbler",
     "VectorRun",
     "garble_mac_runs",
     "local_channel",

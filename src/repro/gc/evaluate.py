@@ -6,8 +6,9 @@ each AND-class gate with two hash calls plus the two table ciphertexts.
 It works whether the tables came from the software garbler or from the
 accelerator stream — the paper's "transparent to the evaluator"
 property.  The client's serving path runs the same half-gates algebra
-stage by stage (:class:`repro.gc.vector_garble.VectorEvaluator`); this
-gate-at-a-time version is its reference oracle.
+stage by stage over a whole run (:func:`repro.gc.vector_garble.
+evaluate_run`, inside :class:`repro.gc.sequential_gc.SequentialEvaluator`);
+this gate-at-a-time version is its reference oracle.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class Evaluator:
         state) and every constant wire.  With ``output_permute_bits``
         (the garbler's output map) the plaintext output bits are decoded
         from the label colours.  This scalar path is the reference the
-        stage-plan evaluator (:class:`~repro.gc.vector_garble.
-        VectorEvaluator`) is tested against.
+        run-plan evaluator (:func:`~repro.gc.vector_garble.evaluate_run`)
+        is tested against.
         """
         net = self.netlist
         needed = set(net.input_wires) | set(net.constants)

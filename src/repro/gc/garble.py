@@ -13,12 +13,14 @@ is exactly why MAXelerator's GC engine only ever garbles AND tables.
 The garbler is restartable for sequential GC: pass ``preset_pairs`` to
 pin the label pairs of state-input wires to the previous round's output
 pairs, and ``tweak_offset`` to keep gate identifiers unique across
-rounds.
+rounds.  This gate-at-a-time garbler is the reference oracle: the run
+plan that serves traffic (:func:`repro.gc.vector_garble.garble_mac_runs`)
+is tested byte for byte against a chain of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Netlist
@@ -88,18 +90,12 @@ class Garbler:
         self,
         preset_pairs: dict[int, LabelPair] | None = None,
         tweak_offset: int = 0,
-        batch: bool = False,
     ) -> GarbledCircuit:
         """Produce the garbled tables and all wire label pairs.
 
         ``preset_pairs`` maps wire ids (typically state inputs) to pairs
         carried over from a previous round; all pairs must share this
         garbler's global offset.
-
-        With ``batch=True``, independent AND gates are garbled together
-        so their AES calls go through the vectorised fixed-key cipher
-        (JustGarble-style batching); the tables are bit-identical to the
-        gate-at-a-time path.
         """
         net = self.netlist
         offset = self.factory.offset
@@ -115,17 +111,6 @@ class Garbler:
                 pairs[wire] = self.factory.fresh_pair()
 
         calls_before = self.hash.calls
-        if batch:
-            tables = self._garble_batched(pairs, tweak_offset)
-            return GarbledCircuit(
-                netlist=net,
-                wire_pairs=pairs,
-                tables=tables,
-                offset=offset,
-                hash_calls=self.hash.calls - calls_before,
-                tweak_offset=tweak_offset,
-            )
-
         tables: list[GarbledTable] = []
         for gate in net.gates:
             gtype = gate.gtype
@@ -161,84 +146,6 @@ class Garbler:
             hash_calls=self.hash.calls - calls_before,
             tweak_offset=tweak_offset,
         )
-
-    # ------------------------------------------------------------------
-    def _garble_batched(
-        self, pairs: dict[int, LabelPair], tweak_offset: int
-    ) -> list[GarbledTable]:
-        """AND-level-batched garbling.
-
-        All AND gates at the same AND-depth level are independent given
-        the previous level's outputs, so each level's 4-hashes-per-gate
-        go through one vectorised fixed-key AES call.  Free gates are
-        folded in between levels as soon as their dependencies exist.
-        """
-        net = self.netlist
-        offset = self.factory.offset
-        tables_by_gate: dict[int, GarbledTable] = {}
-
-        # AND-depth level of every wire (inputs/constants at level 0)
-        wire_level: dict[int, int] = {
-            w: 0 for w in net.input_wires + list(net.constants)
-        }
-        levels: dict[int, list] = {}
-        free_by_level: dict[int, list] = {}
-        for gate in net.gates:
-            in_level = max((wire_level[w] for w in gate.inputs), default=0)
-            if gate.is_free:
-                wire_level[gate.output] = in_level
-                free_by_level.setdefault(in_level, []).append(gate)
-            else:
-                wire_level[gate.output] = in_level + 1
-                levels.setdefault(in_level + 1, []).append(gate)
-
-        def run_free(gate) -> None:
-            gtype = gate.gtype
-            if gtype is GateType.BUF:
-                pairs[gate.output] = pairs[gate.inputs[0]]
-            elif gtype is GateType.NOT:
-                pairs[gate.output] = LabelPair(
-                    pairs[gate.inputs[0]].zero ^ offset, offset
-                )
-            else:  # XOR / XNOR
-                zero = pairs[gate.inputs[0]].zero ^ pairs[gate.inputs[1]].zero
-                if gtype is GateType.XNOR:
-                    zero ^= offset
-                pairs[gate.output] = LabelPair(zero, offset)
-
-        max_level = max(levels, default=0)
-        for level in range(0, max_level + 1):
-            for gate in free_by_level.get(level, []):
-                run_free(gate)
-            batch = levels.get(level + 1, [])
-            if not batch:
-                continue
-            labels: list[int] = []
-            tweaks: list[int] = []
-            prepared = []
-            for gate in batch:
-                alpha, beta, gamma = gate.gtype.and_form
-                a0 = pairs[gate.inputs[0]].zero ^ (offset if alpha else 0)
-                b0 = pairs[gate.inputs[1]].zero ^ (offset if beta else 0)
-                gate_id = gate.index + tweak_offset
-                j0, j1 = make_tweak(gate_id, 0), make_tweak(gate_id, 1)
-                labels.extend((a0, a0 ^ offset, b0, b0 ^ offset))
-                tweaks.extend((j0, j0, j1, j1))
-                prepared.append((gate, a0, b0, gamma))
-            hashes = self.hash.hash_many(labels, tweaks)
-            for i, (gate, a0, b0, gamma) in enumerate(prepared):
-                h_a0, h_a1, h_b0, h_b1 = hashes[4 * i : 4 * i + 4]
-                p_a, p_b = color(a0), color(b0)
-                t_g = h_a0 ^ h_a1 ^ (offset if p_b else 0)
-                w_g = h_a0 ^ (t_g if p_a else 0)
-                t_e = h_b0 ^ h_b1 ^ a0
-                w_e = h_b0 ^ ((t_e ^ a0) if p_b else 0)
-                out0 = w_g ^ w_e ^ (offset if gamma else 0)
-                pairs[gate.output] = LabelPair(out0, offset)
-                tables_by_gate[gate.index] = GarbledTable(
-                    gate.index + tweak_offset, t_g, t_e
-                )
-        return [tables_by_gate[g.index] for g in net.gates if not g.is_free]
 
     # ------------------------------------------------------------------
     def _garble_and(self, a0: int, b0: int, gate_id: int) -> tuple[int, GarbledTable]:

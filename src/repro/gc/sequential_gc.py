@@ -7,8 +7,14 @@ it computed.  Fresh input labels (and tweaks) are used every round,
 which is the security requirement the paper emphasises ("new labels are
 required for every garbling operation").
 
-This module is both the software baseline's execution engine and the
-reference semantics that the MAXelerator accelerator stream must match.
+This module is the wire dialogue of a sequential run, one
+implementation per side: :class:`SequentialStreamer` sends a garbled
+run and :class:`SequentialEvaluator` receives and evaluates it.
+Whatever garbled the run — the run plan that serves traffic
+(:func:`~repro.gc.vector_garble.garble_mac_runs`) or the paper's FSM
+model (:meth:`repro.accel.maxelerator.MAXelerator.garble`) — the
+evaluator sees the same frames; :class:`SequentialGarbler` is the
+garbler-side entry point for a whole run.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from repro.crypto.ot import (
     OTExtensionReceiver,
     OTExtensionSender,
 )
+from repro.crypto.prf import GarblingHash
 from repro.errors import GCProtocolError
 from repro.gc.channel import Endpoint, local_channel, run_two_party
-from repro.gc.garble import Garbler
-from repro.gc.stage_plan import StagePlan
-from repro.gc.tables import serialize_tables
-from repro.gc.vector_garble import VectorEvaluator, evaluate_run
+from repro.gc.stage_plan import StagePlan, stage_plan_for
+from repro.gc.vector_garble import decode_tables, evaluate_run, garble_mac_runs
 from repro.he.mac import HE_RESULT_TAG
 from repro.telemetry import MetricsRegistry
 
@@ -115,7 +120,7 @@ def materials_for_run(run, round_bits: list[list[int]]) -> list[RoundMaterial]:
     """
     net = run.circuit.netlist
     const_wires = sorted(net.constants)
-    initial_state = run.circuit.circuit.initial_state
+    initial_state = run.circuit.initial_state
     materials = []
     for r, bits in enumerate(round_bits):
         meta = run.rounds[r]
@@ -151,9 +156,7 @@ class SequentialStreamer:
     these frames: fresh queries (:meth:`repro.host.CloudServer.serve_row`,
     and ``serve_row_he`` for the one-round HE dialogue), resumed
     sessions (:class:`repro.recover.checkpoint.CheckpointStreamer`) and
-    the reference garblers (:class:`SequentialGarbler`,
-    :class:`repro.accel.maxelerator.MaxSequentialGarbler`) all stream
-    through it.
+    whole runs (:class:`SequentialGarbler`) all stream through it.
 
     ``begin()`` sends the preamble (``seq.rounds``, ``seq.ot_mode``)
     and, in ``upfront`` mode, one OT over every remaining round's
@@ -296,7 +299,17 @@ class SequentialStreamer:
 
 
 class SequentialGarbler:
-    """Garbles the round netlist M times with carried-over state pairs."""
+    """The garbler side of one sequential-GC run: garble, stream, reveal.
+
+    :meth:`run` streams a garbled run through the one dialogue
+    (:func:`materials_for_run` + :class:`SequentialStreamer`): the
+    caller's ``garbled`` run — a run-plan
+    :class:`~repro.gc.vector_garble.VectorRun` or the paper model's
+    :class:`~repro.accel.fsm.AcceleratorRun` from
+    :meth:`repro.accel.maxelerator.MAXelerator.garble` — or, when none
+    is given, one garbled here by
+    :func:`~repro.gc.vector_garble.garble_mac_runs` from ``factory``.
+    """
 
     def __init__(
         self,
@@ -309,71 +322,48 @@ class SequentialGarbler:
         self.channel = channel
         self.group = group
         self.factory = factory or LabelFactory()
-        self.garbler = Garbler(circuit.netlist, factory=self.factory)
 
     def run(
         self,
         round_inputs: list[list[int]],
         reveal: str = "evaluator",
         ot_mode: str = "per_round",
+        garbled=None,
     ) -> SequentialReport:
-        net = self.circuit.netlist
         rounds = len(round_inputs)
         if rounds == 0:
             raise GCProtocolError("sequential GC needs at least one round")
         if ot_mode not in OT_MODES:
             raise GCProtocolError(f"ot_mode must be one of {OT_MODES}")
-
-        # Garble every round up front: state pairs chain eagerly, and
-        # the upfront OT mode needs all evaluator-input pairs first.
-        const_wires = sorted(net.constants)
-        const_bits = [net.constants[w] for w in const_wires]
-        materials = []
-        state_pairs = None
-        hash_calls = 0
-        n_tables = 0
-        for r, bits in enumerate(round_inputs):
-            if len(bits) != len(net.garbler_inputs):
-                raise GCProtocolError(
-                    f"round {r}: expected {len(net.garbler_inputs)} garbler bits"
-                )
-            preset = None
-            if state_pairs is not None:
-                preset = dict(zip(net.state_inputs, state_pairs))
-            gc = self.garbler.garble(
-                preset_pairs=preset, tweak_offset=r * len(net.gates)
+        if garbled is None:
+            [garbled] = garble_mac_runs(self.circuit, rounds, [self.factory])
+        elif garbled.n_rounds != rounds:
+            raise GCProtocolError(
+                f"the garbled run has {garbled.n_rounds} rounds, not {rounds}"
             )
-            hash_calls += gc.hash_calls
-            n_tables += len(gc.tables)
-            state_pairs = [gc.output_pairs[i] for i in self.circuit.state_feedback]
-            materials.append(RoundMaterial(
-                round_index=r,
-                tables=serialize_tables(gc.tables),
-                garbler_labels=gc.input_labels_for(net.garbler_inputs, bits),
-                const_labels=gc.input_labels_for(const_wires, const_bits),
-                evaluator_pairs=gc.evaluator_input_pairs(),
-                # the initial state is garbler-known: send its active labels
-                state_labels=(
-                    gc.input_labels_for(net.state_inputs, self.circuit.initial_state)
-                    if r == 0
-                    else None
-                ),
-            ))
-
-        reveal_map = gc.output_permute_bits if reveal in ("evaluator", "both") else None
+        reveal_map = (
+            garbled.output_permute_bits if reveal in ("evaluator", "both") else None
+        )
         SequentialStreamer(
-            self.channel, materials, reveal_map, ot_mode, self.group
+            self.channel,
+            materials_for_run(garbled, round_inputs),
+            reveal_map,
+            ot_mode,
+            self.group,
         ).run()
         output_bits = None
         if reveal in ("garbler", "both"):
-            output_bits = gc.decode(self.channel.recv_u128_list("seq.output_labels"))
-
+            labels = self.channel.recv_u128_list("seq.output_labels")
+            output_bits = [
+                pair.decode(label)
+                for pair, label in zip(garbled.rounds[-1].output_pairs, labels)
+            ]
         return SequentialReport(
             rounds=rounds,
             output_bits=output_bits,
             bytes_sent=self.channel.sent.payload_bytes,
-            n_tables=n_tables,
-            hash_calls=hash_calls,
+            n_tables=garbled.total_tables,
+            hash_calls=garbled.hash_calls,
         )
 
 
@@ -390,7 +380,9 @@ class SequentialEvaluator:
     AES call per AND stage of the whole run, tables read straight from
     the received ``seq.tables`` payloads.  A caller that evaluates the
     same circuit many times passes its resolved round ``plan`` so no
-    query re-hashes the netlist to find it.
+    query re-hashes the netlist to find it.  The gate-at-a-time
+    :class:`~repro.gc.evaluate.Evaluator` is the reference it is tested
+    against.
     """
 
     def __init__(
@@ -405,7 +397,8 @@ class SequentialEvaluator:
         self.channel = channel
         self.group = group
         self.ot = ot if ot is not None else OTExtensionReceiver(group)
-        self.evaluator = VectorEvaluator(circuit.netlist, plan=plan)
+        self.plan = plan if plan is not None else stage_plan_for(circuit.netlist)
+        self.hash = GarblingHash()
 
     def run(
         self,
@@ -480,7 +473,7 @@ class SequentialEvaluator:
         const_wires = sorted(net.constants)
         try:
             for r in range(start_round, rounds):
-                round_tables = self.evaluator.decode_tables(chan.recv("seq.tables"))
+                round_tables = decode_tables(chan.recv("seq.tables"), self.plan.n_and)
                 labels = dict(
                     zip(net.garbler_inputs, chan.recv_u128_list("seq.garbler_labels"))
                 )
@@ -520,7 +513,7 @@ class SequentialEvaluator:
             output_bits=output_bits,
             bytes_sent=chan.sent.payload_bytes,
             n_tables=0,
-            hash_calls=2 * self.evaluator.plan.n_and * len(outputs),
+            hash_calls=2 * self.plan.n_and * len(outputs),
             peak_input_label_bytes=peak_label_bytes,
         )
 
@@ -536,8 +529,8 @@ class SequentialEvaluator:
             state,
             inputs,
             tables,
-            hash_fn=self.evaluator.hash,
-            plan=self.evaluator.plan,
+            hash_fn=self.hash,
+            plan=self.plan,
         )
         if progress is not None:
             feedback = self.circuit.state_feedback
@@ -545,7 +538,7 @@ class SequentialEvaluator:
                 # completed_rounds first: the carried labels belong to it
                 progress.completed_rounds = r + 1
                 progress.state_labels = [labels[i] for i in feedback]
-                progress.hash_calls += 2 * self.evaluator.plan.n_and
+                progress.hash_calls += 2 * self.plan.n_and
                 progress.output_labels = list(labels)
         return outputs
 

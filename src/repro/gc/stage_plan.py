@@ -1,15 +1,15 @@
-"""Topological stage plan shared by the vectorised garbler and evaluator.
+"""Topological stage plan shared by the run-plan garbler and evaluator.
 
 A *stage* is the unit of AES batching: all AND-class gates at one
 AND-depth level are independent given the previous level's outputs, so
 their garbling hashes (four per gate for the garbler, two for the
 evaluator) go through a single vectorised fixed-key AES invocation.
 Free gates (XOR/XNOR/NOT/BUF) are attached to the stage whose outputs
-they consume, mirroring :meth:`repro.gc.garble.Garbler._garble_batched`
-— stage ``i`` first folds the free gates at AND-depth ``i``, then
-batches the AND gates at depth ``i + 1``.  Within a stage the free
-gates are grouped into XOR-depth *levels* of mutually independent
-gates, so each level is one array operation on either party.
+they consume — stage ``i`` first folds the free gates at AND-depth
+``i``, then batches the AND gates at depth ``i + 1``.  Within a stage
+the free gates are grouped into XOR-depth *levels* of mutually
+independent gates, so each level is one array operation on either
+party.
 
 Both parties hold labels in one array with a row per wire plus an
 all-zero row (:attr:`StagePlan.label_rows`) that one-input free gates
@@ -118,8 +118,6 @@ class StagePlan:
     n_wires: int
     n_and: int
     stages: tuple[Stage, ...]
-    #: every wire the garbler assigns a pair to, in assignment order
-    driven_wires: tuple[int, ...]
     #: tweak words at offset 0, all stages concatenated: ``(n_and, 2, 2)``
     _tweaks: np.ndarray = field(init=False, repr=False)
     #: ``_tweaks`` row range of each stage
@@ -147,11 +145,6 @@ class StagePlan:
         plus the all-zero row ``n_wires`` that one-input free gates
         read as their second operand."""
         return self.n_wires + 1
-
-    @property
-    def n_free_levels(self) -> int:
-        """Free-gate array operations per evaluation of the netlist."""
-        return sum(len(s.free_levels) for s in self.stages)
 
     @property
     def n_stages(self) -> int:
@@ -283,14 +276,11 @@ def plan_stages(net: Netlist) -> StagePlan:
             )
         )
 
-    driven = list(net.input_wires) + list(net.constants)
-    driven += [g.output for g in net.gates]
     return StagePlan(
         fingerprint=netlist_fingerprint(net),
         n_wires=net.n_wires,
         n_and=len(table_pos),
         stages=tuple(stages),
-        driven_wires=tuple(driven),
     )
 
 
@@ -325,8 +315,8 @@ class RunPlan:
     """One stage schedule over ``n_rounds`` chained rounds of a circuit.
 
     ``schedule`` is an ordinary :class:`StagePlan` over the run's label
-    array (``schedule.label_rows`` rows, the zero row last): the
-    vectorised garbler and evaluator run it exactly like a round plan.
+    array (``schedule.label_rows`` rows, the zero row last), which the
+    garbler and evaluator run like any stage plan.
     ``rows[r, w]`` is the row of round ``r``'s wire ``w`` (column
     ``n_wires`` is the zero row); a state input of round ``r > 0`` maps
     to the row of round ``r - 1``'s feedback output.  A stage's
@@ -507,7 +497,6 @@ def plan_run(
         n_wires=zero,
         n_and=n_rounds * plan.n_and,
         stages=tuple(stages),
-        driven_wires=(),
     )
 
     input_order = list(net.input_wires) + list(net.constants)

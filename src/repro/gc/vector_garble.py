@@ -1,33 +1,26 @@
-"""Stage-vectorised half-gates garbling and evaluation.
+"""The run-plan garbler and evaluator: the one garbling path that serves.
 
-:class:`repro.gc.garble.Garbler` batches the AND gates of one circuit
-level through ``hash_many``; this module goes two axes further.  All
-label material lives in one ``(sessions, wires, 2)`` uint64 array, so a
-topological stage of ``G`` independent AND gates across ``S`` concurrent
-sessions becomes a single ``(S, G, 2, 2, 2)`` hash batch — ONE
-invocation of the vectorised fixed-key AES per stage, regardless of how
-many sessions share the circuit fingerprint.  That is the software
+A sequential GC run (M rounds of one round netlist, state carried from
+round to round) is garbled by :func:`garble_mac_runs` and evaluated by
+:func:`evaluate_run` on its :class:`~repro.gc.stage_plan.RunPlan`: all
+M rounds of all S sessions in one pass, one vectorised fixed-key AES
+call per AND stage of the *run* — about one round's AND depth, whatever
+M is.  All label material lives in one ``(sessions, rows, 2)`` uint64
+array, so a stage of ``G`` independent AND gates across ``S`` sessions
+is a single ``(S, G, 2, 2, 2)`` hash batch.  That is the software
 analogue of the paper's point: keep the AES engines saturated by
-exposing all the gate-level parallelism the schedule allows.
+exposing all the gate-level parallelism the schedule allows.  Runs
+longer than :data:`~repro.gc.stage_plan.RUN_WINDOW` rounds go window by
+window, each window's state inputs carrying the previous window's
+feedback labels.  A stateless netlist is a one-round run.
 
-The evaluator runs the same :class:`~repro.gc.stage_plan.StagePlan` on
-the other side of the wire (:class:`VectorEvaluator`): one ``(wires, 2)``
-label array, tables read straight from the received payload, one
-``hash_words`` call per AND stage.
-
-A sequential MAC run is garbled (:func:`garble_mac_runs`) and evaluated
-(:func:`evaluate_run`) on its :class:`~repro.gc.stage_plan.RunPlan`:
-all M rounds of all S sessions in one pass, one AES call per AND stage
-of the *run* — about one round's AND depth, whatever M is.  Runs longer
-than :data:`~repro.gc.stage_plan.RUN_WINDOW` rounds go window by window,
-each window's state inputs carrying the previous window's feedback
-labels.  The tables of every round are unchanged.
-
-Everything here is bit-identical to the sequential garbler: same label
-stream per session (a seeded :class:`LabelFactory` draws the identical
-sequence), same tweaks, same table bytes.  The sequential path stays
-around as the differential-testing oracle (see
-``tests/gc/test_vector_bit_identity.py``).
+Everything here is bit-identical to the scalar
+:class:`~repro.gc.garble.Garbler` chain: the same label stream per
+session (a seeded :class:`~repro.crypto.labels.LabelFactory` draws the
+identical sequence), the same tweaks, the same table bytes.  The scalar
+garbler and evaluator are the reference these functions are tested
+against, and the FSM (:class:`repro.accel.fsm.AcceleratorFSM`) is the
+paper's cycle model of the same garbling.
 """
 
 from __future__ import annotations
@@ -36,19 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuits.netlist import Netlist
+from repro.circuits.sequential import SequentialCircuit
 from repro.crypto.labels import LabelFactory, LabelPair
 from repro.crypto.prf import GarblingHash
 from repro.errors import GCProtocolError
-from repro.gc.evaluate import EvaluationResult
-from repro.gc.garble import GarbledCircuit
-from repro.gc.stage_plan import (
-    RunPlan,
-    StagePlan,
-    run_plan_for,
-    run_windows,
-    stage_plan_for,
-)
+from repro.gc.stage_plan import RunPlan, StagePlan, run_plan_for, run_windows
 from repro.gc.tables import TABLE_BYTES, GarbledTable
 
 _ONE = np.uint64(1)
@@ -61,11 +46,6 @@ def u128_rows(values) -> np.ndarray:
         arr[i, 0] = (v >> 64) & 0xFFFFFFFFFFFFFFFF
         arr[i, 1] = v & 0xFFFFFFFFFFFFFFFF
     return arr
-
-
-def words_to_u128(row) -> int:
-    """The 128-bit int encoded by one [hi, lo] uint64 row."""
-    return (int(row[0]) << 64) | int(row[1])
 
 
 def words_to_u128_list(words: np.ndarray) -> list[int]:
@@ -154,210 +134,6 @@ def _evaluate_stages(
         lab[stage.out_idx] = H[:, 0] ^ H[:, 1]
 
 
-@dataclass
-class VectorBatch:
-    """One vectorised garbling of a netlist for ``S`` sessions.
-
-    ``W[s, w]`` is session ``s``'s zero-label of wire ``w`` as [hi, lo]
-    uint64 words (plus the plan's all-zero row); ``tables_be[s]`` is
-    that session's garbled tables in netlist non-free order as
-    big-endian u64 quadruples — its raw bytes ARE the
-    ``serialize_tables`` payload, so the serving path can hand a row of
-    this array straight to the frame writer without copies.
-    """
-
-    netlist: Netlist
-    plan: StagePlan
-    W: np.ndarray
-    offsets: np.ndarray
-    offset_ints: list[int]
-    tables_be: np.ndarray
-    tweak_offset: int
-    preset_keys: list[frozenset]
-
-    @property
-    def n_sessions(self) -> int:
-        return int(self.W.shape[0])
-
-    @property
-    def hash_calls_per_session(self) -> int:
-        """Garbling-hash invocations per session (4 per AND, as scalar)."""
-        return 4 * self.plan.n_and
-
-    # ------------------------------------------------------------------
-    def zero_label(self, s: int, wire: int) -> int:
-        return words_to_u128(self.W[s, wire])
-
-    def pair(self, s: int, wire: int) -> LabelPair:
-        return LabelPair(self.zero_label(s, wire), self.offset_ints[s])
-
-    def tables_payload(self, s: int) -> memoryview:
-        """Session ``s``'s serialised tables as a zero-copy buffer."""
-        return memoryview(self.tables_be[s].view(np.uint8).reshape(-1))
-
-    def tables(self, s: int) -> list[GarbledTable]:
-        be = self.tables_be[s]
-        return [
-            GarbledTable(
-                g.index + self.tweak_offset,
-                (int(be[i, 0]) << 64) | int(be[i, 1]),
-                (int(be[i, 2]) << 64) | int(be[i, 3]),
-            )
-            for i, g in enumerate(self.netlist.nonfree_gates)
-        ]
-
-    def to_garbled_circuit(self, s: int) -> GarbledCircuit:
-        """Materialise session ``s`` as a sequential-garbler-shaped result."""
-        pairs = {w: self.pair(s, w) for w in self.plan.driven_wires}
-        for w in self.preset_keys[s]:
-            if w not in pairs:
-                pairs[w] = self.pair(s, w)
-        return GarbledCircuit(
-            netlist=self.netlist,
-            wire_pairs=pairs,
-            tables=self.tables(s),
-            offset=self.offset_ints[s],
-            hash_calls=self.hash_calls_per_session,
-            tweak_offset=self.tweak_offset,
-        )
-
-
-class VectorGarbler:
-    """Garbles one netlist for many sessions with one AES call per stage."""
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        hash_fn: GarblingHash | None = None,
-        plan: StagePlan | None = None,
-    ):
-        netlist.validate()
-        self.netlist = netlist
-        self.plan = plan if plan is not None else stage_plan_for(netlist)
-        self.hash = hash_fn or GarblingHash()
-
-    def garble(
-        self,
-        factories: list[LabelFactory],
-        preset_pairs: list[dict[int, LabelPair] | None] | None = None,
-        tweak_offset: int = 0,
-        telemetry=None,
-    ) -> VectorBatch:
-        """Vectorised equivalent of ``S`` sequential ``Garbler.garble`` calls.
-
-        ``factories[s]`` supplies session ``s``'s labels; with a seeded
-        source the draw order (presets pinned, then input wires and
-        constants) consumes the entropy stream exactly like the
-        sequential garbler, so outputs are bit-identical per session.
-        """
-        net = self.netlist
-        plan = self.plan
-        S = len(factories)
-        if S == 0:
-            raise GCProtocolError("vector garbling needs at least one session")
-        if preset_pairs is not None and len(preset_pairs) != S:
-            raise GCProtocolError("preset_pairs must have one entry per session")
-
-        W = np.zeros((S, plan.label_rows, 2), dtype=np.uint64)
-        offsets = np.empty((S, 2), dtype=np.uint64)
-        offset_ints = [f.offset for f in factories]
-        preset_keys: list[frozenset] = []
-        input_order = list(net.input_wires) + list(net.constants)
-        for s, factory in enumerate(factories):
-            offsets[s, 0] = (factory.offset >> 64) & 0xFFFFFFFFFFFFFFFF
-            offsets[s, 1] = factory.offset & 0xFFFFFFFFFFFFFFFF
-            preset = (preset_pairs[s] if preset_pairs else None) or {}
-            for pair in preset.values():
-                if pair.offset != factory.offset:
-                    raise GCProtocolError(
-                        "preset label pair has a foreign free-XOR offset"
-                    )
-            keys = list(preset)
-            if keys:
-                W[s, keys] = u128_rows([preset[w].zero for w in keys])
-            fresh_wires = [w for w in input_order if w not in preset]
-            if fresh_wires:
-                W[s, fresh_wires] = u128_rows(factory.fresh_zeros(len(fresh_wires)))
-            preset_keys.append(frozenset(keys))
-
-        tables_be = np.zeros((S, plan.n_and, 4), dtype=">u8")
-        _garble_stages(
-            self.hash, plan, W, offsets, tables_be, tweak_offset, telemetry
-        )
-
-        if telemetry is not None:
-            telemetry.counter("gc.vector_garbles").inc()
-            telemetry.counter("gc.vector_sessions").inc(S)
-        return VectorBatch(
-            netlist=net,
-            plan=plan,
-            W=W,
-            offsets=offsets,
-            offset_ints=offset_ints,
-            tables_be=tables_be,
-            tweak_offset=tweak_offset,
-            preset_keys=preset_keys,
-        )
-
-
-class VectorEvaluator:
-    """The evaluator's half of the stage plan: one AES call per AND stage.
-
-    Holds one active label per wire in a ``(wires, 2)`` uint64 array
-    laid out exactly like one session of :class:`VectorGarbler`'s
-    ``W``, reads the garbled tables straight from the received payload
-    (the big-endian table array the garbler serialised) and hashes each
-    AND stage's ``2 * n_and`` labels in a single ``hash_words`` call.
-    The scalar :class:`~repro.gc.evaluate.Evaluator` is its
-    differential-testing oracle.
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        hash_fn: GarblingHash | None = None,
-        plan: StagePlan | None = None,
-    ):
-        netlist.validate()
-        self.netlist = netlist
-        self.plan = plan if plan is not None else stage_plan_for(netlist)
-        self.hash = hash_fn or GarblingHash()
-        self._needed = frozenset(netlist.input_wires) | frozenset(netlist.constants)
-
-    def decode_tables(self, payload) -> np.ndarray:
-        """The ``seq.tables`` frame body as ``(n_and, 2, 2)`` uint64
-        [t_g, t_e] rows in netlist non-free order; a payload of the
-        wrong length raises :class:`~repro.errors.GCProtocolError`."""
-        expected = TABLE_BYTES * self.plan.n_and
-        if len(payload) != expected:
-            raise GCProtocolError(
-                f"expected {expected} table bytes, got {len(payload)}"
-            )
-        return np.frombuffer(payload, dtype=">u8").reshape(-1, 2, 2).astype(np.uint64)
-
-    def evaluate(
-        self, input_labels: dict[int, int], tables: np.ndarray, tweak_offset: int = 0
-    ) -> EvaluationResult:
-        """Evaluate once from the active input labels and the decoded
-        tables (:meth:`decode_tables`).
-
-        ``input_labels`` must cover every input and constant wire; a
-        missing label raises :class:`~repro.errors.GCProtocolError`.
-        """
-        plan = self.plan
-        missing = self._needed - input_labels.keys()
-        if missing:
-            raise GCProtocolError(f"missing labels for wires {sorted(missing)[:8]}")
-        lab = np.zeros((plan.label_rows, 2), dtype=np.uint64)
-        lab[list(input_labels)] = u128_rows(list(input_labels.values()))
-        _evaluate_stages(self.hash, plan, lab, tables, tweak_offset)
-        return EvaluationResult(
-            output_labels=[words_to_u128(lab[w]) for w in self.netlist.outputs],
-            output_bits=None,
-            hash_calls=2 * plan.n_and,
-        )
-
-
 # ----------------------------------------------------------------------
 # sequential-GC MAC runs (the serving path's unit of work)
 # ----------------------------------------------------------------------
@@ -379,14 +155,14 @@ class RunWindow:
 
 @dataclass
 class VectorRun:
-    """One session's view of a vectorised multi-round MAC garbling.
+    """One session's view of a run-plan garbling of a sequential circuit.
 
     Duck-types the parts of :class:`repro.accel.fsm.AcceleratorRun` the
     host serving/recovery layers consume: ``rounds`` metadata,
     per-round tables, output permute bits and hash-call accounting.
     """
 
-    circuit: object  # ScheduledMacCircuit
+    circuit: SequentialCircuit
     windows: list[RunWindow]
     session: int
     offset: int
@@ -468,14 +244,14 @@ class VectorRun:
 
 
 def garble_mac_runs(
-    circuit,
+    circuit: SequentialCircuit,
     n_rounds: int,
     factories: list[LabelFactory],
     hash_fn: GarblingHash | None = None,
     telemetry=None,
     plan: StagePlan | None = None,
 ) -> list[VectorRun]:
-    """Garble ``len(factories)`` independent M-round MAC runs together.
+    """Garble ``len(factories)`` independent M-round runs of ``circuit``.
 
     All rounds of all runs go through the run plan in one pass (window
     by window past :data:`~repro.gc.stage_plan.RUN_WINDOW` rounds): one
@@ -487,20 +263,20 @@ def garble_mac_runs(
     bit-identical to a seeded :class:`~repro.gc.garble.Garbler` chain
     over the same label stream.  ``plan`` is the holder's
     already-resolved round plan for ``circuit.netlist`` (looked up by
-    fingerprint when omitted).
+    fingerprint when omitted).  A stateless ``circuit`` garbles M
+    independent rounds.
     """
     if n_rounds <= 0:
         raise GCProtocolError("sequential GC needs at least one round")
     S = len(factories)
     if S == 0:
         raise GCProtocolError("vector garbling needs at least one session")
-    seq = circuit.circuit
     hash_fn = hash_fn or GarblingHash()
     offsets = u128_rows([f.offset for f in factories])
     windows: list[RunWindow] = []
     carry = None
     for first, m in run_windows(0, n_rounds):
-        rp = run_plan_for(seq, m, plan)
+        rp = run_plan_for(circuit, m, plan)
         W = np.zeros((S, rp.label_rows, 2), dtype=np.uint64)
         if carry is not None:
             W[:, rp.state_rows[0]] = carry
@@ -530,8 +306,18 @@ def garble_mac_runs(
     ]
 
 
+def decode_tables(payload, n_and: int) -> np.ndarray:
+    """A ``seq.tables`` frame body as ``(n_and, 2, 2)`` uint64 [t_g, t_e]
+    rows in netlist non-free order; a payload of the wrong length raises
+    :class:`~repro.errors.GCProtocolError`."""
+    expected = TABLE_BYTES * n_and
+    if len(payload) != expected:
+        raise GCProtocolError(f"expected {expected} table bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=">u8").reshape(-1, 2, 2).astype(np.uint64)
+
+
 def evaluate_run(
-    circuit,
+    circuit: SequentialCircuit,
     first_round: int,
     state_labels: list[int],
     round_inputs: list[dict[int, int]],
@@ -546,7 +332,7 @@ def evaluate_run(
     inputs; ``round_inputs[i]`` maps every garbler, evaluator and
     constant wire of round ``first_round + i`` to its active label, and
     ``round_tables[i]`` is that round's decoded tables
-    (:meth:`VectorEvaluator.decode_tables`).  Returns every round's
+    (:func:`decode_tables`).  Returns every round's
     output labels.  One AES call per AND stage of the run (per window);
     ``plan`` is the holder's resolved round plan.
     """

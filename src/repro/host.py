@@ -49,13 +49,8 @@ from repro.gc.sequential_gc import (
     materials_for_run,
 )
 from repro.gc.stage_plan import warm_run_plans
+from repro.gc.vector_garble import VectorRun
 from repro.telemetry import MetricsRegistry
-
-#: How the host garbles: stage-batched through the vectorised fixed-key
-#: AES (``vectorized``, the serving default) or gate-at-a-time on the
-#: FSM simulator (``sequential``, the paper-reproduction reference and
-#: test oracle, chosen only by passing it to :class:`CloudServer`).
-GARBLE_MODES = ("sequential", "vectorized")
 
 
 @dataclass
@@ -98,7 +93,6 @@ class CloudServer:
         seed: int | None = None,
         auto_refill: bool = True,
         telemetry: MetricsRegistry | None = None,
-        garble_mode: str = "vectorized",
     ):
         self.fmt = fmt
         self.group = group
@@ -107,14 +101,11 @@ class CloudServer:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         if pool_size < 0:
             raise ConfigurationError("pool size cannot be negative")
-        if garble_mode not in GARBLE_MODES:
-            raise ConfigurationError(
-                f"unknown garble mode {garble_mode!r} (expected one of {GARBLE_MODES})"
-            )
-        self.garble_mode = garble_mode
         self.pool_size = pool_size
         self.auto_refill = auto_refill
-        self._pool: deque[AcceleratorRun] = deque()
+        #: pre-garbled runs: the refill garbles run-plan runs, and a run
+        #: of the FSM model (:meth:`MAXelerator.garble`) serves the same
+        self._pool: deque[VectorRun | AcceleratorRun] = deque()
         #: guards the pool deque and the accelerator/model references
         self._lock = threading.Lock()
         #: serialises refillers so garbling happens outside the pool lock
@@ -123,7 +114,7 @@ class CloudServer:
         self._refill_listener = None
         #: set by the serving layer under the ring scheduler: pool
         #: misses route through a fingerprint-keyed batching station so
-        #: concurrent tenants share one vectorized AES pass
+        #: concurrent tenants share one run-plan AES pass
         self._garble_station = None
         self._fingerprint: str | None = None
         self.update_model(model_matrix)
@@ -163,10 +154,9 @@ class CloudServer:
 
         Garbling happens outside the pool lock so concurrent serves can
         keep draining while the refill is in flight; ``_refill_lock``
-        keeps at most one refiller garbling at a time.  In vectorized
-        mode the whole deficit is garbled as ONE stage-batched pass —
-        the runs share AES batches (same circuit fingerprint) but never
-        label material.
+        keeps at most one refiller garbling at a time.  The whole
+        deficit is garbled as ONE run-plan pass — the runs share AES
+        batches (same circuit fingerprint) but never label material.
         """
         added = 0
         with self._refill_lock:
@@ -178,12 +168,9 @@ class CloudServer:
                 if deficit <= 0:
                     break
                 with self.telemetry.timer("garble.refill"):
-                    if self.garble_mode == "vectorized":
-                        runs = accelerator.garble_vectorized(
-                            rounds, deficit, telemetry=self.telemetry
-                        )
-                    else:
-                        runs = [accelerator.garble(rounds)]
+                    runs = accelerator.garble_vectorized(
+                        rounds, deficit, telemetry=self.telemetry
+                    )
                 with self._lock:
                     # a model swap mid-refill retires these runs
                     if accelerator is self.accelerator:
@@ -217,7 +204,7 @@ class CloudServer:
         self._refill_listener = None
 
     def attach_garble_station(self, station) -> None:
-        """Route on-demand vectorized garbling through a shared
+        """Route on-demand garbling through a shared
         :class:`~repro.serve.tenants.GarbleStation` so concurrent pool
         misses with matching fingerprints co-batch into one AES pass."""
         self._garble_station = station
@@ -228,7 +215,7 @@ class CloudServer:
     def circuit_fingerprint(self) -> str:
         """The served circuit's structural fingerprint — the co-batching
         key: only servers whose fingerprints match may ever share a
-        vectorized AES invocation."""
+        run-plan AES invocation."""
         with self._lock:
             fp = self._fingerprint
             accelerator = self.accelerator
@@ -241,7 +228,7 @@ class CloudServer:
                 self._fingerprint = fp
         return fp
 
-    def _take_run(self) -> AcceleratorRun:
+    def _take_run(self) -> VectorRun | AcceleratorRun:
         with self._lock:
             if self._pool:
                 run = self._pool.popleft()
@@ -258,23 +245,20 @@ class CloudServer:
         self.telemetry.counter("pool.misses").inc()
         station = self._garble_station
         with self.telemetry.timer("garble.on_demand"):
-            if self.garble_mode == "vectorized":
-                if station is not None:
-                    # co-batch concurrent misses that share a circuit
-                    # fingerprint (possibly across tenants and servers)
-                    # into one stage-batched AES pass
-                    run = station.take(
-                        accelerator,
-                        rounds,
-                        self.circuit_fingerprint(),
-                        telemetry=self.telemetry,
-                    )
-                else:
-                    run = accelerator.garble_vectorized(
-                        rounds, 1, telemetry=self.telemetry
-                    )[0]
+            if station is not None:
+                # co-batch concurrent misses that share a circuit
+                # fingerprint (possibly across tenants and servers)
+                # into one run-plan AES pass
+                run = station.take(
+                    accelerator,
+                    rounds,
+                    self.circuit_fingerprint(),
+                    telemetry=self.telemetry,
+                )
             else:
-                run = accelerator.garble(rounds)
+                run = accelerator.garble_vectorized(
+                    rounds, 1, telemetry=self.telemetry
+                )[0]
         self.stats.bump("runs_garbled")
         return run
 

@@ -132,41 +132,13 @@ class RemoteAnalyticsClient:
             raise ServingError(
                 "RemoteAnalyticsClient needs host+port, a socket, or a dial callable"
             )
-        self.descriptor, welcome = client_session_handshake(
-            transport, client_name=name, backend=backend, tenant=tenant
-        )
+        try:
+            welcome = self._negotiate(transport, name, backend, tenant, he_seed)
+        except BaseException:
+            # a failed handshake leaves no socket behind
+            transport.close()
+            raise
         d = self.descriptor
-        self.backend = str(welcome.get("negotiated_backend", "gc"))
-        self.fmt = FixedPointFormat(d.total_bits, d.frac_bits)
-        self._he: HEMacClient | None = None
-        if self.backend == "he":
-            # the descriptor pins the workload; both endpoints derive
-            # the ring parameters independently and must agree exactly
-            params = params_for_workload(self.fmt, d.n_rows, d.rounds)
-            published = welcome.get("backend_params")
-            if published != params.to_wire():
-                transport.close()
-                raise HandshakeError(
-                    "HE parameter mismatch: gateway published "
-                    f"{published!r}, this client derived {params.to_wire()!r} "
-                    "(version skew between client and gateway builds)"
-                )
-            self._he = HEMacClient(params, self.fmt, seed=he_seed)
-            self.circuit = None  # HE sessions never evaluate the GC circuit
-            self._plan = None
-        else:
-            self.circuit = build_scheduled_mac(d.total_bits, d.acc_width).circuit
-            local_print = netlist_fingerprint(self.circuit)
-            if local_print != d.fingerprint:
-                transport.close()
-                raise HandshakeError(
-                    "circuit fingerprint mismatch: gateway garbles "
-                    f"{d.fingerprint[:16]}..., this client built {local_print[:16]}... "
-                    "(version skew between client and gateway builds)"
-                )
-            # every query of this connection evaluates on the same plans
-            self._plan = stage_plan_for(self.circuit.netlist)
-            warm_run_plans(self.circuit, d.rounds, self._plan)
         self.group = d.group
         #: this connection's OT pool: set up on the first GC query and
         #: reused while the gateway announces the same one
@@ -193,6 +165,44 @@ class RemoteAnalyticsClient:
         else:
             self.endpoint = transport
         self._closed = False
+
+    def _negotiate(self, transport, name, backend, tenant, he_seed) -> dict:
+        """Run the session handshake and check the gateway's circuit (or
+        HE parameters) against this build's; returns the welcome."""
+        self.descriptor, welcome = client_session_handshake(
+            transport, client_name=name, backend=backend, tenant=tenant
+        )
+        d = self.descriptor
+        self.backend = str(welcome.get("negotiated_backend", "gc"))
+        self.fmt = FixedPointFormat(d.total_bits, d.frac_bits)
+        self._he: HEMacClient | None = None
+        if self.backend == "he":
+            # the descriptor pins the workload; both endpoints derive
+            # the ring parameters independently and must agree exactly
+            params = params_for_workload(self.fmt, d.n_rows, d.rounds)
+            published = welcome.get("backend_params")
+            if published != params.to_wire():
+                raise HandshakeError(
+                    "HE parameter mismatch: gateway published "
+                    f"{published!r}, this client derived {params.to_wire()!r} "
+                    "(version skew between client and gateway builds)"
+                )
+            self._he = HEMacClient(params, self.fmt, seed=he_seed)
+            self.circuit = None  # HE sessions never evaluate the GC circuit
+            self._plan = None
+        else:
+            self.circuit = build_scheduled_mac(d.total_bits, d.acc_width).circuit
+            local_print = netlist_fingerprint(self.circuit)
+            if local_print != d.fingerprint:
+                raise HandshakeError(
+                    "circuit fingerprint mismatch: gateway garbles "
+                    f"{d.fingerprint[:16]}..., this client built {local_print[:16]}... "
+                    "(version skew between client and gateway builds)"
+                )
+            # every query of this connection evaluates on the same plans
+            self._plan = stage_plan_for(self.circuit.netlist)
+            warm_run_plans(self.circuit, d.rounds, self._plan)
+        return welcome
 
     @classmethod
     def from_socket(cls, sock: socket.socket, **kwargs) -> "RemoteAnalyticsClient":

@@ -294,6 +294,11 @@ class GCGateway:
         with self._sessions_lock:
             sessions = list(self._sessions)
         for s in sessions:
+            # no resume can reach a stopping gateway: a session parked
+            # on a broken wire ends now, as if its window had expired
+            if isinstance(s.channel, RebindableEndpoint):
+                s.channel.close_window()
+        for s in sessions:
             s.thread.join(timeout=self.serving.config.request_timeout_s)
             if s.thread.is_alive():
                 s.close_hard()  # wedge-breaker: wake any blocked recv

@@ -131,7 +131,7 @@ class GCPrivateMACSession(PrivateMACSession):
 
     def __init__(self, model_matrix, fmt: FixedPointFormat = Q16_8, *,
                  seed: int | None = None, group: DHGroup = TOY_GROUP,
-                 garble_mode: str = "vectorized", ot_mode: str = "per_round",
+                 ot_mode: str = "per_round",
                  pool_size: int = 1):
         if ot_mode not in OT_MODES:
             raise ConfigurationError(
@@ -139,7 +139,6 @@ class GCPrivateMACSession(PrivateMACSession):
             )
         self.server = CloudServer(
             model_matrix, fmt, pool_size=pool_size, group=group, seed=seed,
-            garble_mode=garble_mode,
         )
         self.ot_mode = ot_mode
         self._ot_sender = OTExtensionSender(group)

@@ -383,6 +383,8 @@ class RebindableEndpoint(EndpointBase):
         self._cond = threading.Condition()
         self._generation = 0
         self._dead = False
+        #: set once no rebind can arrive any more (the gateway stops)
+        self._window_closed = False
         self.rebinds = 0
         self.frames_replayed = 0
         self.enable_replay(replay_capacity)
@@ -415,11 +417,13 @@ class RebindableEndpoint(EndpointBase):
         with self._cond:
             if self._generation > seen_generation:
                 return  # a rebind already happened; retry on the new wire
-            ok = self._cond.wait_for(
-                lambda: self._generation > seen_generation or self._dead,
+            self._cond.wait_for(
+                lambda: self._generation > seen_generation
+                or self._dead
+                or self._window_closed,
                 timeout=self.resume_window_s,
             )
-            if self._dead or not ok:
+            if self._dead or self._generation == seen_generation:
                 raise WireError(
                     f"{self.name}: wire broke and no resume arrived within "
                     f"{self.resume_window_s}s ({cause})"
@@ -462,6 +466,15 @@ class RebindableEndpoint(EndpointBase):
                     "recover.gateway.frames_replayed"
                 ).inc(len(replayed))
         return len(replayed)
+
+    def close_window(self) -> None:
+        """End the resume window now: a parked thread, and any later
+        break, fails at once with the typed wire error the window's
+        expiry gives.  Unlike :meth:`kill` the transport stays open, so
+        a session still streaming on an intact wire runs to its end."""
+        with self._cond:
+            self._window_closed = True
+            self._cond.notify_all()
 
     def kill(self) -> None:
         """Give up on the session: wake any parked thread with a typed

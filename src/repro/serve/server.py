@@ -242,9 +242,9 @@ class ServingServer:
     def start(self) -> "ServingServer":
         if self._workers:
             return self
-        if self.scheduler is not None and self.server.garble_mode == "vectorized":
-            # ring + vectorized: pool misses from different tenants that
-            # share a circuit fingerprint co-batch into one AES pass
+        if self.scheduler is not None:
+            # ring: pool misses from different tenants that share a
+            # circuit fingerprint co-batch into one AES pass
             self.station = GarbleStation(telemetry=self.telemetry)
             self.server.attach_garble_station(self.station)
         if self.config.refill:

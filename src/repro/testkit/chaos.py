@@ -39,18 +39,15 @@ from repro.testkit.oracle import (
 #: change); ``recovery`` draws disconnect/shed/stall plans that
 #: exercise the session-resume machinery; ``handoff`` kills/drains
 #: members of a multi-gateway fleet mid-stream (:mod:`repro.fleet`);
-#: ``vectorized`` reruns the recovery and handoff oracles with
-#: ``garble_mode=vectorized``, so the zero-regarble invariant and
-#: resume bit-identity are proven against the stage-batched garbler too;
-#: ``backends`` reruns them against HE-backed sessions (protocol-v4
+#: ``backends`` reruns both against HE-backed sessions (protocol-v4
 #: backend negotiation) — checkpoint/resume must carry the backend id
 #: and shed/retry_after must be honored identically, with the
 #: zero-recompute oracle counting homomorphic products instead of
 #: garbled runs; ``tenants`` makes one tenant of a ring-scheduled
 #: serving layer misbehave (poison, stall, disconnect) and requires the
 #: other tenants' results to stay bit-identical and unstalled — the
-#: multi-tenant isolation contract, run vectorized so the cross-tenant
-#: batching path is the one under fire; ``processes`` runs the recovery
+#: multi-tenant isolation contract, with the cross-tenant batching
+#: path under fire; ``processes`` runs the recovery
 #: invariants against a fleet of *real* gateway subprocesses sharing
 #: one store file — SIGKILL (leaked lease, maybe a torn append),
 #: SIGTERM drains, and TCP cuts mid-stream, with the zero-regarble
@@ -62,8 +59,7 @@ from repro.testkit.oracle import (
 #: and the post-recovery gateway's controller state must match the
 #: checkpointed operating point after a drain/adopt handoff.
 PROFILES = (
-    "default", "recovery", "handoff", "vectorized", "backends", "tenants",
-    "processes", "slo",
+    "default", "recovery", "handoff", "backends", "tenants", "processes", "slo",
 )
 
 #: mixes the master seed with a session index (distinct from the
@@ -106,7 +102,7 @@ class ChaosConfig:
             )
         if self.gateways < 1:
             raise ConfigurationError("the fleet needs at least one gateway")
-        if (self.profile in ("handoff", "vectorized", "backends", "processes")
+        if (self.profile in ("handoff", "backends", "processes")
                 and self.gateways < 2):
             raise ConfigurationError(
                 f"the {self.profile} profile needs at least two gateways to "
@@ -213,11 +209,6 @@ class ChaosReport:
             "rounds": self.config.rounds,
             "pool_size": self.config.pool_size,
             "profile": self.config.profile,
-            "garble_mode": (
-                "vectorized"
-                if self.config.profile in ("vectorized", "tenants")
-                else "sequential"
-            ),
             "backend": (
                 "he" if self.config.profile == "backends" else "gc"
             ),
@@ -253,7 +244,6 @@ class ChaosRunner:
             seed=self.config.seed,
             auto_refill=True,
             telemetry=self.telemetry,
-            garble_mode=self.garble_mode,
         )
         self.oracle = ConformanceOracle(
             self.server,
@@ -269,15 +259,6 @@ class ChaosRunner:
 
     # ------------------------------------------------------------------
     @property
-    def garble_mode(self) -> str:
-        """The server garbling path this profile exercises.  The tenants
-        profile runs vectorized so isolation is proven on the shared
-        (cross-tenant co-batching) garble path, not the easy one."""
-        if self.config.profile in ("vectorized", "tenants"):
-            return "vectorized"
-        return "sequential"
-
-    @property
     def backend(self) -> str:
         """The private-MAC backend this profile's sessions negotiate."""
         return "he" if self.config.profile == "backends" else "gc"
@@ -288,16 +269,12 @@ class ChaosRunner:
         return "slo" if self.config.profile == "slo" else "static"
 
     def _is_handoff_session(self, session: int) -> bool:
-        """Which oracle a session runs under the differential profiles
-        (``vectorized``, ``backends``): they alternate recovery (even
-        sessions) and handoff (odd sessions) plans, seed-stable by
-        parity."""
+        """Which oracle a session runs: the ``backends`` profile
+        alternates recovery (even sessions) and handoff (odd sessions)
+        plans, seed-stable by parity."""
         if self.config.profile == "handoff":
             return True
-        return (
-            self.config.profile in ("vectorized", "backends")
-            and session % 2 == 1
-        )
+        return self.config.profile == "backends" and session % 2 == 1
 
     def plan_for(self, session: int) -> FaultPlan:
         session_seed = derive_session_seed(self.config.seed, session)
@@ -331,7 +308,7 @@ class ChaosRunner:
                 session_seed, recv_timeout_s=self.config.recv_timeout_s,
                 max_cut_frame=max_cut,
             )
-        if self.config.profile in ("recovery", "vectorized", "backends"):
+        if self.config.profile in ("recovery", "backends"):
             return FaultPlan.random_recovery(
                 session_seed, recv_timeout_s=self.config.recv_timeout_s,
                 max_cut_frame=max_cut,

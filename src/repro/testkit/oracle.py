@@ -722,7 +722,6 @@ class ConformanceOracle:
             seed=plan.seed,
             auto_refill=False,
             telemetry=self.telemetry,
-            garble_mode=getattr(self.server, "garble_mode", "sequential"),
         )
         recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
         config = ServingConfig(
@@ -865,7 +864,6 @@ class ConformanceOracle:
             seed=plan.seed,
             auto_refill=False,
             telemetry=self.telemetry,
-            garble_mode=getattr(self.server, "garble_mode", "sequential"),
         )
         recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
         config = ServingConfig(
@@ -1041,7 +1039,6 @@ class ConformanceOracle:
             seed=plan.seed,
             auto_refill=False,
             telemetry=self.telemetry,
-            garble_mode=getattr(self.server, "garble_mode", "sequential"),
         )
         recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
         config = ServingConfig(

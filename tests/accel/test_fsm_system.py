@@ -5,7 +5,7 @@ import pytest
 from repro.accel.engine import GCEngine
 from repro.accel.fsm import AcceleratorFSM
 from repro.accel.label_generator import LabelGenerator
-from repro.accel.maxelerator import MAXelerator, MaxSequentialGarbler, TimingModel
+from repro.accel.maxelerator import MAXelerator, TimingModel
 from repro.accel.memory import CoreMemorySimulator
 from repro.accel.resources import PAPER_TABLE1, ResourceModel
 from repro.accel.tree_mac import build_scheduled_mac
@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.gc.channel import local_channel, run_two_party
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
-from repro.gc.sequential_gc import SequentialEvaluator
+from repro.gc.sequential_gc import SequentialEvaluator, SequentialGarbler
 
 
 @pytest.fixture(scope="module")
@@ -119,15 +119,18 @@ class TestEndToEndEvaluation:
         assert from_bits(bits, signed=True) == sum(a * x for a, x in zip(a_vec, x_vec))
 
     def test_protocol_with_unmodified_software_client(self):
-        # "transparent to the evaluator": MaxSequentialGarbler speaks the
+        # "transparent to the evaluator": the FSM's run streams the
         # sequential-GC wire protocol to the stock SequentialEvaluator
         acc = MAXelerator(8, seed=7)
         g_chan, e_chan = local_channel()
-        garbler = MaxSequentialGarbler(acc, g_chan, TOY_GROUP)
+        garbler = SequentialGarbler(acc.circuit.circuit, g_chan, TOY_GROUP)
         client = SequentialEvaluator(acc.circuit.circuit, e_chan, TOY_GROUP)
         a_vec, x_vec = [13, -40, 7], [-3, 2, 110]
+        fsm_run = acc.garble(len(a_vec))
         _, e_rep = run_two_party(
-            lambda: garbler.run([to_bits(a, 8) for a in a_vec], reveal="both"),
+            lambda: garbler.run(
+                [to_bits(a, 8) for a in a_vec], reveal="both", garbled=fsm_run
+            ),
             lambda: client.run([to_bits(x, 8) for x in x_vec], reveal="both"),
         )
         assert from_bits(e_rep.output_bits, signed=True) == sum(

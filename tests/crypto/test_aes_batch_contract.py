@@ -33,8 +33,9 @@ from repro.gc.sequential_gc import (
     SequentialStreamer,
     materials_for_run,
 )
-from repro.gc.stage_plan import run_plan_for
-from repro.gc.vector_garble import VectorEvaluator, VectorGarbler, garble_mac_runs
+from repro.circuits.sequential import SequentialCircuit
+from repro.gc.stage_plan import run_plan_for, stage_plan_for
+from repro.gc.vector_garble import decode_tables, evaluate_run, garble_mac_runs
 from repro.telemetry import MetricsRegistry
 
 
@@ -158,75 +159,75 @@ class TestExplicitLayoutContract:
 
 
 class TestOneInvocationPerStage:
-    def _mac_netlist(self):
+    def _mac_circuit(self):
+        """The (stateless) MAC netlist as a one-round sequential circuit."""
         from repro.circuits.mac import build_mac_netlist
 
-        return build_mac_netlist(8)
+        return SequentialCircuit(build_mac_netlist(8), state_feedback=[])
 
     @pytest.mark.parametrize("n_sessions", [1, 2, 8])
     def test_cipher_counter_one_call_per_stage(self, n_sessions):
-        """The regression the tentpole exists for: adding sessions must
-        not add AES invocations — only blocks per invocation."""
-        net = self._mac_netlist()
+        """Adding sessions must not add AES invocations — only blocks
+        per invocation."""
+        circuit = self._mac_circuit()
+        plan = run_plan_for(circuit, 1)
         hash_fn = GarblingHash()
-        vg = VectorGarbler(net, hash_fn=hash_fn)
         factories = [
             LabelFactory(source=random.Random(s)) for s in range(n_sessions)
         ]
-        vg.garble(factories)
-        assert hash_fn.aes.batch_calls == vg.plan.n_stages
-        assert hash_fn.batch_calls == vg.plan.n_stages
+        garble_mac_runs(circuit, 1, factories, hash_fn=hash_fn)
+        assert hash_fn.aes.batch_calls == plan.n_stages
+        assert hash_fn.batch_calls == plan.n_stages
         assert hash_fn.aes.scalar_calls == 0
         # per-element accounting still matches the scalar garbler's
-        assert hash_fn.calls == n_sessions * 4 * vg.plan.n_and
-        assert hash_fn.aes.batch_blocks == n_sessions * 4 * vg.plan.n_and
+        assert hash_fn.calls == n_sessions * 4 * plan.n_and
+        assert hash_fn.aes.batch_blocks == n_sessions * 4 * plan.n_and
 
     def test_one_call_per_run_stage(self):
         """A whole MAC run is one pass over its run plan: neither rounds
         nor sessions add AES invocations."""
         from repro.accel.tree_mac import build_scheduled_mac
 
-        scheduled = build_scheduled_mac(8)
-        n_stages = run_plan_for(scheduled.circuit, 3).n_stages
+        circuit = build_scheduled_mac(8).circuit
+        n_stages = run_plan_for(circuit, 3).n_stages
         for n_sessions in (1, 3):
             tm = MetricsRegistry()
             factories = [
                 LabelFactory(source=random.Random(s)) for s in range(n_sessions)
             ]
-            garble_mac_runs(scheduled, 3, factories, telemetry=tm)
+            garble_mac_runs(circuit, 3, factories, telemetry=tm)
             assert tm.counter("gc.aes_batch_calls").value == n_stages
             assert tm.counter("gc.vector_sessions").value == n_sessions
 
     @pytest.mark.parametrize("n_rounds", [1, 3])
     def test_evaluator_one_hash_words_call_per_and_stage(self, n_rounds):
-        """The client mirrors the garbler: each AND stage of each round
-        is one ``hash_words`` call (two blocks per gate), no scalar AES."""
-        from repro.accel.tree_mac import build_scheduled_mac
-
-        scheduled = build_scheduled_mac(8)
-        net = scheduled.netlist
+        """The client mirrors the garbler: each AND stage of the run is
+        one ``hash_words`` call (two blocks per gate), no scalar AES."""
+        circuit = build_scheduled_mac(8).circuit
+        net = circuit.netlist
         [run] = garble_mac_runs(
-            scheduled, n_rounds, [LabelFactory(source=random.Random(5))]
+            circuit, n_rounds, [LabelFactory(source=random.Random(5))]
         )
-        hash_fn = GarblingHash()
-        ev = VectorEvaluator(net, hash_fn=hash_fn)
-        state = [p.zero for p in run.rounds[0].state_pairs]
+        n_and = stage_plan_for(net).n_and
+        inputs, tables = [], []
         for r in range(n_rounds):
             meta = run.rounds[r]
-            labels = dict(zip(net.state_inputs, state))
+            labels = {}
             for wires, pairs in (
                 (net.garbler_inputs, meta.garbler_pairs),
                 (net.evaluator_inputs, meta.evaluator_pairs),
             ):
                 labels.update({w: p.zero for w, p in zip(wires, pairs)})
             labels.update({w: p.zero for w, p in meta.const_pairs.items()})
-            result = ev.evaluate(
-                labels, ev.decode_tables(run.tables_payload(r)), r * len(net.gates)
-            )
-            state = result.labels_for_state(scheduled.circuit.state_feedback)
-        assert hash_fn.batch_calls == n_rounds * ev.plan.n_stages
-        assert hash_fn.aes.batch_calls == n_rounds * ev.plan.n_stages
-        assert hash_fn.aes.batch_blocks == n_rounds * 2 * ev.plan.n_and
+            inputs.append(labels)
+            tables.append(decode_tables(run.tables_payload(r), n_and))
+        state = [p.zero for p in run.rounds[0].state_pairs]
+        hash_fn = GarblingHash()
+        evaluate_run(circuit, 0, state, inputs, tables, hash_fn=hash_fn)
+        n_stages = run_plan_for(circuit, n_rounds).n_stages
+        assert hash_fn.batch_calls == n_stages
+        assert hash_fn.aes.batch_calls == n_stages
+        assert hash_fn.aes.batch_blocks == n_rounds * 2 * n_and
         assert hash_fn.aes.scalar_calls == 0
 
     def test_hash_words_refuses_copies_on_the_hot_path(self):
@@ -271,14 +272,15 @@ class TestRunPlanCallCount:
         assert n_stages <= 25
         g_hash = GarblingHash()
         [run] = garble_mac_runs(
-            scheduled, 4, [LabelFactory(source=random.Random(3))], hash_fn=g_hash
+            scheduled.circuit, 4, [LabelFactory(source=random.Random(3))],
+            hash_fn=g_hash,
         )
         assert g_hash.batch_calls == g_hash.aes.batch_calls == n_stages
 
         weights, xs = [3, -5, 7, 1], [2, 4, -6, 9]
         g_chan, e_chan = local_channel(recv_timeout_s=10.0)
         evaluator = SequentialEvaluator(scheduled.circuit, e_chan)
-        e_hash = evaluator.evaluator.hash
+        e_hash = evaluator.hash
         stream = SequentialStreamer(
             g_chan,
             materials_for_run(run, [to_bits(w, 8) for w in weights]),

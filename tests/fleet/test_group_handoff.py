@@ -219,6 +219,68 @@ class TestKillHandoff:
         finally:
             group.stop()
 
+    @pytest.mark.parametrize("ot_mode", ["per_round", "upfront"])
+    def test_crash_between_commit_and_last_frame_rewinds_bit_exact(self, ot_mode):
+        """The victim's ``on_commit`` hook raises right after round k's
+        store commit, before that round's last frame: the store says k
+        while the client holds k - 1 rounds.  A successor resumes from
+        the store, rewinds to the client's round and finishes bit-exact
+        with zero re-garbled rounds."""
+        k = 3
+        server = fresh_server()
+        reference = AnalyticsClient(server).query_row(1, X, ot_mode=ot_mode)
+        garbled0 = server.stats.runs_garbled
+        group = make_group(server).start()
+        committed, crashed = threading.Event(), threading.Event()
+        victim = group.gateways[0]
+        boundaries = victim._commit_boundaries
+
+        def crashing_boundaries(sid, state):
+            on_commit, on_round = boundaries(sid, state)
+
+            def commit_then_crash(next_round):
+                on_commit(next_round)  # the store CAS
+                if next_round == k:
+                    committed.set()
+                    crashed.wait(timeout=15.0)
+                    raise RuntimeError("gateway died between commit and last frame")
+
+            return commit_then_crash, on_round
+
+        victim._commit_boundaries = crashing_boundaries
+        client = client_for(group)
+        result = {}
+
+        def query():
+            try:
+                result["got"] = client.query_row(1, X, ot_mode=ot_mode)
+            except BaseException as exc:  # surfaced to the assertion below
+                result["err"] = exc
+
+        t = threading.Thread(target=query)
+        t.start()
+        try:
+            assert committed.wait(timeout=15.0), "round k was never committed"
+            assert group.store.committed_round(client.session_id) == k
+            transport = client.endpoint.transport
+            group.kill(0, hard=True)
+            transport.close()
+            crashed.set()
+            t.join(timeout=60.0)
+            assert not t.is_alive(), "query never finished after the crash"
+            if "err" in result:
+                raise result["err"]
+            assert result["got"] == reference  # bit-for-bit, not approx
+            assert server.stats.runs_garbled == garbled0 + 1
+            tm = server.telemetry
+            assert tm.counter("gateway.resumes.restart").value == 1
+            assert tm.counter("gateway.resumes.rewound").value == 1
+            assert client.endpoint.last_gateway_id in ("gw1", "gw2")
+        finally:
+            crashed.set()
+            client.close()
+            group.stop()
+
     def test_live_lease_sheds_then_expiry_steals(self):
         """Satellite (gateway layer): while the dead owner's lease is
         still live a peer's adoption is denied — a typed shed, served

@@ -2,7 +2,8 @@
 evaluator sees the same frames.
 
 A fresh :meth:`CloudServer.serve_row`, :func:`serve_from_checkpoint`
-from round 0 and :class:`MaxSequentialGarbler` all stream through
+from round 0 and :class:`~repro.gc.sequential_gc.SequentialGarbler`
+streaming a run of the paper's FSM model all go through
 :class:`~repro.gc.sequential_gc.SequentialStreamer`.  Fed one pooled
 run, they must send the same tag sequence with byte-identical
 payloads on every non-OT frame (OT frames carry fresh randomness), and
@@ -12,11 +13,10 @@ each transcript must decode to the plaintext dot product.
 import numpy as np
 import pytest
 
-from repro.accel.maxelerator import MaxSequentialGarbler
 from repro.bits import from_bits, to_bits
 from repro.fixedpoint import Q8_4
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator, SequentialGarbler
 from repro.host import CloudServer
 from repro.recover import checkpoint_from_stream, serve_from_checkpoint
 
@@ -54,16 +54,13 @@ def non_ot(sent):
 
 @pytest.mark.parametrize("ot_mode", OT_MODES)
 def test_fresh_resumed_and_fsm_garblers_send_one_transcript(ot_mode):
-    server = CloudServer(
-        MODEL, Q8_4, pool_size=0, seed=5, auto_refill=False,
-        garble_mode="sequential",
-    )
-    pooled = {}
+    server = CloudServer(MODEL, Q8_4, pool_size=0, seed=5, auto_refill=False)
+    accelerator = server.accelerator
+    pooled = {"run": accelerator.garble(server.rounds_per_request)}
 
     def fsm(channel):
-        garbler = MaxSequentialGarbler(server.accelerator, channel, server.group)
-        garbler.run(bits_of(MODEL[ROW]), ot_mode=ot_mode)
-        pooled["run"] = garbler.last_run
+        garbler = SequentialGarbler(accelerator.circuit.circuit, channel, server.group)
+        garbler.run(bits_of(MODEL[ROW]), ot_mode=ot_mode, garbled=pooled["run"])
 
     def fresh(channel):
         def on_run(stream):

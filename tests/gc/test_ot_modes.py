@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.accel.maxelerator import MAXelerator, MaxSequentialGarbler
+from repro.accel.maxelerator import MAXelerator
 from repro.bits import from_bits, to_bits
 from repro.circuits.mac import accumulator_width, build_sequential_mac
 from repro.crypto.ot import TOY_GROUP
@@ -83,10 +83,11 @@ class TestAcceleratorOtModes:
     def test_accelerator_supports_both_modes(self, mode):
         acc = MAXelerator(8, seed=17)
         g_chan, e_chan = local_channel()
-        garbler = MaxSequentialGarbler(acc, g_chan, TOY_GROUP)
+        garbler = SequentialGarbler(acc.circuit.circuit, g_chan, TOY_GROUP)
         client = SequentialEvaluator(acc.circuit.circuit, e_chan, TOY_GROUP)
+        fsm_run = acc.garble(len(A_VEC))
         _, e_rep = run_two_party(
-            lambda: garbler.run(rounds(A_VEC), ot_mode=mode),
+            lambda: garbler.run(rounds(A_VEC), ot_mode=mode, garbled=fsm_run),
             lambda: client.run(rounds(X_VEC)),
         )
         assert from_bits(e_rep.output_bits, signed=True) == EXPECT
@@ -94,6 +95,8 @@ class TestAcceleratorOtModes:
     def test_accelerator_rejects_bad_mode(self):
         acc = MAXelerator(8, seed=18)
         g_chan, _ = local_channel()
-        garbler = MaxSequentialGarbler(acc, g_chan, TOY_GROUP)
+        garbler = SequentialGarbler(acc.circuit.circuit, g_chan, TOY_GROUP)
         with pytest.raises(GCProtocolError):
-            garbler.run(rounds(A_VEC), ot_mode="never")
+            garbler.run(
+                rounds(A_VEC), ot_mode="never", garbled=acc.garble(len(A_VEC))
+            )

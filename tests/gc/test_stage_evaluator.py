@@ -1,17 +1,17 @@
-"""The stage-plan evaluator is bit-identical to the scalar evaluator.
+"""The run-plan evaluator is bit-identical to the scalar evaluator.
 
-``VectorEvaluator`` (the client's serving path) runs each AND stage as
-one batched hash over a ``(wires, 2)`` label array and reads the tables
-straight from the payload bytes; the gate-at-a-time
+``evaluate_run`` (the client's serving path, inside
+:class:`~repro.gc.sequential_gc.SequentialEvaluator`) runs each AND
+stage of a whole run as one batched hash over one label array and
+reads the tables straight from the payload bytes; the gate-at-a-time
 :class:`~repro.gc.evaluate.Evaluator` stays as its oracle.  Every
 property drives both from the same garbling and demands equal output
-labels, decode bits and hash-call counts — on the random circuits of
-``test_vector_bit_identity``, under tweak offsets and presets, across
-chained MAC rounds, and when a sequential session resumes mid-stream.
-A whole run evaluated in one pass on its run plan must match both the
-per-round stage evaluator and the scalar one, and a drain mid-stream
-must leave the progress at the last fully received round.  Malformed
-payloads must fail typed, never evaluate.
+labels and decode bits — on the random circuits of
+``test_vector_bit_identity`` (stateless, and with random state
+feedback from any start round), across chained MAC rounds, and when a
+sequential session resumes mid-stream.  A drain mid-stream must leave
+the progress at the last fully received round.  Malformed payloads
+must fail typed, never evaluate.
 """
 
 import random
@@ -34,14 +34,17 @@ from repro.gc.sequential_gc import (
     SequentialStreamer,
     materials_for_run,
 )
+from repro.gc.stage_plan import stage_plan_for
 from repro.gc.tables import TABLE_BYTES, serialize_tables
-from repro.gc.vector_garble import VectorEvaluator, evaluate_run, garble_mac_runs
+from repro.gc.vector_garble import decode_tables, evaluate_run, garble_mac_runs
 from repro.host import CloudServer
 from repro.recover import EvaluatorProgress, checkpoint_from_stream, serve_from_checkpoint
 
 from tests.gc.test_random_circuits import netlist_with_inputs
 from tests.gc.test_vector_bit_identity import (
-    preset_cases,
+    one_round,
+    random_sequential_circuits,
+    scalar_chain,
     scalar_garble,
     sequential_mac,
 )
@@ -58,15 +61,9 @@ def active_labels(net, gc, g_bits, e_bits):
     return labels
 
 
-def both_evaluations(net, gc, labels, tweak_offset=0):
-    scalar = Evaluator(net).evaluate(
-        gc.tables, labels, gc.output_permute_bits, tweak_offset=tweak_offset
-    )
-    ev = VectorEvaluator(net)
-    staged = ev.evaluate(
-        labels, ev.decode_tables(serialize_tables(gc.tables)), tweak_offset
-    )
-    return scalar, staged
+def decoded(net, tables) -> np.ndarray:
+    """A round's tables as ``evaluate_run`` reads them off the wire."""
+    return decode_tables(serialize_tables(tables), stage_plan_for(net).n_and)
 
 
 def decode(labels, permute_bits):
@@ -93,27 +90,44 @@ class TestRandomCircuits:
         net, g_bits, e_bits = case
         gc = scalar_garble(net, seed)
         labels = active_labels(net, gc, g_bits, e_bits)
-        scalar, staged = both_evaluations(net, gc, labels)
-        assert staged.output_labels == scalar.output_labels
-        assert staged.hash_calls == scalar.hash_calls
-        assert decode(staged.output_labels, gc.output_permute_bits) == (
+        scalar = Evaluator(net).evaluate(gc.tables, labels, gc.output_permute_bits)
+        [staged] = evaluate_run(one_round(net), 0, [], [labels], [decoded(net, gc.tables)])
+        assert staged == scalar.output_labels
+        assert decode(staged, gc.output_permute_bits) == (
             net.evaluate_plain(g_bits, e_bits)
         )
 
-    @given(preset_cases(), st.data())
+    @given(random_sequential_circuits(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_equal_under_presets_and_tweak_offsets(self, case, data):
-        net, seed, tweak_offset, n_preset = case
-
-        def preset(factory):
-            return {w: factory.fresh_pair() for w in net.garbler_inputs[:n_preset]}
-
-        gc = scalar_garble(net, seed, tweak_offset, preset)
-        g_bits = [data.draw(st.integers(0, 1)) for _ in net.garbler_inputs]
-        e_bits = [data.draw(st.integers(0, 1)) for _ in net.evaluator_inputs]
-        labels = active_labels(net, gc, g_bits, e_bits)
-        scalar, staged = both_evaluations(net, gc, labels, tweak_offset)
-        assert staged.output_labels == scalar.output_labels
+        """Tables of the scalar chain (preset state pairs, per-round
+        tweaks), evaluated in one pass from any start round, give the
+        scalar evaluator's labels round for round."""
+        circuit, n_rounds, seed = case
+        net = circuit.netlist
+        chain = scalar_chain(circuit, n_rounds, seed)
+        inputs, expected = [], []
+        state = [
+            chain[0].wire_pairs[w].select(b)
+            for w, b in zip(net.state_inputs, circuit.initial_state)
+        ]
+        carried = [state]
+        for r, gc in enumerate(chain):
+            g_bits = [data.draw(st.integers(0, 1)) for _ in net.garbler_inputs]
+            e_bits = [data.draw(st.integers(0, 1)) for _ in net.evaluator_inputs]
+            labels = active_labels(net, gc, g_bits, e_bits)
+            inputs.append(labels)
+            result = Evaluator(net).evaluate(
+                gc.tables, {**labels, **dict(zip(net.state_inputs, state))},
+                tweak_offset=r * len(net.gates),
+            )
+            expected.append(result.output_labels)
+            state = result.labels_for_state(circuit.state_feedback)
+            carried.append(state)
+        start = data.draw(st.integers(0, n_rounds - 1))
+        tables = [decoded(net, gc.tables) for gc in chain[start:]]
+        staged = evaluate_run(circuit, start, carried[start], inputs[start:], tables)
+        assert staged == expected[start:]
 
 
 class TestChainedMacRounds:
@@ -125,30 +139,27 @@ class TestChainedMacRounds:
     )
     @settings(max_examples=12, deadline=None)
     def test_rounds_carry_identical_state(self, bitwidth, n_rounds, seed, data):
-        """Round after round of a vectorised MAC run, both evaluators
-        carry the same accumulator labels and end on the same output."""
-        scheduled = build_scheduled_mac(bitwidth)
-        circuit = scheduled.circuit
+        """Round after round of a run-plan MAC run, the one-pass and the
+        scalar evaluator carry the same accumulator labels and end on
+        the same output."""
+        circuit = build_scheduled_mac(bitwidth).circuit
         net = circuit.netlist
         [run] = garble_mac_runs(
-            scheduled, n_rounds, [LabelFactory(source=random.Random(seed))]
+            circuit, n_rounds, [LabelFactory(source=random.Random(seed))]
         )
-        scalar_ev, staged_ev = Evaluator(net), VectorEvaluator(net)
-        initial = circuit.initial_state
-        state = [p.select(b) for p, b in zip(run.rounds[0].state_pairs, initial)]
-        for r in range(n_rounds):
-            g_bits = [data.draw(st.integers(0, 1)) for _ in net.garbler_inputs]
-            e_bits = [data.draw(st.integers(0, 1)) for _ in net.evaluator_inputs]
-            labels = round_labels(net, run.rounds[r], state, g_bits, e_bits)
-            offset = r * len(net.gates)
-            scalar = scalar_ev.evaluate(run.tables_for_round(r), labels, tweak_offset=offset)
-            staged = staged_ev.evaluate(
-                labels, staged_ev.decode_tables(run.tables_payload(r)), offset
-            )
-            assert staged.output_labels == scalar.output_labels
-            state = staged.labels_for_state(circuit.state_feedback)
-        assert decode(staged.output_labels, run.output_permute_bits) == decode(
-            scalar.output_labels, run.output_permute_bits
+        g_bits = random_bits(data, n_rounds, len(net.garbler_inputs))
+        e_bits = random_bits(data, n_rounds, len(net.evaluator_inputs))
+        expected = scalar_outputs(circuit, run, g_bits, e_bits)
+        inputs = [
+            round_labels(net, run.rounds[r], [], g_bits[r], e_bits[r])
+            for r in range(n_rounds)
+        ]
+        tables = [decode_tables(run.tables_payload(r), stage_plan_for(net).n_and)
+                  for r in range(n_rounds)]
+        staged = evaluate_run(circuit, 0, initial_state(circuit, run), inputs, tables)
+        assert staged == expected
+        assert decode(staged[-1], run.output_permute_bits) == decode(
+            expected[-1], run.output_permute_bits
         )
 
 
@@ -238,11 +249,10 @@ class TestMalformedPayloads:
     @given(st.integers(0, 4 * TABLE_BYTES * 162).filter(lambda n: n != TABLE_BYTES * 162))
     @settings(max_examples=40, deadline=None)
     def test_wrong_length_is_a_typed_error(self, n_bytes):
-        net = build_scheduled_mac(8, 19).netlist
-        ev = VectorEvaluator(net)
-        assert ev.plan.n_and == 162
+        plan = stage_plan_for(build_scheduled_mac(8, 19).netlist)
+        assert plan.n_and == 162
         with pytest.raises(GCProtocolError, match="table bytes"):
-            ev.decode_tables(bytes(n_bytes))
+            decode_tables(bytes(n_bytes), plan.n_and)
 
     @pytest.mark.parametrize("delta", [-TABLE_BYTES, -1, 1, TABLE_BYTES])
     def test_sequential_evaluator_rejects_truncated_and_oversized(self, delta):
@@ -251,7 +261,7 @@ class TestMalformedPayloads:
         circuit = build_scheduled_mac(4).circuit
         g_chan, e_chan = local_channel(recv_timeout_s=5.0)
         evaluator = SequentialEvaluator(circuit, e_chan)
-        n_and = evaluator.evaluator.plan.n_and
+        n_and = evaluator.plan.n_and
         g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
         g_chan.send("seq.ot_mode", b"per_round")
         g_chan.send("seq.tables", bytes(TABLE_BYTES * n_and + delta))
@@ -260,13 +270,16 @@ class TestMalformedPayloads:
             evaluator.run([[0] * n_in])
 
     def test_missing_input_label_is_a_typed_error(self):
-        net = build_scheduled_mac(4).netlist
-        ev = VectorEvaluator(net)
-        tables = ev.decode_tables(bytes(TABLE_BYTES * ev.plan.n_and))
-        labels = {w: 0 for w in net.input_wires + list(net.constants)}
+        circuit = build_scheduled_mac(4).circuit
+        net = circuit.netlist
+        n_and = stage_plan_for(net).n_and
+        tables = decode_tables(bytes(TABLE_BYTES * n_and), n_and)
+        labels = {w: 0 for w in net.garbler_inputs + net.evaluator_inputs}
+        labels.update({w: 0 for w in net.constants})
         del labels[net.evaluator_inputs[0]]
+        state = [0] * len(net.state_inputs)
         with pytest.raises(GCProtocolError, match="missing labels"):
-            ev.evaluate(labels, tables)
+            evaluate_run(circuit, 0, state, [labels], [tables])
 
 
 def random_bits(data, n_rounds, width):
@@ -309,12 +322,12 @@ class TestRunPlanEvaluator:
         self, kind, n_rounds, n_sessions, seed, data
     ):
         """Every round's output labels of one run-plan pass equal the
-        per-round stage evaluator's and the scalar evaluator's, from
-        round 0 and from any resumed ``start_round``."""
-        circuit = sequential_mac(kind)
-        seq, net = circuit.circuit, circuit.netlist
+        scalar evaluator's round after round, from round 0 and from any
+        resumed ``start_round``."""
+        seq = sequential_mac(kind)
+        net = seq.netlist
         runs = garble_mac_runs(
-            circuit,
+            seq,
             n_rounds,
             [LabelFactory(source=random.Random(seed + i)) for i in range(n_sessions)],
         )
@@ -322,19 +335,7 @@ class TestRunPlanEvaluator:
         g_bits = random_bits(data, n_rounds, len(net.garbler_inputs))
         e_bits = random_bits(data, n_rounds, len(net.evaluator_inputs))
         expected = scalar_outputs(seq, run, g_bits, e_bits)
-
-        staged_ev = VectorEvaluator(net)
-        state = initial_state(seq, run)
-        for r in range(n_rounds):
-            labels = round_labels(net, run.rounds[r], state, g_bits[r], e_bits[r])
-            staged = staged_ev.evaluate(
-                labels,
-                staged_ev.decode_tables(run.tables_payload(r)),
-                r * len(net.gates),
-            )
-            assert staged.output_labels == expected[r]
-            state = staged.labels_for_state(seq.state_feedback)
-
+        n_and = stage_plan_for(net).n_and
         start = data.draw(st.integers(0, n_rounds - 1))
         carried = (
             initial_state(seq, run)
@@ -345,7 +346,7 @@ class TestRunPlanEvaluator:
         inputs = [
             round_labels(net, run.rounds[r], [], g_bits[r], e_bits[r]) for r in rest
         ]
-        tables = [staged_ev.decode_tables(run.tables_payload(r)) for r in rest]
+        tables = [decode_tables(run.tables_payload(r), n_and) for r in rest]
         assert evaluate_run(seq, start, carried, inputs, tables) == expected[start:]
 
 
@@ -362,11 +363,11 @@ class TestDrainMidStream:
     )
     @settings(max_examples=10, deadline=None)
     def test_drain_then_resume_is_bit_exact(self, kind, n_rounds, ot_mode, seed, data):
-        circuit = sequential_mac(kind)
-        seq, net = circuit.circuit, circuit.netlist
+        seq = sequential_mac(kind)
+        net = seq.netlist
         drain_at = data.draw(st.integers(1, n_rounds))
         [run] = garble_mac_runs(
-            circuit, n_rounds, [LabelFactory(source=random.Random(seed))]
+            seq, n_rounds, [LabelFactory(source=random.Random(seed))]
         )
         weights = [data.draw(st.integers(-8, 7)) for _ in range(n_rounds)]
         xs = [data.draw(st.integers(-8, 7)) for _ in range(n_rounds)]

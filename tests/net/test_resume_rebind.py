@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import HandshakeError, ResumeError
+from repro.errors import HandshakeError, ResumeError, WireError
 from repro.fixedpoint import Q8_4
 from repro.host import CloudServer
 from repro.net import GCGateway, RemoteAnalyticsClient
@@ -209,6 +209,40 @@ class TestResumeRejects:
             client.close()
         finally:
             gw.stop()
+
+
+class TestStopWithParkedSession:
+    def test_stop_wakes_a_parked_session_at_once(self, server):
+        """No resume can reach a stopping gateway, so ``stop()`` ends a
+        session parked on a broken wire at once — with the outcome the
+        resume window's expiry gives: a typed wire error, and the
+        session's checkpoint and lease left as they were."""
+        config = ServingConfig(
+            workers=1, queue_depth=2, refill=False,
+            recv_timeout_s=RECV_TIMEOUT, resume_window_s=30.0,
+        )
+        gw = GCGateway(server, config=config)
+        gw.serving.start()
+        client = resumable_client(gw)
+        try:
+            client.query_row(0, X)
+            sid = client.session_id
+            session = gw._live[sid]
+            stored = gw.store.get(sid).to_dict()
+            holder = gw.store.lease_holder(sid)
+            cut_wire(client)
+            time.sleep(0.2)  # the session parks on its broken wire
+            t0 = time.monotonic()
+            gw.stop()
+            assert time.monotonic() - t0 < 2.0
+        finally:
+            client.endpoint.disable_resume()
+            client.close()
+            gw.stop()
+        assert not session.thread.is_alive()
+        assert isinstance(gw._last_session_error, WireError)
+        assert gw.store.get(sid).to_dict() == stored
+        assert gw.store.lease_holder(sid) == holder
 
 
 class TestVersionNegotiation:

@@ -33,8 +33,7 @@ MODEL = np.array([[1.5, -0.5], [0.25, 2.0]])
 
 def _vector_server(**kwargs):
     return CloudServer(
-        MODEL, Q8_4, pool_size=0, seed=7, auto_refill=False,
-        garble_mode="vectorized", **kwargs,
+        MODEL, Q8_4, pool_size=0, seed=7, auto_refill=False, **kwargs,
     )
 
 

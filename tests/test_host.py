@@ -9,7 +9,7 @@ from repro.accel.label_generator import LabelGenerator
 from repro.crypto.labels import LabelFactory
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import Q8_4
-from repro.host import GARBLE_MODES, AnalyticsClient, CloudServer
+from repro.host import AnalyticsClient, CloudServer
 
 MODEL = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]])
 
@@ -123,7 +123,7 @@ class TestModelManagement:
 
 def input_label_zeros(run, r):
     """Every zero label a round draws fresh, through the interface both
-    run types (FSM and vectorised) expose."""
+    run types (run plan and FSM) expose."""
     meta = run.rounds[r]
     pairs = meta.garbler_pairs + meta.evaluator_pairs + list(meta.const_pairs.values())
     if r == 0:
@@ -133,10 +133,11 @@ def input_label_zeros(run, r):
 
 class TestFreshLabelsPerServing:
     def test_two_servings_use_different_tables(self):
-        # each pooled run is consumed once; reuse would break security
-        for mode in GARBLE_MODES:
-            server = CloudServer(MODEL, Q8_4, pool_size=2, seed=27, garble_mode=mode)
-            a, b = list(server._pool)
+        # each pooled run is consumed once; reuse would break security —
+        # for the pool's run-plan runs and for two runs of the FSM model
+        server = CloudServer(MODEL, Q8_4, pool_size=2, seed=27)
+        fsm = [server.accelerator.garble(server.rounds_per_request) for _ in "ab"]
+        for mode, (a, b) in (("run plan", list(server._pool)), ("fsm", fsm)):
             assert a.offset != b.offset, mode
             for r in range(server.rounds_per_request):
                 pa, pb = bytes(a.tables_payload(r)), bytes(b.tables_payload(r))
@@ -153,7 +154,6 @@ class TestFreshLabelsPerServing:
         exactly like the FSM path — not from a Mersenne Twister, whose
         state the evaluator could recover from the labels it sees."""
         server = CloudServer(MODEL, Q8_4, pool_size=2, seed=27)
-        assert server.garble_mode == "vectorized"
         net = server.accelerator.circuit.netlist
         for i, run in enumerate(server._pool):
             factory = LabelGenerator(Q8_4.total_bits, seed=27 + i).factory

@@ -14,11 +14,10 @@ from repro import (
     schedule_rounds,
 )
 from repro.accel.fsm import AcceleratorFSM
-from repro.accel.maxelerator import MaxSequentialGarbler
 from repro.bits import from_bits, to_bits
 from repro.crypto.ot import TOY_GROUP
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import SequentialEvaluator
+from repro.gc.sequential_gc import SequentialEvaluator, SequentialGarbler
 
 
 class TestCrossBackendEquality:
@@ -41,19 +40,19 @@ class TestSixteenBitSystem:
     def test_full_16bit_dot_product_on_accelerator(self):
         acc = MAXelerator(16, seed=5)
         g_chan, e_chan = local_channel()
-        garbler = MaxSequentialGarbler(acc, g_chan, TOY_GROUP)
+        garbler = SequentialGarbler(acc.circuit.circuit, g_chan, TOY_GROUP)
         client = SequentialEvaluator(acc.circuit.circuit, e_chan, TOY_GROUP)
         a_vec = [-30000, 12345, 77]
         x_vec = [2, -3, 999]
+        run = acc.garble(len(a_vec))
         _, e_rep = run_two_party(
-            lambda: garbler.run([to_bits(a, 16) for a in a_vec]),
+            lambda: garbler.run([to_bits(a, 16) for a in a_vec], garbled=run),
             lambda: client.run([to_bits(x, 16) for x in x_vec]),
         )
         assert from_bits(e_rep.output_bits, signed=True) == sum(
             a * x for a, x in zip(a_vec, x_vec)
         )
         # timing metadata from the run is consistent with Table 2
-        run = garbler.last_run
         assert run.schedule.steady_state_cycles_per_mac == 48
 
 

@@ -54,7 +54,6 @@ class TestBackendsConfig:
             ("default", {}),
             ("recovery", {}),
             ("handoff", {"gateways": 2}),
-            ("vectorized", {"gateways": 2}),
         ):
             cfg = ChaosConfig(profile=profile, sessions=2, seed=7, **kw)
             assert ChaosRunner(cfg).backend == "gc", profile

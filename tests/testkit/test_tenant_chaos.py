@@ -2,7 +2,7 @@
 its own problem.
 
 The ``tenants`` profile draws poison / stall / disconnect faults against
-a victim tenant on a ring-scheduled, vectorized serving layer.  The
+a victim tenant on a ring-scheduled, run-plan serving layer.  The
 oracle then proves the multi-tenant contract: every bystander tenant's
 query returns the bit-identical MAC result within the deadline, the
 victim's own fate is typed, no worker dies, and the credit ledger still
@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.gc.vector_garble import VectorRun
 from repro.testkit import (
     PROFILES,
     TENANT_FAULT_KINDS,
@@ -38,11 +39,10 @@ class TestTenantsProfile:
         assert "tenants" in PROFILES
 
     def test_runner_uses_the_vectorized_path(self):
-        """Cross-tenant batching only exists on the vector garbler, so
-        that is the path the isolation tier must stress."""
+        """Cross-tenant batching runs on the run-plan garbler, the one
+        path the isolation tier stresses."""
         runner = ChaosRunner(_config(seed=7))
-        assert runner.garble_mode == "vectorized"
-        assert runner.server.garble_mode == "vectorized"
+        assert all(isinstance(run, VectorRun) for run in runner.server._pool)
 
     def test_every_plan_is_a_tenant_plan(self):
         runner = ChaosRunner(_config(seed=7, sessions=12))
@@ -98,7 +98,6 @@ class TestTenantIsolationTier:
             header = json.loads(fh.readline())
         assert header["record"] == "chaos_header"
         assert header["profile"] == "tenants"
-        assert header["garble_mode"] == "vectorized"
 
     def test_replay_is_deterministic(self, report, tmp_path):
         log = tmp_path / "tenants.jsonl"

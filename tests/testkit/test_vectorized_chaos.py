@@ -1,30 +1,46 @@
-"""The vectorized chaos tier: recovery + handoff oracles on the
-stage-batched garbler.
+"""The in-process chaos tiers on the vectorised (run-plan) garbler.
 
-The ``vectorized`` profile reruns the protocol-v3 resume machinery and
-the fleet migration contract with ``garble_mode="vectorized"``: every
-session must end with the bit-identical MAC result, zero re-garbled
-rounds on handoff, and a verdict in {tolerated, recovered} — the same
-invariants the sequential tiers pin, now proven against the vector
-path the serving layer actually batches with.
+Every in-process tier serves runs garbled on the run plan — the one
+garbling path — so the recovery and handoff oracles prove resume
+bit-identity and zero re-garbled rounds against the code that serves
+traffic.  The live tier below runs both at the two pinned seeds (four
+recovery and four handoff sessions each, pool-less, two gateways):
+every session must end with the bit-identical MAC result and a verdict
+in {tolerated, recovered}.  The seed→plan stream of every profile is
+pinned, so the garbling path never moves a fault.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.gc.vector_garble import VectorRun
 from repro.testkit import (
+    PROFILES,
     RECOVERED,
     TOLERATED,
     ChaosConfig,
     ChaosRunner,
 )
 
+#: sha256 prefix of each profile's (plan, workload, OT mode) stream for
+#: sessions 0-7 at seed 11 — pinned, the garbling path must not move it
+PLAN_STREAM_DIGESTS = {
+    "default": "c68b9e36839c23a1",
+    "recovery": "9f6a6b436f2e06d7",
+    "handoff": "ec2ee990204f5231",
+    "backends": "2ae28a0856615462",
+    "tenants": "d48df093aa50d6c1",
+    "processes": "c82d2badcf14d60c",
+    "slo": "16dd2c051a00b1cb",
+}
 
-def _config(seed, sessions=4):
+
+def _config(profile, seed, sessions=4):
     return ChaosConfig(
-        profile="vectorized",
+        profile=profile,
         sessions=sessions,
         seed=seed,
         gateways=2,
@@ -35,45 +51,35 @@ def _config(seed, sessions=4):
 
 class TestVectorizedConfig:
     def test_profile_requires_two_gateways(self):
+        """The recovery+handoff mix is the two profiles themselves; the
+        handoff one still needs a peer to hand off to."""
         with pytest.raises(ConfigurationError, match="at least two"):
-            ChaosConfig(profile="vectorized", gateways=1).validate()
+            ChaosConfig(profile="handoff", gateways=1).validate()
+        with pytest.raises(ConfigurationError, match="unknown chaos profile"):
+            ChaosConfig(profile="vectorized").validate()
 
     def test_server_runs_the_vector_path(self):
-        runner = ChaosRunner(_config(seed=7))
-        assert runner.garble_mode == "vectorized"
-        assert runner.server.garble_mode == "vectorized"
-        # the sequential tiers are untouched
-        assert ChaosRunner(ChaosConfig(sessions=2, seed=7)).garble_mode == (
-            "sequential"
-        )
-
-    def test_plan_stream_alternates_recovery_and_handoff(self):
-        """Even sessions exercise resume plans, odd sessions fleet
-        handoffs — parity-stable so replays reconstruct the split."""
-        runner = ChaosRunner(_config(seed=7, sessions=6))
-        for s in range(6):
-            plan = runner.plan_for(s)
-            assert plan.is_handoff == (s % 2 == 1), (s, plan)
+        for profile in PROFILES:
+            runner = ChaosRunner(
+                ChaosConfig(profile=profile, sessions=2, seed=7, gateways=2)
+            )
+            pool = list(runner.server._pool)
+            assert pool and all(isinstance(run, VectorRun) for run in pool), profile
 
     def test_plan_draws_match_the_sequential_tiers(self):
-        """Same seed, same session -> same fault plan as the dedicated
-        recovery/handoff profiles: the vectorized tier is a pure
-        garble-mode differential, not a new fault distribution."""
-        vec = ChaosRunner(_config(seed=11, sessions=4))
-        rec = ChaosRunner(
-            ChaosConfig(profile="recovery", sessions=4, seed=11, pool_size=0)
-        )
-        hand = ChaosRunner(
-            ChaosConfig(
-                profile="handoff", sessions=4, seed=11, gateways=2, pool_size=0
-            )
-        )
-        assert vec.plan_for(0) == rec.plan_for(0)
-        assert vec.plan_for(2) == rec.plan_for(2)
-        assert vec.plan_for(1) == hand.plan_for(1)
-        assert vec.plan_for(3) == hand.plan_for(3)
-        for s in range(4):
-            assert vec.workload_for(s) == rec.workload_for(s)
+        """Same seed, same session -> the pinned fault plan, workload and
+        OT mode for every profile."""
+        for profile in PROFILES:
+            runner = ChaosRunner(_config(profile, seed=11, sessions=8))
+            stream = [
+                (runner.plan_for(s).to_dict(), runner.workload_for(s),
+                 runner.ot_mode_for(s))
+                for s in range(8)
+            ]
+            digest = hashlib.sha256(
+                json.dumps(stream, sort_keys=True).encode()
+            ).hexdigest()[:16]
+            assert digest == PLAN_STREAM_DIGESTS[profile], profile
 
 
 class TestVectorizedTier:
@@ -81,41 +87,47 @@ class TestVectorizedTier:
 
     @pytest.fixture(scope="class", params=[7, 2026], ids=["seed7", "seed2026"])
     def report(self, request):
-        return ChaosRunner(_config(seed=request.param)).run()
+        return [
+            ChaosRunner(_config(profile, seed=request.param)).run()
+            for profile in ("recovery", "handoff")
+        ]
 
     def test_green_on_the_pinned_seed(self, report):
-        assert report.ok, report.format()
-        for v in report.verdicts:
-            assert v.verdict in (TOLERATED, RECOVERED), report.format()
+        for rep in report:
+            assert rep.ok, rep.format()
+            for v in rep.verdicts:
+                assert v.verdict in (TOLERATED, RECOVERED), rep.format()
 
     def test_recovered_sessions_resumed_bit_identically(self, report):
         """Every fault that fired must have been healed by the resume or
         handoff machinery with the bit-identical answer — the oracle
         embeds the differential check in the verdict detail."""
-        recovered = [v for v in report.verdicts if v.verdict == RECOVERED]
-        for v in recovered:
-            assert "bit-identical" in v.detail, v
+        for rep in report:
+            for v in rep.verdicts:
+                if v.verdict == RECOVERED:
+                    assert "bit-identical" in v.detail, v
 
-    def test_log_header_records_the_garble_mode(self, report, tmp_path):
-        log = tmp_path / "vectorized.jsonl"
-        report.write_log(log)
-        with open(log) as fh:
-            header = json.loads(fh.readline())
-        assert header["record"] == "chaos_header"
-        assert header["profile"] == "vectorized"
-        assert header["garble_mode"] == "vectorized"
+    def test_log_header_records_the_profile(self, report, tmp_path):
+        for rep in report:
+            log = tmp_path / f"{rep.config.profile}.jsonl"
+            rep.write_log(log)
+            with open(log) as fh:
+                header = json.loads(fh.readline())
+            assert header["record"] == "chaos_header"
+            assert header["profile"] == rep.config.profile
 
     def test_replay_is_deterministic(self, report, tmp_path):
-        log = tmp_path / "vectorized.jsonl"
-        report.write_log(log)
-        replayed = ChaosRunner.replay(log)
-        assert replayed.ok, replayed.format()
         # attempts (signature()[5]) is retry count: a drained gateway's
         # failover can land first try or second depending on scheduling,
         # so compare every seed-stable field except it
         def stable(rep):
             return [v.signature()[:5] + v.signature()[6:] for v in rep.verdicts]
 
-        assert stable(replayed) == stable(report), (
-            "vectorized replay diverged from the original run"
-        )
+        for rep in report:
+            log = tmp_path / f"{rep.config.profile}.jsonl"
+            rep.write_log(log)
+            replayed = ChaosRunner.replay(log)
+            assert replayed.ok, replayed.format()
+            assert stable(replayed) == stable(rep), (
+                f"{rep.config.profile} replay diverged from the original run"
+            )
