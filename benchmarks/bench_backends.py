@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -41,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.fixedpoint import Q8_4  # noqa: E402
+from repro.perf.provenance import git_rev  # noqa: E402
 from repro.privatemac import BACKENDS, open_session  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -75,22 +75,6 @@ WORKLOADS = {
     "portfolio": (2, 8),
 }
 SMOKE_WORKLOADS = {"ridge": (2, 2)}
-
-
-def git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 def _grid(rng, shape):
@@ -148,7 +132,7 @@ def run_bench(args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": ARTIFACT_NAME,
         "generated_by": "benchmarks/bench_backends.py",
-        "git_rev": git_rev(),
+        "git_rev": git_rev(REPO_ROOT),
         "seed": args.seed,
         "config": {
             "bitwidth": Q8_4.total_bits,

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
 import sys
 import threading
 import time
@@ -51,6 +50,7 @@ import numpy as np  # noqa: E402
 
 from repro.fleet import ProcessFleet  # noqa: E402
 from repro.net import RemoteAnalyticsClient  # noqa: E402
+from repro.perf.provenance import git_rev  # noqa: E402
 from repro.recover import BackoffPolicy  # noqa: E402
 from repro.serve import ServingConfig  # noqa: E402
 
@@ -90,22 +90,6 @@ CONFIG_KEYS = (
 
 RECV_TIMEOUT_S = 20.0
 FAULT_DEADLINE_S = 60.0
-
-
-def git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -163,7 +147,7 @@ def timed_session(fleet, audit, args, index: int, fire=None):
 
         def query():
             try:
-                result["got"] = client.query_row(row, x, ot_mode="per_round")
+                result["got"] = client.query_row(row, x)
             except BaseException as exc:  # classified below, not swallowed
                 result["err"] = exc
 
@@ -273,7 +257,7 @@ def run_bench(args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": ARTIFACT_NAME,
         "generated_by": "benchmarks/bench_fleet.py",
-        "git_rev": git_rev(),
+        "git_rev": git_rev(REPO_ROOT),
         "seed": args.seed,
         "config": {
             "members": args.members,

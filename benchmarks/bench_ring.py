@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -38,6 +37,7 @@ import numpy as np  # noqa: E402
 from repro.accel.ring import CoreRing, RingConfig, TenantSpec  # noqa: E402
 from repro.fixedpoint import Q8_4  # noqa: E402
 from repro.host import CloudServer  # noqa: E402
+from repro.perf.provenance import git_rev  # noqa: E402
 from repro.serve import GarbleStation  # noqa: E402
 from repro.telemetry import MetricsRegistry  # noqa: E402
 
@@ -73,22 +73,6 @@ CONFIG_KEYS = (
     "cobatch_runs",
     "smoke",
 )
-
-
-def git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 def _tenant_mix(scenario: str, n_tenants: int) -> list[TenantSpec]:
@@ -193,7 +177,7 @@ def run_bench(args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": ARTIFACT_NAME,
         "generated_by": "benchmarks/bench_ring.py",
-        "git_rev": git_rev(),
+        "git_rev": git_rev(REPO_ROOT),
         "seed": args.seed,
         "config": {
             "n_tenants": args.n_tenants,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -44,6 +43,7 @@ import numpy as np  # noqa: E402
 
 from repro.fixedpoint import Q8_4  # noqa: E402
 from repro.host import CloudServer  # noqa: E402
+from repro.perf.provenance import git_rev  # noqa: E402
 from repro.serve import (  # noqa: E402
     LoadSample,
     ServingConfig,
@@ -94,22 +94,6 @@ CONFIG_KEYS = (
     "calibration_queries",
     "smoke",
 )
-
-
-def git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +260,7 @@ def run_bench(args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": ARTIFACT_NAME,
         "generated_by": "benchmarks/bench_slo_knee.py",
-        "git_rev": git_rev(),
+        "git_rev": git_rev(REPO_ROOT),
         "seed": args.seed,
         "config": {
             "p99_target_ms": args.p99_target_ms,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -39,6 +38,7 @@ import numpy as np  # noqa: E402
 from repro.fixedpoint import Q8_4  # noqa: E402
 from repro.gc.stage_plan import stage_plan_for  # noqa: E402
 from repro.host import AnalyticsClient, CloudServer  # noqa: E402
+from repro.perf.provenance import git_rev  # noqa: E402
 from repro.telemetry import MetricsRegistry  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -67,22 +67,6 @@ CONFIG_KEYS = (
     "serve_queries",
     "smoke",
 )
-
-
-def git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 def _make_server(seed: int, rounds: int) -> CloudServer:
@@ -170,7 +154,7 @@ def run_bench(args) -> dict:
         "schema_version": SCHEMA_VERSION,
         "artifact": ARTIFACT_NAME,
         "generated_by": "benchmarks/bench_vector_garble.py",
-        "git_rev": git_rev(),
+        "git_rev": git_rev(REPO_ROOT),
         "seed": args.seed,
         "config": {
             "bitwidth": Q8_4.total_bits,

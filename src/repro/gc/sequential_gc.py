@@ -39,14 +39,6 @@ from repro.he.mac import HE_RESULT_TAG
 from repro.telemetry import MetricsRegistry
 
 
-#: OT scheduling modes (Section 3 of the paper): per-round OT keeps the
-#: client's label memory at one round's worth; upfront OT extension
-#: transfers every round's labels at once (fewer protocol flights, more
-#: client memory) — "the evaluator may not have enough memory to store
-#: all the labels together".
-OT_MODES = ("per_round", "upfront")
-
-
 @dataclass
 class SequentialReport:
     """Summary of a multi-round sequential GC execution."""
@@ -56,9 +48,6 @@ class SequentialReport:
     bytes_sent: int
     n_tables: int
     hash_calls: int
-    #: evaluator-side: peak bytes of buffered input labels (the paper's
-    #: memory-constrained-client trade-off)
-    peak_input_label_bytes: int = 0
 
 
 @dataclass
@@ -158,11 +147,9 @@ class SequentialStreamer:
     sessions (:class:`repro.recover.checkpoint.CheckpointStreamer`) and
     whole runs (:class:`SequentialGarbler`) all stream through it.
 
-    ``begin()`` sends the preamble (``seq.rounds``, ``seq.ot_mode``)
-    and, in ``upfront`` mode, one OT over every remaining round's
-    evaluator pairs in round order.  ``stream_round()`` sends one round
-    — ``seq.tables``, ``seq.garbler_labels``, the round's ``ot.e`` in
-    ``per_round`` mode, then ``seq.const_labels`` and
+    ``begin()`` sends the preamble, ``seq.rounds``.  ``stream_round()``
+    sends one round — ``seq.tables``, ``seq.garbler_labels``, the
+    round's OT answer, then ``seq.const_labels`` and
     ``seq.state_labels`` on round 0 — and returns True while rounds
     remain.
     OT runs on ``ot``, the connection's
@@ -191,7 +178,6 @@ class SequentialStreamer:
         channel: Endpoint,
         materials: list[RoundMaterial],
         output_permute_bits: list[int] | None = None,
-        ot_mode: str = "per_round",
         group: DHGroup = DEFAULT_GROUP,
         start_round: int = 0,
         backend: str = "gc",
@@ -204,7 +190,6 @@ class SequentialStreamer:
         self.channel = channel
         self.materials = list(materials)
         self.output_permute_bits = output_permute_bits
-        self.ot_mode = ot_mode
         self.group = group
         self.start_round = start_round
         self.rounds = start_round + len(self.materials)
@@ -228,7 +213,7 @@ class SequentialStreamer:
         return self.finish()
 
     def begin(self) -> None:
-        """Send the preamble (and the remaining upfront OT)."""
+        """Send the preamble."""
         self._begun = True
         if self.checkpoint is not None:
             self.checkpoint.begin_stream(self.start_round)
@@ -236,11 +221,6 @@ class SequentialStreamer:
             # the HE client is parked in recv("he.result") and expects it first
             return
         self.channel.send("seq.rounds", self.rounds.to_bytes(4, "big"))
-        self.channel.send("seq.ot_mode", self.ot_mode.encode("ascii"))
-        if self.ot_mode == "upfront":
-            # the evaluator slices its labels relative to start_round,
-            # so the transfer concatenates the remaining rounds in order
-            self._transfer([p for m in self.materials for p in m.evaluator_pairs], 0)
 
     def stream_round(self) -> bool:
         """Stream one round; returns True while more rounds remain."""
@@ -256,11 +236,10 @@ class SequentialStreamer:
         else:
             chan.send("seq.tables", m.tables)
             chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
-            if self.ot_mode == "per_round":
-                later = self.materials[self.streamed + 1 :]
-                self._transfer(
-                    m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
-                )
+            later = self.materials[self.streamed + 1 :]
+            self._transfer(
+                m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
+            )
             # the round ends on a label frame, sent after its commit
             frames = [("seq.const_labels", _u128_payload(m.const_labels))]
             if m.state_labels is not None:
@@ -327,14 +306,11 @@ class SequentialGarbler:
         self,
         round_inputs: list[list[int]],
         reveal: str = "evaluator",
-        ot_mode: str = "per_round",
         garbled=None,
     ) -> SequentialReport:
         rounds = len(round_inputs)
         if rounds == 0:
             raise GCProtocolError("sequential GC needs at least one round")
-        if ot_mode not in OT_MODES:
-            raise GCProtocolError(f"ot_mode must be one of {OT_MODES}")
         if garbled is None:
             [garbled] = garble_mac_runs(self.circuit, rounds, [self.factory])
         elif garbled.n_rounds != rounds:
@@ -348,7 +324,6 @@ class SequentialGarbler:
             self.channel,
             materials_for_run(garbled, round_inputs),
             reveal_map,
-            ot_mode,
             self.group,
         ).run()
         output_bits = None
@@ -446,9 +421,6 @@ class SequentialEvaluator:
             raise GCProtocolError(
                 f"garbler runs {rounds} rounds but evaluator supplied {len(round_inputs)}"
             )
-        ot_mode = chan.recv("seq.ot_mode").decode()
-        if ot_mode not in OT_MODES:
-            raise GCProtocolError(f"garbler announced unknown ot_mode '{ot_mode}'")
 
         n_in = len(net.evaluator_inputs)
         for r, bits in enumerate(round_inputs):
@@ -456,16 +428,6 @@ class SequentialEvaluator:
                 raise GCProtocolError(
                     f"round {r}: expected {n_in} evaluator bits"
                 )
-
-        upfront_labels: list[int] = []
-        peak_label_bytes = 16 * n_in
-        if ot_mode == "upfront" and n_in and start_round < rounds:
-            # Only the *remaining* rounds' labels: on a resume the
-            # garbler (any gateway holding the checkpoint) re-runs one
-            # OT over rounds start_round..M-1, concatenated in order.
-            choices = [b for bits in round_inputs[start_round:] for b in bits]
-            upfront_labels = self.ot.receive(chan, choices, upcoming=[])
-            peak_label_bytes = 16 * len(choices)
 
         state = list(state_labels) if state_labels else []
         inputs: list[dict[int, int]] = []
@@ -478,10 +440,7 @@ class SequentialEvaluator:
                     zip(net.garbler_inputs, chan.recv_u128_list("seq.garbler_labels"))
                 )
                 my_labels: list[int] = []
-                if ot_mode == "upfront":
-                    base = (r - start_round) * n_in
-                    my_labels = upfront_labels[base : base + n_in]
-                elif n_in:
+                if n_in:
                     later = None
                     if r == start_round:
                         later = [b for bits in round_inputs[r + 1 :] for b in bits]
@@ -514,7 +473,6 @@ class SequentialEvaluator:
             bytes_sent=chan.sent.payload_bytes,
             n_tables=0,
             hash_calls=2 * self.plan.n_and * len(outputs),
-            peak_input_label_bytes=peak_label_bytes,
         )
 
     def _evaluate(self, start_round, state, inputs, tables, progress) -> list:
@@ -549,13 +507,12 @@ def run_sequential(
     evaluator_rounds: list[list[int]],
     reveal: str = "evaluator",
     group: DHGroup = DEFAULT_GROUP,
-    ot_mode: str = "per_round",
 ) -> tuple[SequentialReport, SequentialReport]:
     """Run the multi-round protocol on a local channel; both reports."""
     g_chan, e_chan = local_channel()
     garbler = SequentialGarbler(circuit, g_chan, group)
     evaluator = SequentialEvaluator(circuit, e_chan, group)
     return run_two_party(
-        lambda: garbler.run(garbler_rounds, reveal, ot_mode=ot_mode),
+        lambda: garbler.run(garbler_rounds, reveal),
         lambda: evaluator.run(evaluator_rounds, reveal),
     )

@@ -42,7 +42,6 @@ from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import FixedPointFormat, Q16_8
 from repro.gc.channel import local_channel, run_two_party
 from repro.gc.sequential_gc import (
-    OT_MODES,
     RoundMaterial,
     SequentialEvaluator,
     SequentialStreamer,
@@ -274,7 +273,6 @@ class CloudServer:
     # serving
     # ------------------------------------------------------------------
     def serve_row(self, channel, row_index: int, on_round=None, on_run=None,
-                  ot_mode: str = "per_round",
                   ot: OTExtensionSender | None = None) -> None:
         """Serve one dot product <model[row], x> to a connected client.
 
@@ -289,17 +287,10 @@ class CloudServer:
         :class:`~repro.errors.SessionDrainedError`) to abort streaming
         at a round boundary.
 
-        ``ot_mode`` follows :data:`repro.gc.sequential_gc.OT_MODES`:
-        ``per_round`` sends each round's OT answer with the round,
-        ``upfront`` every round's evaluator labels before the first
-        round (more client memory).  ``ot`` is the connection's OT pool
-        (:class:`~repro.crypto.ot.OTExtensionSender`); without one the
-        query sets up a pool of its own.
+        Each round carries its own OT answer, drawn from ``ot``, the
+        connection's OT pool (:class:`~repro.crypto.ot.OTExtensionSender`);
+        without one the query sets up a pool of its own.
         """
-        if ot_mode not in OT_MODES:
-            raise ConfigurationError(
-                f"unknown OT mode {ot_mode!r} (expected one of {OT_MODES})"
-            )
         with self._lock:
             n_rows = self.model.shape[0]
             encoded_row = (
@@ -315,7 +306,6 @@ class CloudServer:
                 channel,
                 materials_for_run(run, bits),
                 run.output_permute_bits,
-                ot_mode,
                 self.group,
                 on_round=on_round,
                 telemetry=tm,
@@ -416,7 +406,7 @@ class AnalyticsClient:
         self._ot_sender = OTExtensionSender(server.group)
         self._ot_receiver = OTExtensionReceiver(server.group)
 
-    def query_row(self, row_index: int, x_values, ot_mode: str = "per_round") -> float:
+    def query_row(self, row_index: int, x_values) -> float:
         """Learn <model[row], x> without revealing x."""
         x = np.asarray(x_values, dtype=np.float64)
         if x.shape != (self.server.rounds_per_request,):
@@ -432,9 +422,7 @@ class AnalyticsClient:
             plan=accelerator.plan, ot=self._ot_receiver,
         )
         _, report = run_two_party(
-            lambda: self.server.serve_row(
-                g_chan, row_index, ot_mode=ot_mode, ot=self._ot_sender
-            ),
+            lambda: self.server.serve_row(g_chan, row_index, ot=self._ot_sender),
             lambda: evaluator.run(x_bits),
         )
         raw = from_bits(report.output_bits, signed=True)

@@ -45,7 +45,7 @@ from repro.errors import (
     SessionDrainedError,
 )
 from repro.fixedpoint import FixedPointFormat
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.sequential_gc import SequentialEvaluator
 from repro.gc.stage_plan import stage_plan_for, warm_run_plans
 from repro.he import (
     HE_QUERY_TAG,
@@ -227,22 +227,15 @@ class RemoteAnalyticsClient:
         """Noise budget of the last HE decryption (None on GC sessions)."""
         return self._he.last_noise_budget_bits if self._he is not None else None
 
-    def query_row(self, row_index: int, x_values, ot_mode: str = "per_round") -> float:
+    def query_row(self, row_index: int, x_values) -> float:
         """Learn <model[row], x> without revealing x — over the wire.
 
         Survives (when resumable) a gateway shed, a mid-stream
         disconnect, and a graceful drain: the query always either
         completes with the correct scalar or raises a typed error.
-        ``ot_mode`` picks the label-transfer schedule (see
-        :data:`repro.gc.sequential_gc.OT_MODES`); either mode survives a
-        mid-query migration to another gateway.
         """
         if self._closed:
             raise ServingError("client is closed")
-        if ot_mode not in OT_MODES:
-            raise GCProtocolError(
-                f"unknown OT mode {ot_mode!r} (expected one of {OT_MODES})"
-            )
         x = np.asarray(x_values, dtype=np.float64)
         if x.shape != (self.descriptor.rounds,):
             raise GCProtocolError(
@@ -253,7 +246,7 @@ class RemoteAnalyticsClient:
         x_bits = [
             to_bits(int(v), self.fmt.total_bits) for v in self.fmt.encode_array(x)
         ]
-        self._admit(row_index, ot_mode)
+        self._admit(row_index)
         report = self._evaluate(x_bits)
         raw = from_bits(report.output_bits, signed=True)
         return self.fmt.decode_product(raw)
@@ -269,7 +262,7 @@ class RemoteAnalyticsClient:
         receive phase — so the client only ever re-enters the receive.
         """
         ep = self.endpoint
-        self._admit(row_index, "per_round")
+        self._admit(row_index)
         ep.send(HE_QUERY_TAG, self._he.encrypt_query(x))
         while True:
             try:
@@ -294,12 +287,10 @@ class RemoteAnalyticsClient:
             self.telemetry.counter("client.he_queries").inc()
         return self.fmt.decode_product(raw)
 
-    def _admit(self, row_index: int, ot_mode: str = "per_round") -> None:
+    def _admit(self, row_index: int) -> None:
         """QUERY until ACKed, honoring ``net.retry_after`` shed replies."""
         ep = self.endpoint
-        payload = json.dumps(
-            {"row": int(row_index), "ot_mode": ot_mode}, sort_keys=True
-        ).encode()
+        payload = json.dumps({"row": int(row_index)}).encode()
         for attempt in range(self.backoff.max_attempts):
             ep.send(QUERY_TAG, payload)
             tag, reply = ep.recv_any((ACK_TAG, ERROR_TAG, RETRY_AFTER_TAG))

@@ -69,7 +69,6 @@ from repro.errors import (
     SessionDrainedError,
     WireError,
 )
-from repro.gc.sequential_gc import OT_MODES
 from repro.host import CloudServer
 from repro.net.endpoint import SocketEndpoint
 from repro.net.handshake import (
@@ -610,7 +609,6 @@ class GCGateway:
             resume_window_s=cfg.resume_window_s,
             telemetry=self.telemetry,
             recv_timeout_s=cfg.recv_timeout_s,
-            replay_capacity=cfg.replay_buffer_frames,
         )
         with self._sessions_lock:
             self._live[session.session_id] = session
@@ -638,15 +636,8 @@ class GCGateway:
         try:
             query = json.loads(payload.decode())
             row = int(query["row"])
-            ot_mode = str(query.get("ot_mode", "per_round"))
         except (ValueError, KeyError, TypeError) as exc:
             channel.send(ERROR_TAG, f"malformed query: {exc}".encode())
-            return
-        if ot_mode not in OT_MODES:
-            channel.send(
-                ERROR_TAG,
-                f"unknown ot_mode {ot_mode!r} (expected one of {OT_MODES})".encode(),
-            )
             return
         if not 0 <= row < self.descriptor.n_rows:
             channel.send(
@@ -673,8 +664,7 @@ class GCGateway:
         try:
             request = self.serving.submit_remote(
                 row, channel, on_round=on_round, on_run=on_run,
-                ot_mode=ot_mode, backend=session.backend,
-                tenant=session.tenant, ot=session.ot,
+                backend=session.backend, tenant=session.tenant, ot=session.ot,
             )
         except OverloadedError as exc:  # transient saturation: shed with a hint
             # nothing was garbled: don't pin the admission lease

@@ -36,9 +36,11 @@ from repro.errors import GCProtocolError, HandshakeError, WireError
 #: for ``he``, the derived BFV ``backend_params``; and (v5) OT runs on
 #: a connection-scoped IKNP pool — ``ot.pool`` announcement, in-band
 #: ``ot.setup`` / ``ot.ext.u``, one ``ot.d`` correction flight per
-#: query, ``ot.e`` answers (:mod:`repro.crypto.ot`).  A hello at any
+#: query, ``ot.e`` answers (:mod:`repro.crypto.ot`); and (v6) one OT
+#: schedule — each round carries its own ``ot.e`` answer, so neither
+#: the GC preamble nor ``net.query`` names a schedule.  A hello at any
 #: other version gets a typed ``net.reject``.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 HELLO_TAG = "net.hello"
 WELCOME_TAG = "net.welcome"

@@ -40,7 +40,7 @@ from repro.crypto.ot import (
 from repro.errors import ConfigurationError, GCProtocolError
 from repro.fixedpoint import FixedPointFormat, Q16_8
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.sequential_gc import SequentialEvaluator
 from repro.host import CloudServer
 
 #: The negotiable private-MAC backends: garbled circuits (the paper's
@@ -131,16 +131,10 @@ class GCPrivateMACSession(PrivateMACSession):
 
     def __init__(self, model_matrix, fmt: FixedPointFormat = Q16_8, *,
                  seed: int | None = None, group: DHGroup = TOY_GROUP,
-                 ot_mode: str = "per_round",
                  pool_size: int = 1):
-        if ot_mode not in OT_MODES:
-            raise ConfigurationError(
-                f"unknown OT mode {ot_mode!r} (expected one of {OT_MODES})"
-            )
         self.server = CloudServer(
             model_matrix, fmt, pool_size=pool_size, group=group, seed=seed,
         )
-        self.ot_mode = ot_mode
         self._ot_sender = OTExtensionSender(group)
         self._ot_receiver = OTExtensionReceiver(group)
         super().__init__(fmt, self.server.model.shape[0],
@@ -162,9 +156,7 @@ class GCPrivateMACSession(PrivateMACSession):
             plan=accelerator.plan, ot=self._ot_receiver,
         )
         _, report = run_two_party(
-            lambda: self.server.serve_row(
-                g_chan, row_index, ot_mode=self.ot_mode, ot=self._ot_sender
-            ),
+            lambda: self.server.serve_row(g_chan, row_index, ot=self._ot_sender),
             lambda: evaluator.run(x_bits),
         )
         acct = self.accounting

@@ -7,7 +7,7 @@ the pre-serialized tables, the already-selected garbler/constant
 labels, the evaluator label pairs for fresh OT, and the output
 permutation map.  The server streams ahead of the client's
 verified-receive counter — after the client's one OT-correction
-flight nothing throttles its lead, in either OT mode — so advancing
+flight nothing throttles its lead — so advancing
 prunes nothing: every streamed round stays as the unacked tail, and
 only :meth:`SessionCheckpoint.rewind_to` discards material.  Each
 checkpoint keeps a ``stream_boundaries`` map from round boundaries to
@@ -75,7 +75,6 @@ class SessionCheckpoint:
     send_seq: int = 0
     recv_seq: int = 0
     client_name: str = ""
-    ot_mode: str = "per_round"
     stream_boundaries: list[list[int]] = field(default_factory=list)
     #: Which private-MAC backend produced the material: ``gc`` rounds
     #: carry tables/labels/OT pairs, ``he`` sessions carry the one
@@ -92,7 +91,7 @@ class SessionCheckpoint:
         """Mark rounds below ``next_round`` streamed.
 
         Nothing is pruned: past the client's OT corrections the server
-        free-runs arbitrarily far ahead of it in either OT mode, so
+        free-runs arbitrarily far ahead of it, so
         only :meth:`rewind_to` (which knows what the client acked) may
         discard material.
         """
@@ -169,7 +168,6 @@ class SessionCheckpoint:
             "send_seq": self.send_seq,
             "recv_seq": self.recv_seq,
             "client_name": self.client_name,
-            "ot_mode": self.ot_mode,
             "stream_boundaries": [list(b) for b in self.stream_boundaries],
             "backend": self.backend,
             "tenant": self.tenant,
@@ -191,7 +189,6 @@ class SessionCheckpoint:
                 send_seq=int(data["send_seq"]),
                 recv_seq=int(data["recv_seq"]),
                 client_name=str(data["client_name"]),
-                ot_mode=str(data["ot_mode"]),
                 stream_boundaries=[
                     [int(b[0]), int(b[1])] for b in data["stream_boundaries"]
                 ],
@@ -250,7 +247,6 @@ def checkpoint_from_stream(
         materials=list(stream.materials),
         output_permute_bits=list(stream.output_permute_bits or []),
         client_name=client_name,
-        ot_mode=stream.ot_mode,
         backend=stream.backend,
         tenant=tenant,
     )
@@ -289,7 +285,6 @@ class CheckpointStreamer(SequentialStreamer):
             channel,
             [checkpoint.material_for(r) for r in range(start, checkpoint.rounds)],
             checkpoint.output_permute_bits,
-            ot_mode=checkpoint.ot_mode,
             group=group,
             start_round=start,
             backend=checkpoint.backend,

@@ -103,6 +103,11 @@ class BackoffPolicy:
         return d
 
 
+#: Sent frames a resumable endpoint keeps for replay after a wire break
+#: (the oldest are dropped first).
+REPLAY_BUFFER_FRAMES = 4096
+
+
 class ResumableClientEndpoint(EndpointBase):
     """The client's session endpoint: survives wire breaks by resuming.
 
@@ -122,7 +127,7 @@ class ResumableClientEndpoint(EndpointBase):
         policy: BackoffPolicy | None = None,
         telemetry=None,
         recv_timeout_s: float | None = None,
-        replay_capacity: int = 4096,
+        replay_capacity: int = REPLAY_BUFFER_FRAMES,
         sleeper=time.sleep,
     ):
         super().__init__(
@@ -371,7 +376,7 @@ class RebindableEndpoint(EndpointBase):
         resume_window_s: float = 30.0,
         telemetry=None,
         recv_timeout_s: float | None = None,
-        replay_capacity: int = 4096,
+        replay_capacity: int = REPLAY_BUFFER_FRAMES,
     ):
         super().__init__(
             transport.name, TrafficStats(), telemetry, recv_timeout_s

@@ -96,9 +96,9 @@ class ResumeHandle:
 class BatchedResumeRequest(PendingRequest):
     """One queue slot streaming N restored sessions round-robin.
 
-    ``_execute`` opens every entry's stream (preamble + remaining
-    upfront OT), then interleaves ``stream_round()`` across the live
-    entries until all are drained.  Entries fail independently; the
+    ``_execute`` opens every entry's stream (its preamble), then
+    interleaves ``stream_round()`` across the live entries until all
+    are drained.  Entries fail independently; the
     request itself only reports whether the batch ran.
     """
 

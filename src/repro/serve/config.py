@@ -177,8 +177,7 @@ class ServingConfig:
     ``net.retry_after``; ``resume_window_s`` is how long a broken
     session waits parked for the client to reconnect before giving up;
     ``drain_timeout_s`` is the SIGTERM drain deadline;
-    ``replay_buffer_frames`` bounds the per-endpoint resume replay
-    buffer; ``checkpoint_ttl_s`` is the session-store eviction horizon.
+    ``checkpoint_ttl_s`` is the session-store eviction horizon.
 
     Fleet knobs: ``lease_ttl_s`` bounds how long a gateway owns
     a session without committing a round before another gateway may
@@ -201,7 +200,6 @@ class ServingConfig:
     retry_after_s: float = 0.25
     resume_window_s: float = 5.0
     drain_timeout_s: float = 10.0
-    replay_buffer_frames: int = 4096
     checkpoint_ttl_s: float = 300.0
     lease_ttl_s: float = 30.0
     resume_batch_window_s: float = 0.02
@@ -246,10 +244,6 @@ class ServingConfig:
     #: and how much of the shed probability applies to it.  Unnamed
     #: tenants are bronze.
     slo_classes: tuple = ()
-    #: Seed for the controller's deterministic admission-shed draw
-    #: stream (same seed + same admission order sheds the same
-    #: requests).
-    slo_seed: int = 0
 
     def validate(self) -> "ServingConfig":
         if self.workers < 1:
@@ -272,8 +266,6 @@ class ServingConfig:
             raise ConfigurationError("resume window must be positive")
         if self.drain_timeout_s <= 0:
             raise ConfigurationError("drain timeout must be positive")
-        if self.replay_buffer_frames < 1:
-            raise ConfigurationError("replay buffer must hold at least one frame")
         if self.checkpoint_ttl_s <= 0:
             raise ConfigurationError("checkpoint TTL must be positive")
         if self.lease_ttl_s <= 0:

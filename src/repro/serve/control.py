@@ -62,6 +62,10 @@ KNOBS = (KNOB_WORKERS, KNOB_BATCH, KNOB_SHED)
 #: independent of everything else derived from the same seed
 _SHED_DRAW_SALT = 0x5EDC0DE
 
+#: Seed of the admission-shed draw stream (same seed + same admission
+#: order sheds the same requests).
+SHED_SEED = 0
+
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -244,7 +248,7 @@ class SLOController:
         workers: int | None = None,
         batch_max: int | None = None,
         telemetry=None,
-        seed: int = 0,
+        seed: int = SHED_SEED,
     ):
         self.config = config.validate()
         self.telemetry = telemetry
@@ -283,7 +287,7 @@ class SLOController:
         )
         return cls(
             slo, workers=config.workers, batch_max=config.resume_batch_max,
-            telemetry=telemetry, seed=config.slo_seed,
+            telemetry=telemetry,
         )
 
     # ------------------------------------------------------------------

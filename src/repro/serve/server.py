@@ -115,8 +115,7 @@ class RemoteSessionRequest(PendingRequest):
     retryable = False
 
     def __init__(self, row_index: int, endpoint, deadline: float,
-                 on_round=None, on_run=None, ot_mode: str = "per_round",
-                 backend: str = "gc", ot=None):
+                 on_round=None, on_run=None, backend: str = "gc", ot=None):
         super().__init__(row_index, None, deadline)
         self.endpoint = endpoint
         self.start_gate = threading.Event()
@@ -124,7 +123,6 @@ class RemoteSessionRequest(PendingRequest):
         #: the gateway checkpoints the session through these
         self.on_round = on_round
         self.on_run = on_run
-        self.ot_mode = ot_mode
         #: negotiated private-MAC backend: ``gc`` garbles to the
         #: client, ``he`` answers its ciphertext query
         self.backend = backend
@@ -144,8 +142,7 @@ class RemoteSessionRequest(PendingRequest):
             return True
         client.server.serve_row(
             self.endpoint, self.row_index,
-            on_round=self.on_round, on_run=self.on_run,
-            ot_mode=self.ot_mode, ot=self.ot,
+            on_round=self.on_round, on_run=self.on_run, ot=self.ot,
         )
         return True
 
@@ -480,8 +477,8 @@ class ServingServer:
 
     def submit_remote(
         self, row_index: int, endpoint, block: bool = False,
-        on_round=None, on_run=None, ot_mode: str = "per_round",
-        backend: str = "gc", tenant: str = "", ot=None,
+        on_round=None, on_run=None, backend: str = "gc", tenant: str = "",
+        ot=None,
     ) -> RemoteSessionRequest:
         """Enqueue a remote evaluator session (the gateway's entry point).
 
@@ -491,10 +488,9 @@ class ServingServer:
         gateway turns backpressure into an immediate typed reply instead
         of holding the client's socket silent.  ``on_round``/``on_run``
         are the checkpointing hooks threaded through to
-        :meth:`CloudServer.serve_row`; ``ot_mode`` is the client's
-        negotiated OT scheduling mode and ``ot`` its connection's OT
-        pool; ``backend`` is the session's negotiated private-MAC
-        backend (``he`` sessions route to
+        :meth:`CloudServer.serve_row`; ``ot`` is the client
+        connection's OT pool; ``backend`` is the session's negotiated
+        private-MAC backend (``he`` sessions route to
         :meth:`CloudServer.serve_row_he`).
         """
         req = RemoteSessionRequest(
@@ -503,7 +499,6 @@ class ServingServer:
             deadline=time.perf_counter() + self.config.request_timeout_s,
             on_round=on_round,
             on_run=on_run,
-            ot_mode=ot_mode,
             backend=backend,
             ot=ot,
         )

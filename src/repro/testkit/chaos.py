@@ -66,9 +66,6 @@ PROFILES = (
 #: workload stream's mixer so plan and workload are independent draws)
 _SEED_STRIDE = 1_000_003
 _WORKLOAD_SALT = 0x9E3779B9
-#: a third independent stream: the handoff profile's per-session OT
-#: mode draw (per_round vs upfront) must not perturb plan or workload
-_OT_MODE_SALT = 0x51F15EED
 
 
 def derive_session_seed(master_seed: int, session: int) -> int:
@@ -317,18 +314,6 @@ class ChaosRunner:
             session_seed, recv_timeout_s=self.config.recv_timeout_s
         )
 
-    def ot_mode_for(self, session: int) -> str:
-        """Seed-stable OT mode for a session: handoff sessions mix
-        upfront-OT in (about one in three) so migrations cover both
-        label-transfer schedules; everything else stays per-round
-        (their verdict fingerprints are pinned)."""
-        if not self._is_handoff_session(session):
-            return "per_round"
-        rng = random.Random(
-            derive_session_seed(self.config.seed, session) ^ _OT_MODE_SALT
-        )
-        return "upfront" if rng.random() < (1.0 / 3.0) else "per_round"
-
     def workload_for(self, session: int) -> tuple[int, list[float]]:
         """The (row, x) a session queries — grid-snapped, seed-stable."""
         rng = random.Random(
@@ -349,8 +334,7 @@ class ChaosRunner:
                 plan = self.plan_for(session)
                 row, x = self.workload_for(session)
                 verdict = self.oracle.run_session(
-                    plan, row, x, self.transport_for(session),
-                    ot_mode=self.ot_mode_for(session),
+                    plan, row, x, self.transport_for(session)
                 )
                 verdict.session = session
                 verdicts.append(verdict)
@@ -430,8 +414,7 @@ class ChaosRunner:
                 plan = FaultPlan.from_dict(rec["plan"])
                 row, x = runner.workload_for(session)
                 verdict = runner.oracle.run_session(
-                    plan, row, x, runner.transport_for(session),
-                    ot_mode=runner.ot_mode_for(session),
+                    plan, row, x, runner.transport_for(session)
                 )
                 verdict.session = session
                 verdicts.append(verdict)

@@ -259,7 +259,6 @@ class ConformanceOracle:
     # ------------------------------------------------------------------
     def run_session(
         self, plan: FaultPlan, row: int, x_values, transport: str = "memory",
-        ot_mode: str = "per_round",
     ) -> SessionVerdict:
         """Run one session under ``plan`` and return its verdict."""
         if ABORT_HANDSHAKE in plan.kinds:
@@ -271,9 +270,9 @@ class ConformanceOracle:
         elif plan.is_tenant:
             verdict = self.run_tenant_isolation(plan, row, x_values)
         elif plan.is_process:
-            verdict = self.run_process_session(plan, row, x_values, ot_mode)
+            verdict = self.run_process_session(plan, row, x_values)
         elif plan.is_handoff:
-            verdict = self.run_gateway_handoff(plan, row, x_values, ot_mode)
+            verdict = self.run_gateway_handoff(plan, row, x_values)
         elif plan.is_recovery:
             if self.controller == "slo":
                 verdict = self.run_slo_recovery(plan, row, x_values)
@@ -1012,7 +1011,7 @@ class ConformanceOracle:
             serving.stop()
 
     def run_gateway_handoff(
-        self, plan: FaultPlan, row: int, x_values, ot_mode: str = "per_round"
+        self, plan: FaultPlan, row: int, x_values
     ) -> SessionVerdict:
         """Kill or drain one member of a gateway fleet mid-stream; a
         peer sharing the session store must finish the query.
@@ -1021,9 +1020,8 @@ class ConformanceOracle:
         migrated session ends with the bit-identical MAC result, exactly
         one run is garbled (``pool_size=0`` makes ``runs_garbled`` an
         exact no-double-garbling oracle — a lease-fencing failure shows
-        up as a delta of 2), and either OT mode survives the handoff
-        (an ``upfront`` session's remaining label slices ride in the
-        checkpoint).
+        up as a delta of 2), and the remaining rounds' OT re-runs from
+        the checkpoint's label pairs.
         """
         from repro.fleet import GatewayGroup
 
@@ -1082,7 +1080,7 @@ class ConformanceOracle:
 
             def attempt():
                 try:
-                    box["value"] = client.query_row(row, x_values, ot_mode=ot_mode)
+                    box["value"] = client.query_row(row, x_values)
                 except BaseException as exc:
                     box["error"] = exc
 
@@ -1164,8 +1162,8 @@ class ConformanceOracle:
         if spec.kind == KILL_GATEWAY:
             # the power-cut model: the member dies AND the client's wire
             # drops.  Closing only the server side would leave buffered
-            # socketpair bytes readable — a free-running upfront stream
-            # could finish without ever migrating, testing nothing.
+            # socketpair bytes readable — a stream that never waits on the
+            # client could finish without ever migrating, testing nothing.
             transport = client.endpoint.transport
             group.kill(spec.gateway)
             try:
@@ -1230,7 +1228,7 @@ class ConformanceOracle:
         return fleet
 
     def run_process_session(
-        self, plan: FaultPlan, row: int, x_values, ot_mode: str = "per_round"
+        self, plan: FaultPlan, row: int, x_values
     ) -> SessionVerdict:
         """Kill (``SIGKILL``), drain (``SIGTERM``), or cut the wire to a
         member of a *real* subprocess fleet mid-stream.
@@ -1278,7 +1276,7 @@ class ConformanceOracle:
 
             def attempt():
                 try:
-                    box["value"] = client.query_row(row, x_values, ot_mode=ot_mode)
+                    box["value"] = client.query_row(row, x_values)
                 except BaseException as exc:
                     box["error"] = exc
 

@@ -62,14 +62,14 @@ def client_for(group, start_at=0):
     )
 
 
-def run_handoff(group, fault, ot_mode="per_round", row=1):
+def run_handoff(group, fault, row=1):
     """Start a query, fire ``fault(sid)`` at the first committed
     round-boundary checkpoint, and return the client plus its result.
 
     The trigger hooks the store's two commit paths (admission ``put``,
-    boundary ``cas_advance``) rather than polling: in ``upfront`` OT
-    mode every round evaluates within ~1 ms once the single OT flight
-    lands, so a polling loop usually misses the mid-query window.
+    boundary ``cas_advance``) rather than polling: once the client's
+    single OT flight lands the gateway streams every round without
+    waiting, so a polling loop usually misses the mid-query window.
     """
     client = client_for(group)
     result = {}
@@ -94,7 +94,7 @@ def run_handoff(group, fault, ot_mode="per_round", row=1):
 
     def query():
         try:
-            result["got"] = client.query_row(row, X, ot_mode=ot_mode)
+            result["got"] = client.query_row(row, X)
         except BaseException as exc:  # surfaced to the assertion below
             result["err"] = exc
 
@@ -156,14 +156,13 @@ class TestGroupLifecycle:
 
 
 class TestKillHandoff:
-    @pytest.mark.parametrize("ot_mode", ["per_round", "upfront"])
-    def test_kill_mid_query_migrates_bit_exact(self, ot_mode):
+    def test_kill_mid_query_migrates_bit_exact(self):
         """A gateway crash mid-stream: the client fails over, a peer
         steals the expired lease, and the result is bit-identical to the
         uninterrupted reference with zero re-garbled rounds."""
         server = fresh_server()
         # uninterrupted reference, garbled independently
-        reference = AnalyticsClient(server).query_row(1, X, ot_mode=ot_mode)
+        reference = AnalyticsClient(server).query_row(1, X)
         garbled0 = server.stats.runs_garbled
         group = make_group(server).start()
         try:
@@ -174,7 +173,7 @@ class TestKillHandoff:
                 # gateway wrote; drop them so the break is observable
                 transport.close()
 
-            client, got = run_handoff(group, fault, ot_mode=ot_mode)
+            client, got = run_handoff(group, fault)
             try:
                 assert got == reference  # bit-for-bit, not approx
                 # the migrated session was garbled exactly once
@@ -219,8 +218,7 @@ class TestKillHandoff:
         finally:
             group.stop()
 
-    @pytest.mark.parametrize("ot_mode", ["per_round", "upfront"])
-    def test_crash_between_commit_and_last_frame_rewinds_bit_exact(self, ot_mode):
+    def test_crash_between_commit_and_last_frame_rewinds_bit_exact(self):
         """The victim's ``on_commit`` hook raises right after round k's
         store commit, before that round's last frame: the store says k
         while the client holds k - 1 rounds.  A successor resumes from
@@ -228,7 +226,7 @@ class TestKillHandoff:
         with zero re-garbled rounds."""
         k = 3
         server = fresh_server()
-        reference = AnalyticsClient(server).query_row(1, X, ot_mode=ot_mode)
+        reference = AnalyticsClient(server).query_row(1, X)
         garbled0 = server.stats.runs_garbled
         group = make_group(server).start()
         committed, crashed = threading.Event(), threading.Event()
@@ -253,7 +251,7 @@ class TestKillHandoff:
 
         def query():
             try:
-                result["got"] = client.query_row(1, X, ot_mode=ot_mode)
+                result["got"] = client.query_row(1, X)
             except BaseException as exc:  # surfaced to the assertion below
                 result["err"] = exc
 

@@ -68,7 +68,7 @@ def run_query_with_fault(fleet, client, fire, row=1, x=X6,
 
     def query():
         try:
-            result["got"] = client.query_row(row, x, ot_mode="per_round")
+            result["got"] = client.query_row(row, x)
         except BaseException as exc:
             result["err"] = exc
 

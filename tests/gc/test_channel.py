@@ -162,7 +162,6 @@ class TestServingErrorPaths:
         g_chan, e_chan = local_channel()
         evaluator, rounds = self._evaluator(e_chan)
         g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
-        g_chan.send("seq.ot_mode", b"per_round")
         g_chan.send("seq.tables", b"\x00" * 31)  # not a whole table
         with pytest.raises(GCProtocolError, match="table bytes"):
             evaluator.run(rounds)
@@ -171,17 +170,9 @@ class TestServingErrorPaths:
         g_chan, e_chan = local_channel()
         evaluator, rounds = self._evaluator(e_chan)
         g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
-        # garbler skips ot_mode and jumps straight to tables
-        g_chan.send("seq.tables", b"\x00" * 64)
-        with pytest.raises(GCProtocolError, match="seq.ot_mode"):
-            evaluator.run(rounds)
-
-    def test_unknown_ot_mode_rejected(self):
-        g_chan, e_chan = local_channel()
-        evaluator, rounds = self._evaluator(e_chan)
-        g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
-        g_chan.send("seq.ot_mode", b"telepathy")
-        with pytest.raises(GCProtocolError, match="ot_mode"):
+        # garbler skips the tables and jumps straight to its labels
+        g_chan.send("seq.garbler_labels", b"\x00" * 16)
+        with pytest.raises(GCProtocolError, match="seq.tables"):
             evaluator.run(rounds)
 
     def test_round_count_mismatch_rejected(self):
@@ -210,7 +201,6 @@ class TestServingErrorPaths:
         net = evaluator.circuit.netlist
         n_tables = sum(1 for g in net.gates if not g.is_free)
         g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
-        g_chan.send("seq.ot_mode", b"per_round")
         g_chan.send("seq.tables", b"\x00" * (32 * n_tables))
         g_chan.send("seq.garbler_labels", b"\x01" * 15)  # not 16-aligned
         with pytest.raises(GCProtocolError, match="16-byte"):

@@ -7,7 +7,9 @@ streaming a run of the paper's FSM model all go through
 :class:`~repro.gc.sequential_gc.SequentialStreamer`.  Fed one pooled
 run, they must send the same tag sequence with byte-identical
 payloads on every non-OT frame (OT frames carry fresh randomness), and
-each transcript must decode to the plaintext dot product.
+each transcript must decode to the plaintext dot product.  The
+preamble is ``seq.rounds`` alone: round 0's ``seq.tables`` follows it
+directly.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from repro.bits import from_bits, to_bits
 from repro.fixedpoint import Q8_4
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator, SequentialGarbler
+from repro.gc.sequential_gc import SequentialEvaluator, SequentialGarbler
 from repro.host import CloudServer
 from repro.recover import checkpoint_from_stream, serve_from_checkpoint
 
@@ -52,21 +54,20 @@ def non_ot(sent):
     return [(tag, payload) for tag, payload in sent if not tag.startswith("ot.")]
 
 
-@pytest.mark.parametrize("ot_mode", OT_MODES)
-def test_fresh_resumed_and_fsm_garblers_send_one_transcript(ot_mode):
+def test_fresh_resumed_and_fsm_garblers_send_one_transcript():
     server = CloudServer(MODEL, Q8_4, pool_size=0, seed=5, auto_refill=False)
     accelerator = server.accelerator
     pooled = {"run": accelerator.garble(server.rounds_per_request)}
 
     def fsm(channel):
         garbler = SequentialGarbler(accelerator.circuit.circuit, channel, server.group)
-        garbler.run(bits_of(MODEL[ROW]), ot_mode=ot_mode, garbled=pooled["run"])
+        garbler.run(bits_of(MODEL[ROW]), garbled=pooled["run"])
 
     def fresh(channel):
         def on_run(stream):
             pooled["cp"] = checkpoint_from_stream(stream, "s-transcript", ROW)
 
-        server.serve_row(channel, ROW, on_run=on_run, ot_mode=ot_mode)
+        server.serve_row(channel, ROW, on_run=on_run)
 
     fsm_sent, fsm_value = transcript(server, fsm)
     server._pool.append(pooled["run"])  # the same run, served from the pool
@@ -78,7 +79,7 @@ def test_fresh_resumed_and_fsm_garblers_send_one_transcript(ot_mode):
     expected = float(MODEL[ROW] @ X)
     assert fsm_value == fresh_value == resumed_value == pytest.approx(expected, abs=1e-12)
     tags = [tag for tag, _ in fresh_sent]
-    assert tags[:2] == ["seq.rounds", "seq.ot_mode"]
+    assert tags[:3] == ["seq.rounds", "seq.tables", "seq.garbler_labels"]
     assert tags[-1] == "seq.output_map"
     assert any(tag.startswith("ot.") for tag in tags)
     assert [tag for tag, _ in fsm_sent] == tags

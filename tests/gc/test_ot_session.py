@@ -6,7 +6,9 @@ garbler answers each round's ``ot.e`` with that round's frames.  These
 tests pin resumed queries (a drain after k rounds, resumed by a
 successor with no pool or on the same live pool) to the bit-exact
 answer on fresh pool indices, and count a warm query's client flights
-over a real socket.
+over a real socket.  A run longer than one pool chunk tops the pool up
+once, still in one correction flight, and the same dialogue carries a
+run of the paper's FSM model.
 """
 
 import socket
@@ -14,12 +16,23 @@ import socket
 import numpy as np
 import pytest
 
+from repro.accel.maxelerator import MAXelerator
 from repro.bits import from_bits, to_bits
-from repro.crypto.ot import OTExtensionReceiver, OTExtensionSender
+from repro.circuits.mac import accumulator_width, build_sequential_mac
+from repro.crypto.ot import (
+    POOL_CHUNK,
+    TOY_GROUP,
+    OTExtensionReceiver,
+    OTExtensionSender,
+)
 from repro.errors import SessionDrainedError
 from repro.fixedpoint import Q8_4
 from repro.gc.channel import local_channel, run_two_party
-from repro.gc.sequential_gc import OT_MODES, SequentialEvaluator
+from repro.gc.sequential_gc import (
+    SequentialEvaluator,
+    SequentialGarbler,
+    run_sequential,
+)
 from repro.host import CloudServer
 from repro.net import GCGateway, RemoteAnalyticsClient
 from repro.recover import (
@@ -53,7 +66,7 @@ def corrections_log(channel):
     return log
 
 
-def drained_then_resumed(ot_mode, k, successor):
+def drained_then_resumed(k, successor):
     """Serve ROW, drain it after ``k`` rounds, resume from the
     checkpoint; returns (answer, first ot.d log, resumed ot.d log,
     the receiver's pool ids before and after)."""
@@ -78,7 +91,7 @@ def drained_then_resumed(ot_mode, k, successor):
     with pytest.raises(SessionDrainedError):
         run_two_party(
             lambda: server.serve_row(g, ROW, on_round=on_round, on_run=on_run,
-                                     ot_mode=ot_mode, ot=sender),
+                                     ot=sender),
             lambda: evaluator.run(x_bits(), progress=progress),
         )
     assert progress.completed_rounds == k == held["cp"].next_round
@@ -100,11 +113,10 @@ def drained_then_resumed(ot_mode, k, successor):
 
 
 @pytest.mark.parametrize("successor", [True, False], ids=["successor", "same-pool"])
-@pytest.mark.parametrize("ot_mode", OT_MODES)
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_resumed_query_is_bit_exact_on_fresh_indices(ot_mode, k, successor):
+def test_resumed_query_is_bit_exact_on_fresh_indices(k, successor):
     answer, first, resumed, pool_before, pool_after = drained_then_resumed(
-        ot_mode, k, successor
+        k, successor
     )
     assert answer == pytest.approx(float(MODEL[ROW] @ X), abs=1e-12)
     # one correction flight per stream, for every round it streams
@@ -118,6 +130,65 @@ def test_resumed_query_is_bit_exact_on_fresh_indices(ot_mode, k, successor):
         # index the drained one consumed
         assert pool_after == pool_before
         assert resumed[0][0] >= first[0][0] + first[0][1]
+
+
+A_VEC = [3, -5, 7, 100]
+X_VEC = [2, 2, -3, 50]
+EXPECT = sum(a * x for a, x in zip(A_VEC, X_VEC))
+
+
+def mac_rounds(vec):
+    return [to_bits(v, 8) for v in vec]
+
+
+@pytest.fixture(scope="module")
+def seq8():
+    return build_sequential_mac(8, accumulator_width(8, 8))
+
+
+def test_sequential_run_computes_the_dot_product(seq8):
+    _, report = run_sequential(
+        seq8, mac_rounds(A_VEC), mac_rounds(X_VEC), group=TOY_GROUP
+    )
+    assert from_bits(report.output_bits, signed=True) == EXPECT
+
+
+def test_fsm_run_streams_the_dot_product():
+    acc = MAXelerator(8, seed=17)
+    g_chan, e_chan = local_channel()
+    garbler = SequentialGarbler(acc.circuit.circuit, g_chan, TOY_GROUP)
+    client = SequentialEvaluator(acc.circuit.circuit, e_chan, TOY_GROUP)
+    fsm_run = acc.garble(len(A_VEC))
+    _, report = run_two_party(
+        lambda: garbler.run(mac_rounds(A_VEC), garbled=fsm_run),
+        lambda: client.run(mac_rounds(X_VEC)),
+    )
+    assert from_bits(report.output_bits, signed=True) == EXPECT
+
+
+def test_long_run_tops_the_pool_up_past_one_chunk(seq8):
+    # 40 rounds x 8 bits = 320 transfers: more than one POOL_CHUNK, so
+    # the client's single top-up spans two chunks
+    n = 40
+    assert 8 * n > POOL_CHUNK
+    g_chan, e_chan = local_channel()
+    sent = []
+    send = e_chan.send
+    e_chan.send = lambda tag, body: (sent.append((tag, bytes(body))), send(tag, body))
+    garbler = SequentialGarbler(seq8, g_chan, TOY_GROUP)
+    evaluator = SequentialEvaluator(seq8, e_chan, TOY_GROUP)
+    _, report = run_two_party(
+        lambda: garbler.run(mac_rounds([1] * n)),
+        lambda: evaluator.run(mac_rounds([1] * n)),
+    )
+    assert from_bits(report.output_bits, signed=True) == n
+    tags = [tag for tag, _ in sent]
+    # one setup (128 base OTs), one top-up, one correction flight
+    assert tags == ["ot.setup", "ot.base.A", "ot.base.enc", "ot.ext.u", "ot.d"]
+    top_up, corrections = sent[-2][1], sent[-1][1]
+    assert int.from_bytes(corrections[8:12], "big") == 8 * n
+    # the top-up's u matrix: 128 bit-rows per OT column, whole chunks
+    assert (len(top_up) - 8) * 8 // 128 == 2 * POOL_CHUNK
 
 
 class _FlightCounter:

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel.tree_mac import build_scheduled_mac
@@ -26,7 +26,7 @@ from repro.bits import from_bits, to_bits
 from repro.crypto.labels import LabelFactory, color
 from repro.crypto.ot import TOY_GROUP
 from repro.errors import GCProtocolError, SessionDrainedError
-from repro.fixedpoint import Q8_4
+from repro.fixedpoint import FixedPointFormat
 from repro.gc.channel import local_channel, run_two_party
 from repro.gc.evaluate import Evaluator
 from repro.gc.sequential_gc import (
@@ -38,7 +38,12 @@ from repro.gc.stage_plan import stage_plan_for
 from repro.gc.tables import TABLE_BYTES, serialize_tables
 from repro.gc.vector_garble import decode_tables, evaluate_run, garble_mac_runs
 from repro.host import CloudServer
-from repro.recover import EvaluatorProgress, checkpoint_from_stream, serve_from_checkpoint
+from repro.recover import (
+    EvaluatorProgress,
+    SessionCheckpoint,
+    checkpoint_from_stream,
+    serve_from_checkpoint,
+)
 
 from tests.gc.test_random_circuits import netlist_with_inputs
 from tests.gc.test_vector_bit_identity import (
@@ -176,20 +181,40 @@ class _Recording(EvaluatorProgress):
             self.carried[self.completed_rounds] = list(value)
 
 
+def resume_scenario(seed):
+    """One seeded (format, model, query): 4- or 8-bit, 2 to 5 rounds."""
+    rng = random.Random(seed)
+    total_bits = rng.choice((4, 8))
+    fmt = FixedPointFormat(total_bits, total_bits // 2)
+    rounds = rng.randint(2, 5)
+    scale = 2 ** fmt.frac_bits
+    # small magnitudes keep the accumulator honest at every width
+    draw = lambda: rng.randint(-3 * scale // 2, 3 * scale // 2) / scale
+    model = np.array([[draw() for _ in range(rounds)] for _ in range(2)])
+    x = np.array([draw() for _ in range(rounds)])
+    return fmt, model, x
+
+
 class TestResume:
-    @given(st.integers(0, 2**16), st.integers(1, 3), st.sampled_from(["per_round", "upfront"]))
+    @given(st.integers(0, 2**16))
+    @example(55)
+    @example(66)
+    @example(101)
+    @example(202)
+    @example(303)
+    @example(404)
     @settings(max_examples=6, deadline=None)
-    def test_resume_from_start_round_matches_scalar_oracle(self, seed, start, ot_mode):
-        """A session re-entered at ``start_round > 0`` from a checkpoint
-        ends on the same output labels as the scalar evaluator run over
-        the whole garbled run."""
-        rng = np.random.default_rng(seed)
-        model = np.round(rng.uniform(-1.5, 1.5, size=(1, 4)) * 16) / 16
-        x = np.round(rng.uniform(-1.5, 1.5, size=4) * 16) / 16
-        server = CloudServer(model, Q8_4, pool_size=0, seed=seed, auto_refill=False)
+    def test_resume_from_start_round_matches_scalar_oracle(self, seed):
+        """A session re-entered from a checkpoint at every round
+        boundary ``0 <= start < M`` ends on the scalar evaluator's
+        output labels over the whole garbled run and decodes the
+        uninterrupted run's bits, with one garbling for the sweep."""
+        fmt, model, x = resume_scenario(seed)
+        rounds = model.shape[1]
+        server = CloudServer(model, fmt, pool_size=0, seed=seed, auto_refill=False)
         circuit = server.accelerator.circuit.circuit
         net = circuit.netlist
-        x_bits = [to_bits(int(v), Q8_4.total_bits) for v in Q8_4.encode_array(x)]
+        x_bits = [to_bits(int(v), fmt.total_bits) for v in fmt.encode_array(x)]
         captured = {}
         take_run = server._take_run
 
@@ -206,43 +231,55 @@ class TestResume:
         recording = _Recording()
         evaluator = SequentialEvaluator(circuit, e, server.group)
         _, full = run_two_party(
-            lambda: server.serve_row(g, 0, on_run=on_run, ot_mode=ot_mode),
+            lambda: server.serve_row(g, 0, on_run=on_run),
             lambda: evaluator.run(x_bits, progress=recording),
         )
+        assert fmt.decode_product(
+            from_bits(full.output_bits, signed=True)
+        ) == pytest.approx(float(model[0] @ x), abs=1e-9)
 
         # the scalar oracle over the same garbled run
         run = captured["run"]
-        row_bits = [to_bits(int(v), Q8_4.total_bits) for v in Q8_4.encode_array(model[0])]
+        row_bits = [to_bits(int(v), fmt.total_bits) for v in fmt.encode_array(model[0])]
         oracle = Evaluator(net)
         state = [
             p.select(b)
             for p, b in zip(run.rounds[0].state_pairs, circuit.initial_state)
         ]
-        for r in range(4):
+        for r in range(rounds):
             labels = round_labels(net, run.rounds[r], state, row_bits[r], x_bits[r])
             result = oracle.evaluate(
                 run.tables_for_round(r), labels, tweak_offset=r * len(net.gates)
             )
             state = result.labels_for_state(circuit.state_feedback)
-            if r + 1 < 4:
+            if r + 1 < rounds:
                 assert recording.carried[r + 1] == state
         assert recording.output_labels == result.output_labels
 
-        cp = captured["cp"]
-        cp.advance(start)
-        g2, e2 = local_channel(recv_timeout_s=10.0)
-        progress = EvaluatorProgress()
-        _, resumed = run_two_party(
-            lambda: serve_from_checkpoint(g2, cp, server.group),
-            lambda: SequentialEvaluator(circuit, e2, server.group).run(
-                x_bits,
-                start_round=start,
-                state_labels=recording.carried[start],
-                progress=progress,
-            ),
-        )
-        assert progress.output_labels == result.output_labels
-        assert resumed.output_bits == full.output_bits
+        reference = captured["cp"]
+        for start in range(rounds):
+            cp = SessionCheckpoint.from_dict(reference.to_dict())
+            if start:
+                cp.advance(start)
+            g2, e2 = local_channel(recv_timeout_s=10.0)
+            progress = EvaluatorProgress()
+            streamed, resumed = run_two_party(
+                lambda: serve_from_checkpoint(g2, cp, server.group),
+                lambda: SequentialEvaluator(circuit, e2, server.group).run(
+                    x_bits,
+                    start_round=start,
+                    state_labels=recording.carried.get(start),
+                    progress=progress,
+                ),
+            )
+            assert streamed == rounds - start
+            assert progress.completed_rounds == rounds
+            assert progress.output_labels == result.output_labels
+            assert resumed.output_bits == full.output_bits, (
+                f"seed {seed}: resume at round {start} diverged"
+            )
+        # the whole sweep re-served stored material
+        assert server.stats.runs_garbled == 1
 
 
 class TestMalformedPayloads:
@@ -263,7 +300,6 @@ class TestMalformedPayloads:
         evaluator = SequentialEvaluator(circuit, e_chan)
         n_and = evaluator.plan.n_and
         g_chan.send("seq.rounds", (1).to_bytes(4, "big"))
-        g_chan.send("seq.ot_mode", b"per_round")
         g_chan.send("seq.tables", bytes(TABLE_BYTES * n_and + delta))
         n_in = len(circuit.netlist.evaluator_inputs)
         with pytest.raises(GCProtocolError, match="table bytes"):
@@ -357,12 +393,11 @@ class TestDrainMidStream:
     @given(
         st.sampled_from(["tree", "serial"]),
         st.integers(1, 10),
-        st.sampled_from(["per_round", "upfront"]),
         st.integers(0, 2**32 - 1),
         st.data(),
     )
     @settings(max_examples=10, deadline=None)
-    def test_drain_then_resume_is_bit_exact(self, kind, n_rounds, ot_mode, seed, data):
+    def test_drain_then_resume_is_bit_exact(self, kind, n_rounds, seed, data):
         seq = sequential_mac(kind)
         net = seq.netlist
         drain_at = data.draw(st.integers(1, n_rounds))
@@ -391,7 +426,7 @@ class TestDrainMidStream:
 
         progress = EvaluatorProgress()
         stream = SequentialStreamer(
-            g, materials, run.output_permute_bits, ot_mode, TOY_GROUP, on_round=on_round
+            g, materials, run.output_permute_bits, TOY_GROUP, on_round=on_round
         )
         with pytest.raises(SessionDrainedError):
             run_two_party(
@@ -411,7 +446,6 @@ class TestDrainMidStream:
             g2,
             materials[drain_at:],
             run.output_permute_bits,
-            ot_mode,
             TOY_GROUP,
             start_round=drain_at,
         )

@@ -106,6 +106,23 @@ class TestNegotiation:
         assert "version mismatch" in reason
         assert isinstance(box["server_error"], HandshakeError)
 
+    def test_v5_hello_rejected_typed(self, descriptor):
+        """v6 dropped the GC preamble's OT-schedule frame and the
+        query's schedule field, so a v5 peer is refused up front."""
+        assert PROTOCOL_VERSION == 6
+
+        def v5_client(ep):
+            ep.send(HELLO_TAG, json.dumps({"protocol_version": 5}).encode())
+            tag, payload = ep.recv_any((REJECT_TAG, "net.welcome"))
+            return tag, payload.decode()
+
+        box = _run_handshake(descriptor, v5_client)
+        assert box["client"] == (
+            REJECT_TAG,
+            "protocol version mismatch: client speaks v5, gateway serves v6",
+        )
+        assert isinstance(box["server_error"], HandshakeError)
+
     def test_malformed_hello_rejected(self, descriptor):
         def garbage_client(ep):
             ep.send(HELLO_TAG, b"\x00\x01 not json")

@@ -51,10 +51,8 @@ def make_checkpoint(rounds=3) -> SessionCheckpoint:
 
 
 class TestAdvance:
-    @pytest.mark.parametrize("ot_mode", ["per_round", "upfront"])
-    def test_advance_keeps_every_unacked_round(self, ot_mode):
+    def test_advance_keeps_every_unacked_round(self):
         cp = make_checkpoint(rounds=3)
-        cp.ot_mode = ot_mode
         cp.advance(2, send_seq=14, recv_seq=9)
         assert cp.next_round == 2
         # past the client's one OT-correction flight the stream runs
@@ -67,12 +65,12 @@ class TestAdvance:
         assert cp.complete
         assert [m.round_index for m in cp.materials] == [0, 1, 2]
 
-    def test_upfront_mode_never_prunes_on_advance(self):
+    def test_advance_far_past_the_client_never_prunes(self):
         cp = make_checkpoint(rounds=3)
-        cp.ot_mode = "upfront"
         cp.advance(3, send_seq=20, recv_seq=2)
-        # the free-running upfront stream keeps everything; only
-        # rewind_to (which knows the acked round) may discard
+        # the stream ran free of the client's receipts: it keeps
+        # everything; only rewind_to (which knows the acked round) may
+        # discard
         assert [m.round_index for m in cp.materials] == [0, 1, 2]
 
     def test_boundary_map_tracks_advances(self):
@@ -90,7 +88,6 @@ class TestAdvance:
 
     def test_rewind_restores_reservable_rounds(self):
         cp = make_checkpoint(rounds=3)
-        cp.ot_mode = "upfront"
         cp.advance(3, send_seq=20)
         cp.rewind_to(1)
         assert cp.next_round == 1

@@ -129,7 +129,6 @@ class TestHECheckpoints:
         assert cp.rounds == 1
         assert cp.next_round == 0
         assert cp.materials[0].tables == b"ct-bytes"
-        assert cp.ot_mode == "per_round"
 
     def test_backend_survives_the_store_round_trip(self):
         cp = checkpoint_from_he_result(b"ct", "sess-2", 0)

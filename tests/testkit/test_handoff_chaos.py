@@ -69,29 +69,6 @@ class TestHandoffConfig:
         with pytest.raises(ConfigurationError, match="at least two"):
             ChaosConfig(profile="handoff", gateways=1).validate()
 
-    def test_ot_mode_draw_is_deterministic_and_profile_gated(self):
-        handoff = ChaosRunner(
-            ChaosConfig(profile="handoff", sessions=30, seed=7, pool_size=0)
-        )
-        modes = [handoff.ot_mode_for(s) for s in range(30)]
-        assert modes == [handoff.ot_mode_for(s) for s in range(30)]
-        # the profile mixes both label-transfer schedules
-        assert "upfront" in modes and "per_round" in modes
-        # other profiles stay per_round: their fingerprints are pinned
-        default = ChaosRunner(ChaosConfig(sessions=5, seed=7))
-        assert all(default.ot_mode_for(s) == "per_round" for s in range(30))
-
-    def test_ot_mode_draw_leaves_plan_and_workload_streams_alone(self):
-        """The OT-mode salt is a third independent stream: handoff runs
-        must not remap the pinned plan/workload draws."""
-        cfg = ChaosConfig(profile="handoff", sessions=4, seed=11)
-        runner = ChaosRunner(cfg)
-        recovery = ChaosRunner(
-            ChaosConfig(profile="recovery", sessions=4, seed=11)
-        )
-        for s in range(4):
-            assert runner.workload_for(s) == recovery.workload_for(s)
-
 
 class TestHandoffTier:
     """The live tier: a 3-gateway fleet under seeded kills and drains."""

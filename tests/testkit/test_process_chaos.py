@@ -80,12 +80,6 @@ class TestProcessConfig:
             (spec,) = runner.plan_for(s).faults
             assert 1 <= spec.frame <= 5
 
-    def test_ot_mode_stays_per_round(self):
-        runner = ChaosRunner(
-            ChaosConfig(profile="processes", sessions=10, seed=7)
-        )
-        assert all(runner.ot_mode_for(s) == "per_round" for s in range(10))
-
 
 class TestProcessTier:
     """The live tier: a 2-member subprocess fleet under seeded faults."""

