@@ -1056,6 +1056,8 @@ class ConformanceOracle:
             rec_server, n_gateways=self.gateways, config=config,
             telemetry=self.telemetry,
         )
+        if spec.kind == DRAIN_GATEWAY:
+            self._hold_rounds_for_drain(group.gateways[spec.gateway], spec.frame)
         group.start()
         client = None
         try:
@@ -1147,6 +1149,35 @@ class ConformanceOracle:
             if client is not None:
                 client.close()
             group.stop()
+
+    def _hold_rounds_for_drain(self, gw: GCGateway, frame: int) -> None:
+        """Pin where a drain triggered at client frame ``frame`` lands.
+
+        Past its one OT flight the client sends nothing until the
+        result, so the stream runs ahead of the client's frame count
+        and would race the drain to its next round boundary: the same
+        plan would checkpoint mid-stream on one run and finish clean on
+        the next.  Once ``frame`` is on the wire, every round boundary
+        of ``gw``'s streams waits for the drain that the client's
+        count triggers, so the drain stops the stream at the first
+        boundary at or after that frame.
+        """
+        commit_boundaries = gw._commit_boundaries
+
+        def held(sid: str, state: dict):
+            on_commit, on_round = commit_boundaries(sid, state)
+
+            def on_round_held(next_round: int) -> None:
+                cp = state.get("cp")
+                if cp is not None and cp.send_seq >= frame:
+                    deadline = time.monotonic() + self.deadline_s
+                    while not gw.draining and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                on_round(next_round)
+
+            return on_commit, on_round_held
+
+        gw._commit_boundaries = held
 
     def _fire_gateway_fault(self, client, group, spec, worker) -> bool:
         """Trigger the handoff fault once the client has verified

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.tree_mac import build_scheduled_mac
@@ -197,12 +197,6 @@ def resume_scenario(seed):
 
 class TestResume:
     @given(st.integers(0, 2**16))
-    @example(55)
-    @example(66)
-    @example(101)
-    @example(202)
-    @example(303)
-    @example(404)
     @settings(max_examples=6, deadline=None)
     def test_resume_from_start_round_matches_scalar_oracle(self, seed):
         """A session re-entered from a checkpoint at every round

@@ -1,9 +1,9 @@
 """Upfront-OT resume: label-slice indexing across every round boundary.
 
-In ``upfront`` OT mode the evaluator receives *all* of its input labels
-in one OT before round 0 and slices per round.  A resumed stream
-restarts that concatenation at ``start_round``, so both sides must
-agree that slice ``k`` of the resumed OT belongs to absolute round
+The evaluator sends its OT corrections for *every* remaining round in
+one flight up front, and the stream answers them round by round.  A
+resumed stream restarts that flight at ``start_round``, so both sides
+must agree that slice ``k`` of the resumed OT belongs to absolute round
 ``start_round + k`` — an off-by-one on either side silently decodes
 the wrong labels.  This property test pins the indexing for every
 possible resume boundary ``r in [0, M)`` against the uninterrupted
@@ -73,7 +73,7 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
     x_bits = [to_bits(int(v), fmt.total_bits) for v in fmt.encode_array(x)]
     expected_raw = {}
 
-    # uninterrupted upfront reference run; capture the checkpoint and
+    # uninterrupted reference run; capture the checkpoint and
     # the carried labels at every boundary from the same garbled run
     captured = {}
 
@@ -84,7 +84,7 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
     recording = _Recording()
     evaluator = SequentialEvaluator(circuit, e, server.group)
     _, report = run_two_party(
-        lambda: server.serve_row(g, 0, on_run=on_run, ot_mode="upfront"),
+        lambda: server.serve_row(g, 0, on_run=on_run),
         lambda: evaluator.run(x_bits, progress=recording),
     )
     expected_raw["bits"] = report.output_bits
@@ -92,14 +92,13 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
     assert expected == pytest.approx(float(model[0] @ x), abs=1e-9)
     assert server.stats.runs_garbled == 1
     reference = captured["cp"]
-    assert reference.ot_mode == "upfront"
 
     for r in range(rounds):
         cp = SessionCheckpoint.from_dict(reference.to_dict())
         if r:
             cp.advance(r)
-            # upfront advance never prunes: every remaining round must
-            # still be re-servable from the store copy
+            # advance never prunes: every remaining round must still
+            # be re-servable from the store copy
             assert [m.round_index for m in cp.materials] == list(range(rounds))
         g2, e2 = local_channel(recv_timeout_s=10.0)
         evaluator2 = SequentialEvaluator(circuit, e2, server.group)
@@ -125,8 +124,8 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
 
 @pytest.mark.parametrize("seed", [55, 66])
 def test_per_round_resume_matches_upfront_results(seed):
-    """Cross-mode sanity: the same scenario served per_round from a
-    checkpoint at its deepest boundary decodes the same product."""
+    """A scenario resumed from a checkpoint at its deepest boundary
+    decodes the uninterrupted run's bits."""
     fmt, model, x = _scenario(seed)
     rounds = model.shape[1]
     server = CloudServer(model, fmt, pool_size=0, seed=seed, auto_refill=False)
