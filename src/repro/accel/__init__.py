@@ -13,14 +13,6 @@ from repro.accel.maxelerator import (
 )
 from repro.accel.memory import CoreMemorySimulator, TransferReport
 from repro.accel.resources import PAPER_TABLE1, ResourceEstimate, ResourceModel
-from repro.accel.ring import (
-    CoreRing,
-    CreditAccount,
-    RingConfig,
-    TenantSpec,
-    WeightedRefiller,
-    jain_index,
-)
 from repro.accel.schedule import MacSchedule, ScheduledOp, schedule_rounds
 from repro.accel.tree_mac import (
     CYCLES_PER_STAGE,
@@ -41,8 +33,6 @@ __all__ = [
     "schedule_to_json",
     "AcceleratorRun",
     "CoreMemorySimulator",
-    "CoreRing",
-    "CreditAccount",
     "CYCLES_PER_STAGE",
     "DEFAULT_CLOCK_MHZ",
     "GCCore",
@@ -54,15 +44,11 @@ __all__ = [
     "PAPER_TABLE1",
     "ResourceEstimate",
     "ResourceModel",
-    "RingConfig",
     "ScheduledMacCircuit",
     "ScheduledOp",
-    "TenantSpec",
     "TimingModel",
     "TransferReport",
-    "WeightedRefiller",
     "build_scheduled_mac",
-    "jain_index",
     "schedule_rounds",
     "seg1_cores",
     "seg2_cores",

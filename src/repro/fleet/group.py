@@ -56,9 +56,7 @@ class GatewayGroup:
         self.store = (
             store
             if store is not None
-            else InMemorySessionStore(
-                ttl_s=self.config.checkpoint_ttl_s, telemetry=self.telemetry
-            )
+            else InMemorySessionStore(telemetry=self.telemetry)
         )
         # under the ring scheduler the whole group shares ONE credit
         # ledger: a tenant's in-flight bound holds fleet-wide, so it

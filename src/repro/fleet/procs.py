@@ -112,10 +112,7 @@ def _member_main(spec: dict, conn) -> None:
             telemetry=telemetry,
         )
         config = ServingConfig(**spec["config"]).validate()
-        store = JsonlSessionStore(
-            spec["store_path"], ttl_s=config.checkpoint_ttl_s,
-            telemetry=telemetry,
-        )
+        store = JsonlSessionStore(spec["store_path"], telemetry=telemetry)
         gateway = GCGateway(
             server,
             host=spec["host"],
@@ -554,7 +551,4 @@ class ProcessFleet:
         ledger-audit hook (must parse clean after any chaos)."""
         from repro.recover import JsonlSessionStore
 
-        return JsonlSessionStore(
-            self.store_path, ttl_s=self.config.checkpoint_ttl_s,
-            telemetry=telemetry,
-        )
+        return JsonlSessionStore(self.store_path, telemetry=telemetry)

@@ -73,6 +73,7 @@ from repro.host import CloudServer
 from repro.net.endpoint import SocketEndpoint
 from repro.net.handshake import (
     HELLO_TAG,
+    PROTOCOL_VERSION,
     REJECT_TAG,
     descriptor_for,
     server_handshake,
@@ -213,10 +214,7 @@ class GCGateway:
         self.store = (
             store
             if store is not None
-            else InMemorySessionStore(
-                ttl_s=self.serving.config.checkpoint_ttl_s,
-                telemetry=self.telemetry,
-            )
+            else InMemorySessionStore(telemetry=self.telemetry)
         )
         self._batcher = ResumeBatcher(
             self.serving,
@@ -813,6 +811,14 @@ class GCGateway:
         except (ValueError, KeyError, TypeError) as exc:
             endpoint.send(REJECT_TAG, f"malformed resume: {exc}".encode())
             raise HandshakeError(f"malformed resume request: {exc}") from exc
+        version = request.get("protocol_version")
+        if version != PROTOCOL_VERSION:
+            reason = (
+                f"protocol version mismatch: client speaks v{version}, "
+                f"gateway serves v{PROTOCOL_VERSION}"
+            )
+            endpoint.send(REJECT_TAG, reason.encode())
+            raise HandshakeError(reason)
         session.handshaken = True  # negotiation is done; don't reap mid-resume
         session.session_id = sid
 

@@ -282,10 +282,13 @@ class ResumableClientEndpoint(EndpointBase):
     def _negotiate(self, fresh) -> None:
         """Run the resume control exchange on ``fresh``'s own counters,
         then adopt it and replay whatever the gateway has not seen."""
+        # imported here: repro.net imports this package at load time
+        from repro.net.handshake import PROTOCOL_VERSION
+
         request = {
             "session_id": self.session_id,
             "last_acked_seq": self.recv_seq,
-            "protocol_version": 3,
+            "protocol_version": PROTOCOL_VERSION,
         }
         fresh.send(RESUME_TAG, json.dumps(request, sort_keys=True).encode())
         tag, payload = fresh.recv_any(

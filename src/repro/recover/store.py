@@ -38,8 +38,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.errors import ConfigurationError, LeaseError, ResumeError
 from repro.recover.checkpoint import SessionCheckpoint
 
-#: Default checkpoint lifetime.  A client that has not resumed within
-#: this window has abandoned the session; its labels are discarded.
+#: Checkpoint lifetime (every gateway and fleet store uses it).  A
+#: client that has not resumed within this window has abandoned the
+#: session; its labels are discarded.
 DEFAULT_TTL_S = 300.0
 
 #: Default lease lifetime.  Long enough to stream several rounds, short

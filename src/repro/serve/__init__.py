@@ -43,7 +43,6 @@ from repro.serve.control import (
 )
 from repro.serve.refiller import PoolRefiller
 from repro.serve.server import (
-    CheckpointSessionRequest,
     PendingRequest,
     RemoteSessionRequest,
     ServingServer,
@@ -52,7 +51,6 @@ from repro.serve.tenants import DEFAULT_TENANT, GarbleStation, TenantScheduler
 
 __all__ = [
     "BatchedResumeRequest",
-    "CheckpointSessionRequest",
     "CONTROLLER_STATE_KEY",
     "CONTROLLERS",
     "ControlDecision",

@@ -16,12 +16,10 @@ SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 CONTROLLER_ENV = "REPRO_CONTROLLER"
 
-#: Admission schedulers: ``fifo`` is the pre-ring behavior (one shared
-#: bounded queue, no per-tenant accounting); ``ring`` routes every
-#: admission through per-tenant credits (weighted refill, bounded
-#: in-flight, tenant-attributed shedding) backed by the same
-#: :class:`~repro.accel.ring.CreditAccount` primitives the simulated
-#: :class:`~repro.accel.ring.CoreRing` proves fair.
+#: Admission schedulers: ``fifo`` is one shared bounded queue with no
+#: per-tenant accounting; ``ring`` routes every admission through
+#: per-tenant credits (weighted refill, bounded in-flight,
+#: tenant-attributed shedding) — :class:`~repro.serve.tenants.TenantScheduler`.
 SCHEDULERS = ("fifo", "ring")
 
 #: Serving controllers: ``static`` is the pre-control behavior (every
@@ -176,16 +174,16 @@ class ServingConfig:
     the backoff hint a load-shedding gateway sends with
     ``net.retry_after``; ``resume_window_s`` is how long a broken
     session waits parked for the client to reconnect before giving up;
-    ``drain_timeout_s`` is the SIGTERM drain deadline;
-    ``checkpoint_ttl_s`` is the session-store eviction horizon.
+    ``drain_timeout_s`` is the SIGTERM drain deadline.  (The
+    session-store eviction horizon is
+    :data:`repro.recover.store.DEFAULT_TTL_S`.)
 
     Fleet knobs: ``lease_ttl_s`` bounds how long a gateway owns
     a session without committing a round before another gateway may
     steal it; ``resume_batch_window_s``/``resume_batch_max`` shape the
     resumed-session admission batcher — restored sessions arriving
     within the window coalesce into one batched serve (round-robin
-    interleaved through a single worker) instead of one-off
-    ``serve_from_checkpoint`` requests.
+    interleaved through a single worker).
     """
 
     workers: int = 4
@@ -200,7 +198,6 @@ class ServingConfig:
     retry_after_s: float = 0.25
     resume_window_s: float = 5.0
     drain_timeout_s: float = 10.0
-    checkpoint_ttl_s: float = 300.0
     lease_ttl_s: float = 30.0
     resume_batch_window_s: float = 0.02
     resume_batch_max: int = 4
@@ -219,9 +216,6 @@ class ServingConfig:
     #: Per-tenant in-flight bound under the ring scheduler: how many of
     #: one tenant's requests may occupy workers/queue slots at once.
     tenant_max_inflight: int = 4
-    #: Optional ``(tenant, weight)`` pairs for weighted credit refill;
-    #: tenants not named here refill at weight 1.0.
-    tenant_weights: tuple = ()
     #: Serving controller: ``static`` or ``slo``; ``None``
     #: defers to ``REPRO_CONTROLLER`` and then to ``static``.  Under
     #: ``slo``, the tick-driven controller autoscales the worker pool
@@ -266,8 +260,6 @@ class ServingConfig:
             raise ConfigurationError("resume window must be positive")
         if self.drain_timeout_s <= 0:
             raise ConfigurationError("drain timeout must be positive")
-        if self.checkpoint_ttl_s <= 0:
-            raise ConfigurationError("checkpoint TTL must be positive")
         if self.lease_ttl_s <= 0:
             raise ConfigurationError("lease TTL must be positive")
         if self.resume_batch_window_s < 0:
@@ -286,22 +278,6 @@ class ServingConfig:
             raise ConfigurationError("tenant credit cap must be at least 1")
         if self.tenant_max_inflight < 1:
             raise ConfigurationError("tenant in-flight bound must be at least 1")
-        for pair in self.tenant_weights:
-            try:
-                tenant, weight = pair
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"tenant_weights entries must be (tenant, weight) pairs, "
-                    f"got {pair!r}"
-                ) from None
-            if not tenant or not isinstance(tenant, str):
-                raise ConfigurationError(
-                    f"tenant_weights names a blank tenant: {pair!r}"
-                )
-            if weight <= 0:
-                raise ConfigurationError(
-                    f"tenant {tenant!r}: refill weight must be positive"
-                )
         if self.controller is not None and self.controller not in CONTROLLERS:
             raise ConfigurationError(
                 f"controller must be one of {CONTROLLERS}, got "

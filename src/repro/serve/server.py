@@ -147,44 +147,6 @@ class RemoteSessionRequest(PendingRequest):
         return True
 
 
-class CheckpointSessionRequest(PendingRequest):
-    """Resume a checkpointed remote session: stream only the remaining
-    rounds from stored material (:mod:`repro.recover`) — no garbling.
-
-    Shares the ``start_gate`` discipline with
-    :class:`RemoteSessionRequest`: the gateway's ``net.resume_ok`` must
-    be on the wire before the first re-streamed table.
-    """
-
-    retryable = False
-
-    def __init__(self, checkpoint, endpoint, group, deadline: float,
-                 on_round=None):
-        super().__init__(checkpoint.row_index, None, deadline)
-        self.checkpoint = checkpoint
-        self.endpoint = endpoint
-        self.group = group
-        self.start_gate = threading.Event()
-        self.on_round = on_round
-
-    def _execute(self, client: AnalyticsClient):
-        from repro.recover.checkpoint import serve_from_checkpoint
-
-        if not self.start_gate.wait(timeout=max(0.0, self.deadline - time.perf_counter())):
-            raise ServingError(
-                f"resumed session for row {self.row_index} never released "
-                "its start gate"
-            )
-        serve_from_checkpoint(
-            self.endpoint,
-            self.checkpoint,
-            self.group,
-            on_round=self.on_round,
-            telemetry=client.server.telemetry,
-        )
-        return True
-
-
 class ServingServer:
     """Bounded-queue, multi-worker serving of ``AnalyticsClient`` queries
     and remote gateway sessions (:meth:`submit_remote`)."""
@@ -503,25 +465,6 @@ class ServingServer:
             ot=ot,
         )
         req.tenant = tenant
-        return self._enqueue(req, block)
-
-    def submit_resume(
-        self, checkpoint, endpoint, group, block: bool = False, on_round=None
-    ) -> CheckpointSessionRequest:
-        """Enqueue the remaining rounds of a checkpointed session.
-
-        Resume traffic goes through the same bounded queue as fresh
-        queries — a saturated gateway sheds resumes with the same
-        ``retry_after`` discipline rather than letting them bypass
-        admission control.
-        """
-        req = CheckpointSessionRequest(
-            checkpoint,
-            endpoint,
-            group,
-            deadline=time.perf_counter() + self.config.request_timeout_s,
-            on_round=on_round,
-        )
         return self._enqueue(req, block)
 
     def _enqueue(self, req: PendingRequest, block: bool) -> PendingRequest:

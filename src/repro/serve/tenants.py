@@ -1,14 +1,13 @@
 """Per-tenant admission credits and the cross-tenant garble station.
 
-:class:`TenantScheduler` is the live-serving face of the ring arbiter:
-the same :class:`~repro.accel.ring.CreditAccount` ledgers and weighted
-refiller that the simulated :class:`~repro.accel.ring.CoreRing` proves
-fair, driven by request completions instead of simulated cycles.  Every
-admission spends a credit and occupies an in-flight slot; every
+:class:`TenantScheduler` is the ``scheduler="ring"`` admission path: one
+:class:`CreditAccount` ledger per tenant, refilled by a smooth weighted
+round-robin :class:`WeightedRefiller` that request completions drive.
+Every admission spends a credit and occupies an in-flight slot; every
 completion returns the slot and mints one credit back through the
-weighted round-robin refiller (work-conserving — the fleet's total
-credit flow matches its throughput, split by weight).  A tenant that is
-out of credits or at its in-flight bound is shed with a typed
+refiller (work-conserving — the fleet's total credit flow matches its
+throughput, split by weight).  A tenant that is out of credits or at
+its in-flight bound is shed with a typed
 :class:`~repro.errors.OverloadedError` naming the tenant, so the
 gateway's retry-after answer can carry the attribution.
 
@@ -27,12 +26,164 @@ from __future__ import annotations
 
 import threading
 
-from repro.accel.ring import CreditAccount, WeightedRefiller, jain_index
 from repro.errors import ConfigurationError, OverloadedError
 
 #: Requests that carry no tenant id are accounted to this tenant, so the
 #: ring scheduler still bounds anonymous traffic as one aggregate.
 DEFAULT_TENANT = "default"
+
+
+def jain_index(shares) -> float:
+    """Jain's fairness index over per-tenant shares: 1.0 is perfectly
+    fair, 1/n is one tenant taking everything.  Empty or all-zero
+    input reads as fair (nobody was served, nobody was starved
+    *relative to anyone else*)."""
+    values = [float(v) for v in shares]
+    square_sum = sum(v * v for v in values)
+    if not values or square_sum == 0.0:
+        return 1.0
+    total = sum(values)
+    return (total * total) / (len(values) * square_sum)
+
+
+class CreditAccount:
+    """One tenant's credit ledger: cap-bounded balance, in-flight count,
+    and the conservation counters :meth:`check` audits.
+
+    Invariant (checked by :meth:`check`): every credit ever minted is
+    either spent or still held — ``minted == spent + credits`` — and
+    the balance never leaves ``[0, cap]``.
+    """
+
+    __slots__ = (
+        "tenant", "weight", "cap", "max_inflight",
+        "credits", "minted", "spent", "refunded", "forfeited",
+        "inflight", "credit_stalls", "inflight_stalls",
+    )
+
+    def __init__(self, tenant: str, weight: float = 1.0, cap: int = 4,
+                 max_inflight: int = 2):
+        self.tenant = tenant
+        self.weight = weight
+        self.cap = cap
+        self.max_inflight = max_inflight
+        #: accounts start full so a cold tenant is immediately servable
+        self.credits = cap
+        self.minted = cap
+        self.spent = 0
+        self.refunded = 0
+        self.forfeited = 0
+        self.inflight = 0
+        self.credit_stalls = 0
+        self.inflight_stalls = 0
+
+    @property
+    def can_inject(self) -> bool:
+        return self.credits >= 1 and self.inflight < self.max_inflight
+
+    def spend(self) -> None:
+        if self.credits < 1:
+            raise ConfigurationError(
+                f"tenant {self.tenant}: spending with no credits"
+            )
+        self.credits -= 1
+        self.spent += 1
+        self.inflight += 1
+
+    def complete(self) -> None:
+        if self.inflight < 1:
+            raise ConfigurationError(
+                f"tenant {self.tenant}: completing with nothing in flight"
+            )
+        self.inflight -= 1
+
+    def refund(self) -> None:
+        """Undo a spend whose work was never started (admission raced a
+        full queue): the in-flight slot and the credit both come back.
+        A refund at the cap is forfeited — the ledger still balances
+        because the refund is counted as negative spend either way."""
+        self.inflight -= 1
+        self.spent -= 1
+        self.refunded += 1
+        if self.credits < self.cap:
+            self.credits += 1
+        else:
+            self.minted -= 1
+            self.forfeited += 1
+
+    def grant(self, n: int) -> int:
+        """Mint up to ``n`` credits, clipped at the cap; returns how
+        many were actually minted (the rest are forfeited)."""
+        granted = min(n, self.cap - self.credits)
+        if granted > 0:
+            self.credits += granted
+            self.minted += granted
+        self.forfeited += n - granted
+        return granted
+
+    def check(self) -> None:
+        """Raise unless the conservation invariant holds."""
+        if not 0 <= self.credits <= self.cap:
+            raise AssertionError(
+                f"tenant {self.tenant}: balance {self.credits} outside "
+                f"[0, {self.cap}]"
+            )
+        if self.minted != self.spent + self.credits:
+            raise AssertionError(
+                f"tenant {self.tenant}: credits leaked — minted "
+                f"{self.minted} != spent {self.spent} + held {self.credits}"
+            )
+        if not 0 <= self.inflight <= self.max_inflight:
+            raise AssertionError(
+                f"tenant {self.tenant}: in-flight {self.inflight} outside "
+                f"[0, {self.max_inflight}]"
+            )
+
+
+class WeightedRefiller:
+    """Smooth weighted round-robin over a set of credit accounts.
+
+    Each :meth:`tick` advances every account's running priority by its
+    weight and grants the quantum to the highest-priority account that
+    is *below its cap* (skipping capped accounts keeps the refill
+    work-conserving); the winner pays the total weight back.  Both
+    updates clamp the priority to ``[-total_weight, +total_weight]``.
+    The clamp is load-bearing in both directions, each end a starvation
+    bug a property test once caught: unclamped accrual lets an account
+    capped through a long warm-up bank unbounded entitlement and spend
+    it as a monopoly burst when it rejoins, while *freezing* capped
+    accounts instead biases grants toward whichever tenant happens to
+    be below cap at tick time (persistently unequal shares under equal
+    weights).  Bounded banking gives both guarantees: grant counts
+    converge to the weight proportions over any window, and catch-up
+    after an eligibility gap costs at most two
+    ``ceil(total_weight / own_weight)`` rounds.
+    """
+
+    def __init__(self, accounts: list[CreditAccount]):
+        if not accounts:
+            raise ConfigurationError("the refiller needs at least one account")
+        self._accounts = list(accounts)
+        self._priority = {a.tenant: 0.0 for a in accounts}
+
+    def tick(self, quantum: int = 1) -> CreditAccount | None:
+        """One refill round; returns the account granted to (or ``None``
+        when every account sits at its cap)."""
+        eligible = [a for a in self._accounts if a.credits < a.cap]
+        if not eligible:
+            return None
+        total = sum(a.weight for a in self._accounts)
+        for acct in self._accounts:
+            self._priority[acct.tenant] = min(
+                self._priority[acct.tenant] + acct.weight, total
+            )
+        # ties break by tenant name so the schedule is deterministic
+        winner = max(eligible, key=lambda a: (self._priority[a.tenant], a.tenant))
+        self._priority[winner.tenant] = max(
+            self._priority[winner.tenant] - total, -total
+        )
+        winner.grant(quantum)
+        return winner
 
 
 class TenantScheduler:
@@ -75,7 +226,6 @@ class TenantScheduler:
     @classmethod
     def from_config(cls, config, telemetry=None) -> "TenantScheduler":
         return cls(
-            weights=config.tenant_weights,
             credit_cap=config.tenant_credit_cap,
             max_inflight=config.tenant_max_inflight,
             telemetry=telemetry,
@@ -108,8 +258,8 @@ class TenantScheduler:
         Returns the normalized tenant name the caller must later pass
         to :meth:`complete` or :meth:`release`.  Raises a typed
         :class:`OverloadedError` naming the tenant when its credits or
-        in-flight budget are exhausted — the back-pressure the ring
-        promises instead of unbounded queueing.
+        in-flight budget are exhausted — back-pressure instead of
+        unbounded queueing.
         """
         name = tenant or DEFAULT_TENANT
         with self._lock:

@@ -48,22 +48,12 @@ def render_traffic(snapshot: dict, title: str = "wire traffic by tag") -> str:
 
 
 def tenant_shares(snapshot: dict) -> dict[str, int]:
-    """Per-tenant served counts from the ``tenants.served.<t>`` counters
-    (falling back to the ring's ``ring.tenant.<t>.served`` spelling)."""
-    counters = snapshot.get("counters", {})
+    """Per-tenant served counts from the ``tenants.served.<t>`` counters."""
     prefix = "tenants.served."
-    shares = {
-        name[len(prefix):]: value
-        for name, value in counters.items()
-        if name.startswith(prefix)
-    }
-    if shares:
-        return shares
-    ring_prefix, ring_suffix = "ring.tenant.", ".served"
     return {
-        name[len(ring_prefix):-len(ring_suffix)]: value
-        for name, value in counters.items()
-        if name.startswith(ring_prefix) and name.endswith(ring_suffix)
+        name[len(prefix):]: value
+        for name, value in snapshot.get("counters", {}).items()
+        if name.startswith(prefix)
     }
 
 
@@ -71,8 +61,8 @@ def render_tenants(snapshot: dict, title: str = "tenant fairness") -> str:
     """Aligned per-tenant served breakdown with share and Jain index.
 
     The Jain index is computed locally (``(Σx)² / (n·Σx²)``) rather than
-    imported from :mod:`repro.accel.ring` — the exporters stay pure
-    functions of a snapshot dict with no accelerator dependency.
+    imported from :mod:`repro.serve.tenants` — the exporters stay pure
+    functions of a snapshot dict with no serving dependency.
     """
     shares = tenant_shares(snapshot)
     lines = [f"== {title} =="]

@@ -1,6 +1,6 @@
 """Resume protocol end to end: rebind after disconnect, replay, rejects.
 
-The acceptance criteria under test: a v3 client whose wire breaks —
+The acceptance criteria under test: a client whose wire breaks —
 idle or mid-stream — reconnects, rebinds to the still-live session,
 replays only unacked frames, and finishes with the bit-identical MAC
 result *without a single round being re-garbled* (asserted through
@@ -8,6 +8,7 @@ result *without a single round being re-garbled* (asserted through
 query, disconnect or not).
 """
 
+import json
 import socket
 import threading
 import time
@@ -20,7 +21,9 @@ from repro.fixedpoint import Q8_4
 from repro.host import CloudServer
 from repro.net import GCGateway, RemoteAnalyticsClient
 from repro.net.endpoint import SocketEndpoint
+from repro.net.handshake import PROTOCOL_VERSION, REJECT_TAG
 from repro.recover import BackoffPolicy
+from repro.recover.endpoint import RESUME_TAG
 from repro.serve import ServingConfig
 from repro.telemetry import MetricsRegistry
 
@@ -276,3 +279,45 @@ class TestVersionNegotiation:
                 )
         finally:
             ours.close()
+
+    @pytest.mark.parametrize("version", [5, None], ids=["v5", "unversioned"])
+    def test_stale_resume_is_rejected_and_a_current_client_resumes(
+        self, gateway, version
+    ):
+        """A ``net.resume`` at any other version is refused the way a
+        stale hello is; the live session it named is left untouched, so
+        the current client's own resume still rebinds it."""
+        with resumable_client(gateway) as client:
+            client.query_row(0, X)
+            request = {"session_id": client.session_id, "last_acked_seq": 0}
+            if version is not None:
+                request["protocol_version"] = version
+            ours, theirs = socket.socketpair()
+            ep = SocketEndpoint("stale", ours, recv_timeout_s=RECV_TIMEOUT)
+            ep.send(RESUME_TAG, json.dumps(request).encode())
+            thread = gateway.adopt(theirs)
+            reason = ep.recv(REJECT_TAG).decode()
+            ep.close()
+            thread.join(timeout=5.0)
+            assert reason == (
+                f"protocol version mismatch: client speaks v{version}, "
+                f"gateway serves v{PROTOCOL_VERSION}"
+            )
+            assert isinstance(gateway._last_session_error, HandshakeError)
+            cut_wire(client)
+            assert client.query_row(2, X) == pytest.approx(
+                float(MODEL[2] @ X), abs=1e-12
+            )
+            assert client.endpoint.resumes == 1
+
+    def test_client_resumes_at_the_current_version(self, gateway, monkeypatch):
+        """The resume request carries the hello's version, so a client
+        built for another version gets a typed ResumeError."""
+        import repro.net.handshake as hs
+
+        with resumable_client(gateway) as client:
+            client.query_row(0, X)
+            monkeypatch.setattr(hs, "PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+            cut_wire(client)
+            with pytest.raises(ResumeError, match="version mismatch"):
+                client.query_row(1, X)

@@ -20,7 +20,6 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_garble.json"
 BACKENDS_ARTIFACT = REPO_ROOT / "BENCH_backends.json"
-RING_ARTIFACT = REPO_ROOT / "BENCH_ring.json"
 FLEET_ARTIFACT = REPO_ROOT / "BENCH_fleet.json"
 SLO_ARTIFACT = REPO_ROOT / "BENCH_slo.json"
 
@@ -174,79 +173,6 @@ class TestBackendsAcceptanceNumbers:
                 entry["he"]["bytes_per_query"] < entry["gc"]["bytes_per_query"]
             ), workload
         assert backends_doc["derived"]["mean_bytes_ratio_gc_over_he"] > 1.0
-
-
-# ----------------------------------------------------------------------
-# BENCH_ring.json — the multi-tenant fairness/utilization artifact
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def ring_bench():
-    return _load_bench_module("bench_ring")
-
-
-@pytest.fixture(scope="module")
-def ring_doc():
-    assert RING_ARTIFACT.exists(), (
-        "BENCH_ring.json is missing — regenerate it with "
-        "`python benchmarks/bench_ring.py`"
-    )
-    return json.loads(RING_ARTIFACT.read_text())
-
-
-class TestRingArtifactShape:
-    def test_structurally_valid(self, ring_bench, ring_doc):
-        assert ring_bench.structural_errors(ring_doc) == []
-
-    def test_schema_and_provenance(self, ring_bench, ring_doc):
-        assert ring_doc["schema_version"] == ring_bench.SCHEMA_VERSION
-        assert ring_doc["artifact"] == "BENCH_ring.json"
-        assert ring_doc["generated_by"] == "benchmarks/bench_ring.py"
-        rev = ring_doc["git_rev"]
-        assert rev == "unknown" or (
-            4 <= len(rev) <= 40 and all(c in "0123456789abcdef" for c in rev)
-        )
-        assert isinstance(ring_doc["seed"], int)
-
-    def test_metrics_cover_both_scenarios_with_per_tenant_p99(
-        self, ring_bench, ring_doc
-    ):
-        assert set(ring_doc["metrics"]) == set(ring_bench.SCENARIOS)
-        for scenario, entry in ring_doc["metrics"].items():
-            assert set(ring_bench.METRIC_KEYS) <= set(entry), scenario
-            per_tenant = entry[ring_bench.PER_TENANT_KEY]
-            assert len(per_tenant) == ring_doc["config"]["n_tenants"], scenario
-
-    def test_check_mode_accepts_the_committed_artifact(self, ring_bench,
-                                                       ring_doc):
-        errors = ring_bench.check_artifact(RING_ARTIFACT, ring_doc)
-        assert errors == []
-
-
-class TestRingAcceptanceNumbers:
-    """The PR 8 acceptance gate: 8 tenants on 4 cores at saturation."""
-
-    def test_committed_run_is_not_a_smoke_run(self, ring_doc):
-        assert ring_doc["config"]["smoke"] is False, (
-            "the committed artifact must come from a full run, not --smoke"
-        )
-
-    def test_acceptance_configuration(self, ring_doc):
-        assert ring_doc["config"]["n_tenants"] == 8
-        assert ring_doc["config"]["n_cores"] == 4
-
-    def test_saturated_utilization_at_least_090(self, ring_doc):
-        assert ring_doc["metrics"]["saturated"]["utilization"] >= 0.90
-
-    def test_saturated_jain_at_least_09(self, ring_doc):
-        assert ring_doc["metrics"]["saturated"]["jain"] >= 0.9
-
-    def test_mixed_weights_stay_fair_weight_normalized(self, ring_doc):
-        assert ring_doc["metrics"]["mixed"]["jain_weighted"] >= 0.9
-
-    def test_cobatching_saves_aes_work(self, ring_doc):
-        derived = ring_doc["derived"]
-        assert derived["cobatch_runs_per_batch"] > 1.0
-        assert derived["cobatch_aes_savings"] > 0.0
 
 
 # ----------------------------------------------------------------------
