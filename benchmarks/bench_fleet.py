@@ -4,19 +4,18 @@ Drives a real :class:`repro.fleet.ProcessFleet` — N gateway subprocesses
 sharing one crash-consistent JSONL store — through three scenarios:
 
 * ``steady``       — clean sessions, the sessions/sec baseline;
-* ``resume``       — the client's TCP transport is cut once the shared
-  store shows a committed round, and the session resumes over the
-  failover dialer (p99 resume latency);
+* ``resume``       — the client's TCP transport is cut once the client
+  holds round 1, and the session resumes over the failover dialer (p99
+  resume latency);
 * ``handoff_kill`` — the serving member takes a real ``SIGKILL`` at the
-  same trigger, a peer steals the leaked lease and adopts the
-  checkpoint from the shared file (handoff cost under kill).
+  same trigger (and the client's wire drops), a peer steals the leaked
+  lease and adopts the checkpoint from the shared file (handoff cost
+  under kill).
 
-The fault trigger polls the supervisor-side store for
-``committed_round(sid) >= 1`` rather than counting frames: with
-per-round OT the client's receive sequence advances before the member's
-admission checkpoint lands, so a frame-count trigger can strand a
-session lease-held but checkpoint-less.  The store is the one surface
-both sides agree on.
+The trigger holds the client's reads at the frame count that ends
+round 1, read from the session's checkpoint in the shared store (which
+lands before the stream's first frame), so the fault hits the same
+point of the stream however far the member streamed ahead.
 
 Results land in ``BENCH_fleet.json`` at the repository root; the
 artifact is committed so the resilience trajectory is visible across
@@ -53,6 +52,7 @@ from repro.net import RemoteAnalyticsClient  # noqa: E402
 from repro.perf.provenance import git_rev  # noqa: E402
 from repro.recover import BackoffPolicy  # noqa: E402
 from repro.serve import ServingConfig  # noqa: E402
+from repro.testkit.oracle import FrameGate, round_end  # noqa: E402
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "BENCH_fleet.json"
@@ -133,8 +133,8 @@ def query_inputs(args, index: int):
 
 def timed_session(fleet, audit, args, index: int, fire=None):
     """One client session; ``fire(victim, client)`` (if given) runs once
-    the shared store shows ``committed_round >= 1``.  Returns a sample
-    dict: wall seconds, fault-to-result seconds, fired, bit_exact."""
+    the client holds round 1.  Returns a sample dict: wall seconds,
+    fault-to-result seconds, fired, bit_exact."""
     victim = index % fleet.n_members
     row, x = query_inputs(args, index)
     client = make_client(fleet, start_at=victim, seed=args.seed + index)
@@ -143,6 +143,9 @@ def timed_session(fleet, audit, args, index: int, fire=None):
     result: dict = {}
     try:
         sid = client.session_id
+        if fire is not None:
+            # held after net.ack and seq.rounds: the checkpoint is stored
+            gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
         t0 = time.perf_counter()
 
         def query():
@@ -156,14 +159,15 @@ def timed_session(fleet, audit, args, index: int, fire=None):
         t_fault = None
         if fire is not None:
             deadline = time.monotonic() + FAULT_DEADLINE_S
-            while worker.is_alive() and time.monotonic() < deadline:
-                committed = audit.committed_round(sid)
-                if committed is not None and committed >= 1:
-                    t_fault = time.perf_counter()
-                    fire(victim, client)
-                    sample["fired"] = True
-                    break
-                time.sleep(0.0005)
+            try:
+                if gate.wait(worker, deadline):
+                    end = round_end(audit, sid, 1, deadline)
+                    if end is not None and gate.hold(end, worker, deadline):
+                        t_fault = time.perf_counter()
+                        fire(victim, client)
+                        sample["fired"] = True
+            finally:
+                gate.release()
         worker.join(timeout=FAULT_DEADLINE_S)
         if worker.is_alive():
             raise RuntimeError(
@@ -216,7 +220,7 @@ def bench_scenario(scenario: str, fleet: ProcessFleet, args) -> dict:
             else:  # handoff_kill
                 sample = timed_session(
                     fleet, audit, args, i,
-                    fire=lambda victim, _client: fleet.kill(victim),
+                    fire=lambda victim, client: _kill_member(fleet, victim, client),
                 )
                 samples.append(sample)
                 # respawn outside the timed window: the handoff cost is
@@ -226,6 +230,13 @@ def bench_scenario(scenario: str, fleet: ProcessFleet, args) -> dict:
     finally:
         audit.close()
     return summarize(samples, faulted=scenario != "steady")
+
+
+def _kill_member(fleet, victim, client) -> None:
+    """The handoff fault: SIGKILL the serving member; the client's wire
+    drops with it, frames the member streamed past the trigger too."""
+    fleet.kill(victim)
+    _cut_transport(victim, client)
 
 
 def _cut_transport(_victim, client) -> None:

@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "handoff/backends/processes")
             p.add_argument("--rounds", type=int, default=2,
                            help="MAC rounds per session (the processes "
-                                "profile draws its commit-round triggers "
+                                "profile draws its round triggers "
                                 "below this)")
             p.add_argument("--log", default=None,
                            help="write a JSONL replay log here")

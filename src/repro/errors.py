@@ -94,9 +94,9 @@ class ResumeError(WireError):
 
 
 class LeaseError(ResumeError):
-    """A fleet-coordination lease violation: a gateway tried to advance
+    """A fleet-coordination lease violation: a gateway tried to write
     or adopt a session whose lease it does not hold (another gateway
-    stole it after expiry, or a compare-and-swap advance lost a race).
+    stole it after expiry, or won the race to adopt it).
 
     Subclasses :class:`ResumeError`: from the session's point of view a
     lost lease is a failed resume on *this* gateway — the session

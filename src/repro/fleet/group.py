@@ -14,15 +14,17 @@ streams the remainder without a single round being garbled twice.
 Lease state machine (per session)::
 
     (no lease) --acquire--> HELD(owner=A, epoch=e)
-    HELD(A,e)  --renew (A acquires/advances)------> HELD(A,e)
+    HELD(A,e)  --renew (A acquires)---------------> HELD(A,e)
     HELD(A,e)  --release (A done streaming)-------> (no lease, epoch kept)
     HELD(A,e)  --ttl expires, B acquires (STEAL)--> HELD(B,e+1)
     HELD(A,e)  --B acquires before expiry---------> denied (B sheds)
 
-Every round commit is ``cas_advance(owner, expected_round)`` — it
-fails typed (:class:`~repro.errors.LeaseError`) unless the caller both
-holds the lease and agrees with the store on the committed round, so a
-stale owner's serve is provably a no-op.
+A query's one durable record is its checkpoint ``put(checkpoint,
+owner=A)``, written before the first frame with the stream's whole
+frame map; it fails typed (:class:`~repro.errors.LeaseError`) unless A
+still holds the lease, so a stale owner cannot overwrite the adopter's
+record.  Nothing is committed round by round: the adopter restarts at
+the round the client's ``last_acked_seq`` proves it holds.
 """
 
 from __future__ import annotations

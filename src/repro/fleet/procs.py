@@ -9,8 +9,8 @@ approximation.  Each member is a subprocess running its own
 shared seed, so every member garbles the same circuit family), and a
 :class:`~repro.recover.JsonlSessionStore` opened on the *shared* log
 file — the only channel members coordinate over.  Ownership moves the
-same way it does in-thread: lease steal on expiry, CAS-fenced round
-commits, checkpoint adoption.
+same way it does in-thread: lease steal on expiry, lease-fenced
+checkpoint puts, checkpoint adoption.
 
 Supervision surfaces:
 

@@ -163,12 +163,8 @@ class SequentialStreamer:
 
     ``materials`` are the rounds from ``start_round`` on: a resumed
     stream starts past round 0, and a tail resume streams no round at
-    all.  Each round's boundary is committed before the round's last
-    frame: ``checkpoint`` (when set) is advanced to the channel's
-    counters as they will be after that frame, and
-    ``on_commit(next_round)`` fires.  A crash in between leaves the
-    store one round ahead of the client, which a resume rewinds, never
-    behind it.  Either may raise to withhold the last frame.  Once the
+    all.  The frame schedule is static, so where each round ends is
+    known before the first frame (:meth:`boundaries`).  Once a
     round is on the wire ``on_round(next_round)`` fires and may raise
     to stop the stream at that boundary.
     """
@@ -183,9 +179,7 @@ class SequentialStreamer:
         backend: str = "gc",
         on_round=None,
         telemetry: MetricsRegistry | None = None,
-        checkpoint=None,
         ot: OTExtensionSender | None = None,
-        on_commit=None,
     ):
         self.channel = channel
         self.materials = list(materials)
@@ -195,11 +189,7 @@ class SequentialStreamer:
         self.rounds = start_round + len(self.materials)
         self.backend = backend
         self.on_round = on_round
-        self.on_commit = on_commit
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        #: the session checkpoint this stream advances at every round
-        #: boundary (anything with ``begin_stream`` / ``advance``)
-        self.checkpoint = checkpoint
         self.ot = ot if ot is not None else OTExtensionSender(group)
         self.streamed = 0
         self._begun = False
@@ -215,8 +205,6 @@ class SequentialStreamer:
     def begin(self) -> None:
         """Send the preamble."""
         self._begun = True
-        if self.checkpoint is not None:
-            self.checkpoint.begin_stream(self.start_round)
         if self.backend == "he":
             # the HE client is parked in recv("he.result") and expects it first
             return
@@ -231,33 +219,64 @@ class SequentialStreamer:
         chan = self.channel
         tm = self.telemetry
         m = self.materials[self.streamed]
-        if self.backend == "he":
-            frames = [(HE_RESULT_TAG, m.tables)]
-        else:
-            chan.send("seq.tables", m.tables)
-            chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
-            later = self.materials[self.streamed + 1 :]
-            self._transfer(
-                m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
-            )
-            # the round ends on a label frame, sent after its commit
-            frames = [("seq.const_labels", _u128_payload(m.const_labels))]
-            if m.state_labels is not None:
-                frames.append(("seq.state_labels", _u128_payload(m.state_labels)))
-        next_round = self.start_round + self.streamed + 1
         with tm.timer("stream.round"):
-            for tag, payload in frames[:-1]:
-                chan.send(tag, payload)
-            if self.checkpoint is not None:
-                self.checkpoint.advance(next_round, chan.send_seq + 1, chan.recv_seq)
-            if self.on_commit is not None:
-                self.on_commit(next_round)
-            chan.send(*frames[-1])
+            if self.backend == "he":
+                chan.send(HE_RESULT_TAG, m.tables)
+            else:
+                chan.send("seq.tables", m.tables)
+                chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
+                later = self.materials[self.streamed + 1 :]
+                self._transfer(
+                    m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
+                )
+                chan.send("seq.const_labels", _u128_payload(m.const_labels))
+                if m.state_labels is not None:
+                    chan.send("seq.state_labels", _u128_payload(m.state_labels))
         tm.counter("stream.bytes").inc(len(m.tables))
         self.streamed += 1
         if self.on_round is not None:
-            self.on_round(next_round)
+            self.on_round(self.start_round + self.streamed)
         return self.streamed < len(self.materials)
+
+    @staticmethod
+    def boundaries(
+        start_seq: int,
+        materials: list[RoundMaterial],
+        pool_held: bool,
+        start_round: int = 0,
+        backend: str = "gc",
+    ) -> list[list[int]]:
+        """The round boundaries of a stream, before it sends a frame.
+
+        Mirrors :meth:`begin` and :meth:`stream_round` frame for frame:
+        entry ``[r, s]`` says that once the client has verified ``s``
+        frames of the channel (which stood at ``start_seq`` when the
+        stream began) it holds every round below ``r``.  The first
+        entry, ``[start_round, 0]``, is the floor.  Only the stream's
+        first OT depends on the connection: it announces the pool
+        (``ot.pool``) and, when the sender holds none yet
+        (``pool_held`` false), answers the base-OT setup (``ot.base.B``).
+        """
+        bounds = [[start_round, 0]]
+        seq = start_seq
+        if backend != "he":
+            seq += 1  # seq.rounds
+        opened = False
+        for r, m in enumerate(materials, start_round + 1):
+            if backend == "he":
+                seq += 1  # he.result
+            else:
+                # seq.tables, seq.garbler_labels, seq.const_labels
+                seq += 3
+                if m.evaluator_pairs:
+                    seq += 1  # ot.e
+                    if not opened:
+                        seq += 1 if pool_held else 2  # ot.pool [, ot.base.B]
+                        opened = True
+                if m.state_labels is not None:
+                    seq += 1
+            bounds.append([r, seq])
+        return bounds
 
     def finish(self) -> int:
         """Send the output map; returns the number of rounds streamed."""

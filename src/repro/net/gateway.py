@@ -36,12 +36,13 @@ stack runs without binding a port.
 
 Fleet operation (:mod:`repro.fleet`): N gateways share one session
 store.  Every streamed session is fenced by a store lease
-(``acquire_lease`` / ``cas_advance``) so the gateway that answers a
-``net.resume`` — possibly not the one that issued the checkpoint —
-provably owns the session before it streams a single round, and two
-gateways can never garble or re-stream the same round.  A resume
-restart rewinds to the round the *client* proved it completed (its
-``last_acked_seq`` against the checkpoint's stream-boundary map) and
+(``acquire_lease``, then a lease-fenced ``put`` of the query's one
+checkpoint) so the gateway that answers a ``net.resume`` — possibly
+not the one that issued the checkpoint — provably owns the session
+before it streams a single round.  A resume restart rewinds to the
+round the *client* proved it completed (its ``last_acked_seq``
+against the checkpoint's stream-boundary map, which the ``put``
+carries whole) and
 goes through the :class:`~repro.serve.batcher.ResumeBatcher`, which
 coalesces the reconnect burst after a gateway kill into batched
 round-robin serves.  :meth:`GCGateway.kill` is the crash used by the
@@ -658,10 +659,19 @@ class GCGateway:
         if lease is None:
             self._shed(channel, "session is leased to a peer", tenant=session.tenant)
             return
-        on_run, on_round = self._checkpoint_hooks(session, row)
+        def on_run(stream) -> None:
+            # the query's one durable record, before its first frame:
+            # the whole run and where each of its rounds ends
+            cp = checkpoint_from_stream(
+                stream, session.session_id, row,
+                client_name=session.client_name, tenant=session.tenant,
+            )
+            self.store.put(cp, owner=self.gateway_id)
+
         try:
             request = self.serving.submit_remote(
-                row, channel, on_round=on_round, on_run=on_run,
+                row, channel, on_round=self._round_hook(session.session_id),
+                on_run=on_run,
                 backend=session.backend, tenant=session.tenant, ot=session.ot,
             )
         except OverloadedError as exc:  # transient saturation: shed with a hint
@@ -691,62 +701,10 @@ class GCGateway:
         self.store.release_lease(session.session_id, self.gateway_id)
         tm.counter("gateway.queries").inc()
 
-    def _checkpoint_hooks(self, session: _GatewaySession, row: int):
-        """Build a fresh query's ``on_run``/``on_round`` pair.
-
-        ``on_run(stream)`` fires before the first byte is streamed: it
-        re-checks the session's lease, snapshots the stream's material
-        (GC rounds, or the one HE result ciphertext) into the store and
-        binds the checkpoint and the commit hook to the stream, which
-        advances and commits it at every round boundary.  The commit
-        and ``on_round`` hooks are the ones resumed streams share
-        (:meth:`_commit_boundaries`).
-        """
-        cfg = self.serving.config
-        state: dict = {}
-        on_commit, on_round = self._commit_boundaries(session.session_id, state)
-
-        def on_run(stream) -> None:
-            lease = self.store.acquire_lease(
-                session.session_id, self.gateway_id, cfg.lease_ttl_s
-            )
-            if lease is None:
-                raise LeaseError(
-                    f"session {session.session_id}: lease held by another "
-                    "gateway; refusing to stream"
-                )
-            cp = checkpoint_from_stream(
-                stream, session.session_id, row,
-                client_name=session.client_name, tenant=session.tenant,
-            )
-            self.store.put(cp)
-            state["cp"], state["expected"] = cp, cp.next_round
-            stream.checkpoint = cp
-            stream.on_commit = on_commit
-
-        return on_run, on_round
-
-    def _commit_boundaries(self, sid: str, state: dict):
-        """The ``on_commit`` / ``on_round`` hooks of every streamed
-        query, fresh or resumed.
-
-        Before a round's last frame the stream advances ``state["cp"]``
-        past the round; ``on_commit`` commits that boundary through the
-        store's fenced compare-and-swap against ``state["expected"]``.
-        If another gateway stole this session's lease (this one looked
-        dead) the CAS raises :class:`LeaseError` and the round's last
-        frame is withheld — two gateways never advance the same
-        session.  Once the round is on the wire, ``on_round`` stops
-        every stream of a draining gateway at that boundary.
-        """
-        cfg = self.serving.config
-
-        def on_commit(next_round: int) -> None:
-            cp = state["cp"]
-            self.store.cas_advance(
-                cp, self.gateway_id, state["expected"], cfg.lease_ttl_s
-            )
-            state["expected"] = cp.next_round
+    def _round_hook(self, sid: str):
+        """The ``on_round`` hook of every streamed query, fresh or
+        resumed: once a round is on the wire, a draining gateway stops
+        the stream at that boundary."""
 
         def on_round(next_round: int) -> None:
             if self._draining.is_set():
@@ -757,7 +715,7 @@ class GCGateway:
                     next_round=next_round,
                 )
 
-        return on_commit, on_round
+        return on_round
 
     def _shed(self, channel, reason: str, tenant: str = "") -> None:
         """Overload reply: a machine-readable ``net.retry_after`` backoff
@@ -874,10 +832,10 @@ class GCGateway:
         session's lease (stealing it if the writer's expired), (2)
         deep-copies the stored checkpoint so no two gateways ever mutate
         one object, (3) rewinds it to the round the client's
-        ``last_acked_seq`` proves complete — the writer's ``next_round``
-        runs ahead of the client by however much the dead stream had
-        buffered — and (4) commits the rewound state through the fenced
-        CAS before streaming a byte.
+        ``last_acked_seq`` proves complete and maps the new stream's
+        frames, and (4) once the stream is admitted, stores the rewound
+        checkpoint with one lease-fenced ``put`` before ``net.resume_ok``
+        and the first streamed byte.
         """
         tm = self.telemetry
         cfg = self.serving.config
@@ -910,29 +868,15 @@ class GCGateway:
             self._shed(endpoint, f"session {sid} is leased to a peer")
             raise ResumeError(f"resume for {sid} shed: lease held by a peer")
         checkpoint = SessionCheckpoint.from_dict(stored.to_dict())
-        committed = self.store.committed_round(sid)
-        restart_round = checkpoint.acked_round(client_acked)
-        if restart_round < checkpoint.next_round:
-            checkpoint.rewind_to(restart_round)
-            tm.counter("gateway.resumes.rewound").inc()
-        try:
-            # commit the adoption (and any rewind) under the fence before
-            # anything reaches the wire
-            self.store.cas_advance(
-                checkpoint, self.gateway_id,
-                committed if committed is not None else checkpoint.next_round,
-                cfg.lease_ttl_s,
-            )
-        except LeaseError as exc:
-            self._shed(endpoint, str(exc))
-            raise ResumeError(f"resume for {sid} lost the adoption race") from exc
-        on_commit, on_round = self._commit_boundaries(
-            sid, {"cp": checkpoint, "expected": checkpoint.next_round}
+        checkpoint.rewind_to(checkpoint.acked_round(client_acked))
+        # the stream starts on this connection right after resume_ok
+        checkpoint.begin_stream(
+            endpoint.send_seq + 1, session.ot.pool_id is not None
         )
         try:
             handle = self._batcher.submit(
-                checkpoint, endpoint, self.server.group, on_round=on_round,
-                on_commit=on_commit, ot=session.ot,
+                checkpoint, endpoint, self.server.group,
+                on_round=self._round_hook(sid), ot=session.ot,
             )
         except OverloadedError as exc:
             # either the resume queue is full or the checkpoint's tenant
@@ -942,6 +886,15 @@ class GCGateway:
         except ServingError as exc:
             endpoint.send(REJECT_TAG, str(exc).encode())
             raise ResumeError(f"resume for {sid} failed: {exc}") from exc
+        try:
+            # stored only once the stream is sure to start: until the
+            # client adopts this connection its acked count is the old
+            # stream's, which only the old map reads right
+            self.store.put(checkpoint, owner=self.gateway_id)
+        except LeaseError as exc:
+            handle.cancel(exc)
+            self._shed(endpoint, str(exc))
+            raise ResumeError(f"resume for {sid} lost the adoption race") from exc
         answer = {
             "mode": "restart",
             "next_round": checkpoint.next_round,

@@ -1,28 +1,27 @@
-"""Per-round resumable session state and the resumed streaming path.
+"""Resumable session state and the resumed streaming path.
 
-A :class:`SessionCheckpoint` is what the gateway writes at every round
-boundary: everything needed to serve the *remaining* rounds of one
+A :class:`SessionCheckpoint` is what the gateway writes once per query,
+before the first frame: everything needed to serve the rounds of one
 ``serve_row`` query to a reconnecting client without re-garbling —
 the pre-serialized tables, the already-selected garbler/constant
 labels, the evaluator label pairs for fresh OT, and the output
-permutation map.  The server streams ahead of the client's
-verified-receive counter — after the client's one OT-correction
-flight nothing throttles its lead — so advancing
-prunes nothing: every streamed round stays as the unacked tail, and
-only :meth:`SessionCheckpoint.rewind_to` discards material.  Each
-checkpoint keeps a ``stream_boundaries`` map from round boundaries to
-the send-sequence counter at each — which is how a *different* gateway
-adopting the session computes the exact round the client last
-completed from the ``last_acked_seq`` in its ``net.resume``.
+permutation map — plus the stream's ``stream_boundaries`` map.  The
+frame schedule is static
+(:meth:`~repro.gc.sequential_gc.SequentialStreamer.boundaries`), so
+the map is complete before the stream starts: it says how many server
+frames end each round.  A gateway adopting the session (possibly not
+the one that wrote it) turns the ``last_acked_seq`` of the client's
+``net.resume`` into the exact round the client holds, and restarts
+there; the store never records progress round by round.
 
 The security argument for storing this is unchanged from the pooled
 :class:`~repro.accel.fsm.AcceleratorRun` it is derived from: each run
 is used by exactly one session, active labels for garbler inputs are
-already destined for this client, and evaluator label *pairs* are
-consumed by OT exactly once per round (a resume re-runs OT only for
-rounds the client never evaluated, on fresh random-OT pool indices).
-No OT state is stored: an adopting gateway has no pool for the client,
-which sets up a new one in band.
+already destined for this client, and a resume re-sends the same
+garbling with the same labels, re-running OT only for the rounds the
+client does not hold, on fresh random-OT pool indices.  No OT state is
+stored: an adopting gateway has no pool for the client, which sets up
+a new one in band.
 
 On the client side, :class:`EvaluatorProgress` is the mirror image:
 the rounds completed so far and the carried accumulator labels, enough
@@ -41,29 +40,16 @@ from repro.gc.sequential_gc import RoundMaterial, SequentialStreamer
 
 @dataclass
 class SessionCheckpoint:
-    """One session's resumable state, written at round boundaries.
+    """One query's resumable state: its stream's rounds and frame map.
 
-    ``send_seq``/``recv_seq`` record the server endpoint's channel
-    sequence counters at checkpoint time; a frame-level rebind restores
-    them so the CRC trailers (which mix the sequence index) keep
-    verifying across the reconnect.  A round-level resume instead
-    restarts the stream on fresh counters — the counters then only
-    document how far the broken stream got.
-
-    ``stream_boundaries`` maps round boundaries reached by the *current*
+    ``next_round`` is the round the stored stream starts at (0 for a
+    fresh query).  ``stream_boundaries`` maps round boundaries of that
     stream to the server send-sequence counter at each: the entry
-    ``[r, s]`` means "after ``s`` server frames the client can have
-    verified at most ``r`` complete rounds".  A gateway restarting the
-    session (possibly a different gateway than streamed it) combines
-    this with the client's ``last_acked_seq`` to :meth:`rewind_to` the
-    exact round the client completed, instead of trusting its own
-    (always-ahead) ``next_round``.  :meth:`begin_stream` resets the map
-    whenever a stream starts on fresh channel counters.
-
-    ``next_round == rounds`` means every round was *streamed*, not that
-    the client confirmed them: the unacked tail (every streamed round)
-    is retained so a post-completion crash can still rewind and
-    re-serve what the client provably never received.
+    ``[r, s]`` means "after ``s`` server frames the client holds every
+    round below ``r``".  :meth:`begin_stream` computes the map for a
+    stream about to start; a gateway restarting the session combines
+    it with the client's ``last_acked_seq`` (:meth:`acked_round`) to
+    :meth:`rewind_to` the exact round the client completed.
     """
 
     session_id: str
@@ -72,8 +58,6 @@ class SessionCheckpoint:
     next_round: int
     materials: list[RoundMaterial]
     output_permute_bits: list[int]
-    send_seq: int = 0
-    recv_seq: int = 0
     client_name: str = ""
     stream_boundaries: list[list[int]] = field(default_factory=list)
     #: Which private-MAC backend produced the material: ``gc`` rounds
@@ -87,31 +71,15 @@ class SessionCheckpoint:
     #: so a mass-adoption burst cannot jump the queue.
     tenant: str = ""
 
-    def advance(self, next_round: int, send_seq: int = 0, recv_seq: int = 0) -> None:
-        """Mark rounds below ``next_round`` streamed.
-
-        Nothing is pruned: past the client's OT corrections the server
-        free-runs arbitrarily far ahead of it, so
-        only :meth:`rewind_to` (which knows what the client acked) may
-        discard material.
-        """
-        if next_round < self.next_round:
-            raise ResumeError(
-                f"session {self.session_id}: checkpoint cannot move backwards "
-                f"(round {self.next_round} -> {next_round})"
-            )
-        self.next_round = next_round
-        self.send_seq = send_seq
-        self.recv_seq = recv_seq
-        self.stream_boundaries.append([next_round, send_seq])
-
-    def begin_stream(self, start_round: int) -> None:
-        """Reset the boundary map for a stream starting at ``start_round``.
-
-        The base entry ``[start_round, 0]`` is a floor: any acked count
-        proves at least the rounds completed before this stream began.
-        """
-        self.stream_boundaries = [[start_round, 0]]
+    def begin_stream(self, start_seq: int, pool_held: bool) -> None:
+        """Map the stream of rounds ``next_round..rounds-1`` that starts
+        when the channel's send counter stands at ``start_seq``;
+        ``pool_held`` says whether the connection's OT sender holds a
+        pool already."""
+        self.stream_boundaries = SequentialStreamer.boundaries(
+            start_seq, self.materials, pool_held,
+            start_round=self.next_round, backend=self.backend,
+        )
 
     def acked_round(self, peer_acked_seq: int) -> int:
         """Highest round boundary the client's verified-receive counter covers.
@@ -128,25 +96,16 @@ class SessionCheckpoint:
         return min(best, self.rounds)
 
     def rewind_to(self, round_index: int) -> None:
-        """Move ``next_round`` *backwards* to a client-confirmed boundary.
+        """Restart the stored stream at ``round_index``, the round the
+        client proved it completed, discarding the rounds before it.
 
-        The only sanctioned backwards move: a resume adopting this
-        session re-serves the rounds the client never verified.  Every
-        round in ``[round_index, rounds)`` must still have material.
+        Every round in ``[round_index, rounds)`` must still have
+        material.
         """
-        if round_index > self.next_round:
-            raise ResumeError(
-                f"session {self.session_id}: cannot rewind forward "
-                f"(round {self.next_round} -> {round_index})"
-            )
         for r in range(round_index, self.rounds):
             self.material_for(r)
         self.next_round = round_index
         self.materials = [m for m in self.materials if m.round_index >= round_index]
-
-    @property
-    def complete(self) -> bool:
-        return self.next_round >= self.rounds
 
     def material_for(self, round_index: int) -> RoundMaterial:
         for m in self.materials:
@@ -165,8 +124,6 @@ class SessionCheckpoint:
             "next_round": self.next_round,
             "materials": [m.to_dict() for m in self.materials],
             "output_permute_bits": self.output_permute_bits,
-            "send_seq": self.send_seq,
-            "recv_seq": self.recv_seq,
             "client_name": self.client_name,
             "stream_boundaries": [list(b) for b in self.stream_boundaries],
             "backend": self.backend,
@@ -186,8 +143,6 @@ class SessionCheckpoint:
                 next_round=int(data["next_round"]),
                 materials=[RoundMaterial.from_dict(m) for m in data["materials"]],
                 output_permute_bits=[int(b) for b in data["output_permute_bits"]],
-                send_seq=int(data["send_seq"]),
-                recv_seq=int(data["recv_seq"]),
                 client_name=str(data["client_name"]),
                 stream_boundaries=[
                     [int(b[0]), int(b[1])] for b in data["stream_boundaries"]
@@ -230,7 +185,8 @@ def checkpoint_from_stream(
     client_name: str = "",
     tenant: str = "",
 ) -> SessionCheckpoint:
-    """Snapshot a query's stream before it sends anything.
+    """Snapshot a query's stream, and map its frames, before it sends
+    anything.
 
     The checkpoint shares the stream's :class:`RoundMaterial` — selected
     once per query, never copied — so resuming re-sends exactly what the
@@ -250,7 +206,7 @@ def checkpoint_from_stream(
         backend=stream.backend,
         tenant=tenant,
     )
-    cp.begin_stream(stream.start_round)
+    cp.begin_stream(stream.channel.send_seq, stream.ot.pool_id is not None)
     return cp
 
 
@@ -258,15 +214,14 @@ class CheckpointStreamer(SequentialStreamer):
     """A resumed session's stream: the remaining rounds of a checkpoint.
 
     Streams through the one garbler-side dialogue from
-    ``checkpoint.next_round``, advancing the checkpoint (and its
-    ``stream_boundaries``) at every round boundary.  No garbling
-    happens: stored material is retransmitted and OT re-runs only for
-    rounds the client never evaluated.  The resume batcher drives
+    ``checkpoint.next_round``.  No garbling happens: stored material is
+    retransmitted and OT re-runs only for rounds the client never
+    evaluated.  The resume batcher drives
     ``begin()`` / ``stream_round()`` / ``finish()`` directly to
     interleave many resumed sessions round-robin through one worker.
 
-    A *tail* resume (``checkpoint.complete`` but the client never acked
-    ``seq.output_map``) is legal: the preamble goes out, zero rounds
+    A *tail* resume (``next_round == rounds``: the client holds every
+    round but never acked ``seq.output_map``) is legal: the preamble goes out, zero rounds
     follow, and ``finish()`` re-sends the output map.
     """
 
@@ -278,7 +233,6 @@ class CheckpointStreamer(SequentialStreamer):
         on_round=None,
         telemetry=None,
         ot=None,
-        on_commit=None,
     ):
         start = checkpoint.next_round
         super().__init__(
@@ -290,9 +244,7 @@ class CheckpointStreamer(SequentialStreamer):
             backend=checkpoint.backend,
             on_round=on_round,
             telemetry=telemetry,
-            checkpoint=checkpoint,
             ot=ot,
-            on_commit=on_commit,
         )
 
     def finish(self) -> int:

@@ -12,12 +12,12 @@ bounded lifetime is a hygiene requirement, not just a memory one.
 
 For fleet operation (N gateways sharing one store) the store also keeps
 per-session :class:`LeaseRecord` ownership: a gateway must hold the
-session's lease to stream it, an expired lease can be stolen (epoch
-increments — a fencing token), and every round-boundary advance goes
-through :meth:`SessionStore.cas_advance`, which compares against the
-store's own *committed round* for the session — not the checkpoint
-object, which the gateways mutate — so two gateways can never both
-commit the same round.
+session's lease to stream it, and an expired lease can be stolen
+(epoch increments — a fencing token).  A query's one durable progress
+record is its checkpoint ``put``, fenced by that lease
+(``put(checkpoint, owner=...)``): the checkpoint maps every round
+boundary of the stream up front, so nothing is written round by round,
+and a gateway whose lease was stolen cannot write the session.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class LeaseRecord:
     expiry — expired leases are kept, not swept, exactly so the next
     steal continues the fence), so a gateway that went dark holding
     epoch ``e`` can never race a successor holding ``e+1``: the store
-    checks ownership on every CAS advance.
+    checks ownership on every fenced put.
     """
 
     session_id: str
@@ -95,11 +95,6 @@ class SessionStore:
         #: replaced by a steal or removed with the session) so the epoch
         #: fence never restarts from 1 mid-session.
         self._leases: dict[str, LeaseRecord] = {}
-        #: last *committed* next_round per session — the CAS comparand.
-        #: Deliberately not read off the stored checkpoint: the
-        #: in-memory backend holds the same object the gateway mutates,
-        #: and a CAS against a self-mutated field always "succeeds".
-        self._committed: dict[str, int] = {}
         #: store-wide metadata (JSON-serialisable values), not tied to
         #: any session and never TTL-swept — e.g. the draining gateway's
         #: SLO-controller operating point for its successor to inherit.
@@ -110,19 +105,30 @@ class SessionStore:
         """Record a mutation durably (no-op for the in-memory backend)."""
 
     # -- API ------------------------------------------------------------
-    def put(self, checkpoint: SessionCheckpoint) -> None:
+    def put(self, checkpoint: SessionCheckpoint, owner: str | None = None) -> None:
+        """Store ``checkpoint``; with ``owner``, only while that owner
+        still holds the session's lease.
+
+        The fenced form raises :class:`LeaseError` when the lease is
+        gone or a peer stole it (an expired lease nobody took is still
+        the owner's), so a gateway that looked dead cannot overwrite
+        its successor's record.  It checks, and writes only the put.
+        """
+        sid = checkpoint.session_id
         with self._lock:
+            if owner is not None:
+                lease = self._leases.get(sid)
+                if lease is None or lease.owner != owner:
+                    holder = lease.owner if lease is not None else "nobody"
+                    raise LeaseError(
+                        f"session {sid}: {owner!r} cannot write it — lease "
+                        f"held by {holder!r}"
+                    )
             self._sweep_locked()
-            self._entries[checkpoint.session_id] = (self._clock(), checkpoint)
-            self._committed[checkpoint.session_id] = checkpoint.next_round
+            self._entries[sid] = (self._clock(), checkpoint)
             self._persist("put", checkpoint)
         if self.telemetry is not None:
             self.telemetry.counter("recover.store.puts").inc()
-
-    def committed_round(self, session_id: str) -> int | None:
-        """The last round boundary committed through put/cas_advance."""
-        with self._lock:
-            return self._committed.get(session_id)
 
     # -- store-wide metadata ----------------------------------------------
     def put_meta(self, key: str, value) -> None:
@@ -209,47 +215,6 @@ class SessionStore:
                 return None
             return lease.owner
 
-    def cas_advance(
-        self,
-        checkpoint: SessionCheckpoint,
-        owner: str,
-        expected_next_round: int,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    ) -> None:
-        """Commit a round boundary iff ``owner`` holds the lease *and* the
-        store's committed round still equals ``expected_next_round``.
-
-        Raises :class:`LeaseError` otherwise — the caller's serve is a
-        no-op from the fleet's point of view (some other gateway owns
-        the session now) and must stop streaming.  Success renews the
-        lease and persists the checkpoint's progress: an ``advance``
-        record, not the round material, which a ``put`` already holds.
-        """
-        sid = checkpoint.session_id
-        with self._lock:
-            now = self._clock()
-            lease = self._leases.get(sid)
-            if lease is None or lease.owner != owner:
-                holder = lease.owner if lease is not None else "nobody"
-                raise LeaseError(
-                    f"session {sid}: {owner!r} cannot advance — lease held "
-                    f"by {holder!r}"
-                )
-            committed = self._committed.get(sid)
-            if committed != expected_next_round:
-                raise LeaseError(
-                    f"session {sid}: CAS advance lost — committed round is "
-                    f"{committed}, caller expected {expected_next_round}"
-                )
-            self._entries[sid] = (now, checkpoint)
-            self._committed[sid] = checkpoint.next_round
-            lease = LeaseRecord(sid, owner, lease.epoch, now + lease_ttl_s)
-            self._leases[sid] = lease
-            self._persist("advance", checkpoint)
-            self._persist("lease", lease)
-        if self.telemetry is not None:
-            self.telemetry.counter("recover.store.cas_advances").inc()
-
     def get(self, session_id: str) -> SessionCheckpoint | None:
         with self._lock:
             self._sweep_locked()
@@ -262,7 +227,6 @@ class SessionStore:
             existed = self._entries.pop(session_id, None) is not None
             if existed:
                 self._leases.pop(session_id, None)
-                self._committed.pop(session_id, None)
                 self._persist("delete", session_id)
             return existed
 
@@ -277,7 +241,6 @@ class SessionStore:
         for sid in expired:
             del self._entries[sid]
             self._leases.pop(sid, None)
-            self._committed.pop(sid, None)
             self._persist("delete", sid)
         if expired and self.telemetry is not None:
             self.telemetry.counter("recover.store.evicted").inc(len(expired))
@@ -344,11 +307,11 @@ class JsonlSessionStore(SessionStore):
     """A crash-surviving, multi-process store: mutations appended to a log.
 
     The log is replayed on construction: a ``put`` record sets a
-    session's checkpoint, each later ``advance`` record (a committed
-    round boundary) moves its progress on without repeating the round
-    material, and a ``delete`` record tombstones.  :meth:`compact`
-    rewrites the log to just the live entries — the drain path calls
-    it so a restarted gateway loads a minimal file.
+    session's checkpoint and a ``delete`` record tombstones.  (Logs
+    written before the put carried the whole frame map also hold
+    ``advance`` records; replay skips them like any unknown op.)
+    :meth:`compact` rewrites the log to just the live entries — the
+    drain path calls it so a restarted gateway loads a minimal file.
 
     Crash consistency and cross-process sharing (format v2):
 
@@ -430,7 +393,6 @@ class JsonlSessionStore(SessionStore):
             with self._lock:
                 self._entries.clear()
                 self._leases.clear()
-                self._committed.clear()
                 self._meta.clear()
             self._log_pos = 0
             self._log_ino = ino
@@ -502,27 +464,10 @@ class JsonlSessionStore(SessionStore):
             if op == "put":
                 cp = SessionCheckpoint.from_dict(rec["checkpoint"])
                 self._entries[cp.session_id] = (now, cp)
-                self._committed[cp.session_id] = cp.next_round
-            elif op == "advance":
-                sid = rec["session_id"]
-                entry = self._entries.get(sid)
-                if entry is not None:
-                    cp = entry[1]
-                    cp.next_round = int(rec["next_round"])
-                    cp.send_seq = int(rec["send_seq"])
-                    cp.recv_seq = int(rec["recv_seq"])
-                    cp.stream_boundaries = [
-                        [int(b[0]), int(b[1])] for b in rec["stream_boundaries"]
-                    ]
-                    first = int(rec["first_round"])
-                    cp.materials = [m for m in cp.materials if m.round_index >= first]
-                    self._entries[sid] = (now, cp)
-                    self._committed[sid] = cp.next_round
             elif op == "delete":
                 sid = rec.get("session_id")
                 self._entries.pop(sid, None)
                 self._leases.pop(sid, None)
-                self._committed.pop(sid, None)
             elif op == "lease":
                 sid = rec["session_id"]
                 self._leases[sid] = LeaseRecord(
@@ -547,21 +492,6 @@ class JsonlSessionStore(SessionStore):
     def _persist(self, op: str, value) -> None:
         if op == "put":
             rec = {"op": "put", "checkpoint": value.to_dict()}
-        elif op == "advance":
-            # the round material is already in the log: record only
-            # what a boundary commit (or an adoption's rewind) changes
-            rec = {
-                "op": "advance",
-                "session_id": value.session_id,
-                "next_round": value.next_round,
-                "send_seq": value.send_seq,
-                "recv_seq": value.recv_seq,
-                "stream_boundaries": value.stream_boundaries,
-                "first_round": min(
-                    (m.round_index for m in value.materials),
-                    default=value.next_round,
-                ),
-            }
         elif op == "lease":
             rec = {
                 "op": "lease",
@@ -586,10 +516,10 @@ class JsonlSessionStore(SessionStore):
             self._log_ino = os.fstat(fh.fileno()).st_ino
 
     # -- public API: refresh-then-act under the file lock -----------------
-    def put(self, checkpoint: SessionCheckpoint) -> None:
+    def put(self, checkpoint: SessionCheckpoint, owner: str | None = None) -> None:
         with self._shared_log():
             self._refresh_locked()
-            super().put(checkpoint)
+            super().put(checkpoint, owner=owner)
 
     def put_meta(self, key: str, value) -> None:
         with self._shared_log():
@@ -600,16 +530,6 @@ class JsonlSessionStore(SessionStore):
         with self._shared_log():
             self._refresh_locked()
             return super().get_meta(key, default)
-
-    def committed_round(self, session_id: str) -> int | None:
-        with self._shared_log():
-            self._refresh_locked()
-            return super().committed_round(session_id)
-
-    def locked(self):
-        """Hold the log's file lock (reentrant in this thread): no
-        process commits a boundary until it is released."""
-        return self._shared_log()
 
     def acquire_lease(
         self, session_id: str, owner: str, ttl_s: float = DEFAULT_LEASE_TTL_S
@@ -632,19 +552,6 @@ class JsonlSessionStore(SessionStore):
         with self._shared_log():
             self._refresh_locked()
             return super().lease_holder(session_id)
-
-    def cas_advance(
-        self,
-        checkpoint: SessionCheckpoint,
-        owner: str,
-        expected_next_round: int,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    ) -> None:
-        with self._shared_log():
-            self._refresh_locked()
-            super().cas_advance(
-                checkpoint, owner, expected_next_round, lease_ttl_s=lease_ttl_s
-            )
 
     def get(self, session_id: str) -> SessionCheckpoint | None:
         with self._shared_log():

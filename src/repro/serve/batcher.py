@@ -51,12 +51,11 @@ class ResumeHandle:
     """
 
     def __init__(self, checkpoint, endpoint, group, on_round=None,
-                 scheduler=None, tenant: str = "", ot=None, on_commit=None):
+                 scheduler=None, tenant: str = "", ot=None):
         self.checkpoint = checkpoint
         self.endpoint = endpoint
         self.group = group
         self.on_round = on_round
-        self.on_commit = on_commit
         #: the adopting connection's OT pool
         #: (:class:`~repro.crypto.ot.OTExtensionSender`)
         self.ot = ot
@@ -76,6 +75,12 @@ class ResumeHandle:
         self._done.set()
         if self.scheduler is not None:
             self.scheduler.complete(self.tenant)
+
+    def cancel(self, error: BaseException) -> None:
+        """Withdraw the session before its stream begins: it fails
+        with ``error`` and the batch skips it without waiting."""
+        self._finish(error)
+        self.start_gate.set()
 
     @property
     def done(self) -> bool:
@@ -132,6 +137,8 @@ class BatchedResumeRequest(PendingRequest):
                     "start gate"
                 ))
                 continue
+            if handle.done:  # cancelled before its stream began
+                continue
             try:
                 streamer = CheckpointStreamer(
                     handle.endpoint,
@@ -140,7 +147,6 @@ class BatchedResumeRequest(PendingRequest):
                     on_round=handle.on_round,
                     telemetry=client.server.telemetry,
                     ot=handle.ot,
-                    on_commit=handle.on_commit,
                 )
                 streamer.begin()
             except Exception as exc:  # noqa: BLE001 — isolate per session
@@ -217,7 +223,7 @@ class ResumeBatcher:
         return max(1, cap)
 
     def submit(self, checkpoint, endpoint, group, on_round=None,
-               ot=None, on_commit=None) -> ResumeHandle:
+               ot=None) -> ResumeHandle:
         scheduler = getattr(self.serving, "scheduler", None)
         tenant = getattr(checkpoint, "tenant", "") or ""
         flush_now: list[ResumeHandle] | None = None
@@ -236,7 +242,6 @@ class ResumeBatcher:
             handle = ResumeHandle(
                 checkpoint, endpoint, group, on_round=on_round,
                 scheduler=scheduler, tenant=tenant, ot=ot,
-                on_commit=on_commit,
             )
             self._pending.append(handle)
             if len(self._pending) >= self.effective_max_batch():

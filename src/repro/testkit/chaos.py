@@ -284,9 +284,8 @@ class ChaosRunner:
                 session_seed, recv_timeout_s=self.config.recv_timeout_s
             )
         if self.config.profile == "processes":
-            # the commit trigger must land strictly before the final
-            # round, or the SIGKILL races the victim's own completion
-            # (result sent, BYE not yet written) instead of mid-stream
+            # the round trigger lands strictly before the final round:
+            # the fault then hits the query mid-stream
             return FaultPlan.random_processes(
                 session_seed,
                 recv_timeout_s=self.config.recv_timeout_s,

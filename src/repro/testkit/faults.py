@@ -51,13 +51,13 @@ DRAIN_GATEWAY = "drain_gateway"  #: gracefully drain gateway G mid-stream;
                                  #: a peer resumes from its checkpoint
 
 # -- process-fleet faults (:class:`repro.fleet.ProcessFleet`) -----------
-KILL_PROCESS = "kill_process"  #: SIGKILL member M once the store shows
-                               #: commit round N; a peer process must
+KILL_PROCESS = "kill_process"  #: SIGKILL member M once the client
+                               #: holds round N; a peer process must
                                #: steal the leaked lease and finish
-TERM_PROCESS = "term_process"  #: SIGTERM member M at commit round N —
+TERM_PROCESS = "term_process"  #: SIGTERM member M at round N —
                                #: drain, checkpoint, release, exit 0
 DISCONNECT_PROCESS = "disconnect_process"  #: cut the client's TCP wire
-                               #: at commit round N; the fleet stays up
+                               #: at round N; the fleet stays up
                                #: and the session must resume
 
 # -- tenant-isolation faults (ring scheduler, :mod:`repro.serve`) -------
@@ -148,7 +148,7 @@ class FaultSpec:
         if self.kind in HANDOFF_FAULT_KINDS:
             return f"{self.kind}(gw{self.gateway}, cut@{self.frame})"
         if self.kind in PROCESS_FAULT_KINDS:
-            return f"{self.kind}(m{self.gateway}, commit@{self.frame})"
+            return f"{self.kind}(m{self.gateway}, round@{self.frame})"
         if self.kind in TENANT_FAULT_KINDS:
             if self.kind == STALL_TENANT:
                 return f"{self.kind}(t{self.tenant}, {self.duration_s:.3g}s)"
@@ -403,11 +403,11 @@ class FaultPlan:
         leaked lease, possibly a torn append), ``SIGTERM`` one (drain,
         checkpoint, release, exit 0), or cut the client's TCP wire.
 
-        ``frame`` is a *committed-round* trigger, not a frame index:
-        the supervisor fires the fault once the shared store shows the
-        session's commit at that round, which is the only cross-process
-        surface both sides agree on (a frame count can land inside the
-        admission window, before any checkpoint exists).  Keep
+        ``frame`` is a *round* trigger, not a frame index: the
+        supervisor fires the fault once the client has verified every
+        frame of that round, a count it reads from the session's stored
+        checkpoint (which exists before the stream's first frame, so
+        the fault can never land in the admission window).  Keep
         ``max_commit_round`` below the session's round count so the
         trigger always fires mid-stream.
 

@@ -23,7 +23,6 @@ drive the serving layer and gateway instead of the wire.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -180,12 +179,68 @@ class _StallRequest(PendingRequest):
         return 0.0
 
 
-def _file_size(path: str) -> int:
-    """Bytes in ``path``; 0 before anything created it."""
-    try:
-        return os.path.getsize(path)
-    except FileNotFoundError:
-        return 0
+class FrameGate:
+    """Holds a client endpoint's reads at a chosen frame count.
+
+    While armed (:meth:`hold`), the thread reading from ``endpoint``
+    parks before each frame once the endpoint has verified ``seq``
+    frames, until the gate is re-armed or released.  A fault fired
+    while the reader is held lands at that exact frame of the stream,
+    however far the server has streamed ahead.
+    """
+
+    def __init__(self, endpoint, seq: int | None = None):
+        self._endpoint = endpoint
+        self._raw_recv = endpoint._recv_message
+        self._cond = threading.Condition()
+        self._at = seq
+        self._held = False
+        endpoint._recv_message = self._recv_message
+
+    def _recv_message(self, timeout: float):
+        with self._cond:
+            while self._at is not None and self._endpoint.recv_seq >= self._at:
+                self._held = True
+                self._cond.notify_all()
+                self._cond.wait()
+        return self._raw_recv(timeout)
+
+    def _arm(self, seq: int | None) -> None:
+        with self._cond:
+            self._at = seq
+            self._held = False
+            self._cond.notify_all()
+
+    def wait(self, worker: threading.Thread, deadline: float) -> bool:
+        """Wait until the reader is held; False if ``worker`` ended or
+        the monotonic ``deadline`` passed first."""
+        while True:
+            with self._cond:
+                if self._cond.wait_for(lambda: self._held, 0.005):
+                    return True
+            if not worker.is_alive() or time.monotonic() > deadline:
+                return False
+
+    def hold(self, seq: int, worker: threading.Thread, deadline: float) -> bool:
+        """Re-arm at ``seq`` verified frames (letting a held reader go
+        on) and :meth:`wait` until the reader is held there."""
+        self._arm(seq)
+        return self.wait(worker, deadline)
+
+    def release(self) -> None:
+        self._arm(None)
+
+
+def round_end(store, sid: str, round_index: int, deadline: float) -> int | None:
+    """The frames a client has verified once it holds every round below
+    ``round_index`` of session ``sid``'s stored stream, read from the
+    checkpoint's ``stream_boundaries`` (waiting for its put until the
+    monotonic ``deadline``); None past the deadline or the stream."""
+    while (cp := store.get(sid)) is None:
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(0.001)
+    return dict(map(tuple, cp.stream_boundaries)).get(round_index)
 
 
 class ConformanceOracle:
@@ -1157,27 +1212,28 @@ class ConformanceOracle:
         result, so the stream runs ahead of the client's frame count
         and would race the drain to its next round boundary: the same
         plan would checkpoint mid-stream on one run and finish clean on
-        the next.  Once ``frame`` is on the wire, every round boundary
-        of ``gw``'s streams waits for the drain that the client's
-        count triggers, so the drain stops the stream at the first
-        boundary at or after that frame.
+        the next.  Every round boundary of ``gw``'s streams that ends at
+        or after ``frame`` (per the session's stored frame map) waits
+        for the drain that the client's count triggers, so the drain
+        stops the stream at the first boundary at or after that frame.
         """
-        commit_boundaries = gw._commit_boundaries
+        round_hook = gw._round_hook
 
-        def held(sid: str, state: dict):
-            on_commit, on_round = commit_boundaries(sid, state)
+        def held(sid: str):
+            on_round = round_hook(sid)
 
             def on_round_held(next_round: int) -> None:
-                cp = state.get("cp")
-                if cp is not None and cp.send_seq >= frame:
+                cp = gw.store.get(sid)
+                ends = dict(map(tuple, cp.stream_boundaries)) if cp else {}
+                if ends.get(next_round, 0) >= frame:
                     deadline = time.monotonic() + self.deadline_s
                     while not gw.draining and time.monotonic() < deadline:
                         time.sleep(0.001)
                 on_round(next_round)
 
-            return on_commit, on_round_held
+            return on_round_held
 
-        gw._commit_boundaries = held
+        gw._round_hook = held
 
     def _fire_gateway_fault(self, client, group, spec, worker) -> bool:
         """Trigger the handoff fault once the client has verified
@@ -1271,10 +1327,8 @@ class ConformanceOracle:
         its delta may read 0 — but no *survivor* may ever garble the
         migrated session again); and the lease ledger balances after
         recovery (checkpoint tombstoned, lease released, in the shared
-        file).  The fault fires only once the store shows the session's
-        commit at the plan's round — the frame counts other tiers use
-        can land inside the admission window, where a lease exists but
-        no checkpoint does.
+        file).  The fault fires once the client has verified every
+        frame of the plan's round (:meth:`_fire_process_fault`).
         """
         start = time.perf_counter()
         spec = next(f for f in plan.faults if f.kind in PROCESS_FAULT_KINDS)
@@ -1304,6 +1358,9 @@ class ConformanceOracle:
             )
             sid = client.session_id
             box: dict = {}
+            # held once it has read net.ack and seq.rounds: the stream's
+            # first frame follows the query's checkpoint put
+            gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
 
             def attempt():
                 try:
@@ -1316,10 +1373,10 @@ class ConformanceOracle:
             )
             worker.start()
             fired = self._fire_process_fault(
-                audit, fleet, client, sid, spec, victim, worker
+                audit, fleet, client, sid, spec, victim, gate, worker
             )
             if fired:
-                injected.append(f"{spec.kind}:m{victim}@commit{spec.frame}")
+                injected.append(f"{spec.kind}:m{victim}@round{spec.frame}")
             worker.join(timeout=self.deadline_s)
             gateway_id = getattr(client.endpoint, "last_gateway_id", "")
             if worker.is_alive():
@@ -1377,7 +1434,7 @@ class ConformanceOracle:
                 )
             return self._verdict(
                 plan, "procs", TOLERATED,
-                "fault never fired (commit trigger beyond the session); "
+                "fault never fired (round trigger beyond the session); "
                 "clean run, ledger balanced",
                 injected=injected, start=start, gateway_id=gateway_id,
             )
@@ -1396,57 +1453,41 @@ class ConformanceOracle:
                 self.telemetry.counter("faults.procs.respawn_failures").inc()
 
     def _fire_process_fault(
-        self, audit, fleet, client, sid, spec, victim: int, worker
+        self, audit, fleet, client, sid, spec, victim: int, gate, worker
     ) -> bool:
-        """Fire the process fault once the shared store shows the
-        session's commit at ``spec.frame``; returns False if the query
-        finished (or the deadline passed) before the trigger."""
+        """Fire the process fault once the client has verified every
+        frame of the plan's round ``spec.frame``; returns False if the
+        query finished (or the deadline passed) before the trigger.
+
+        The frame count comes from the session's stored checkpoint
+        (``stream_boundaries``), which is on disk before the stream's
+        first frame: ``gate`` holds the client there until the count is
+        read, then again at the count while the fault fires.  Past the
+        client's one OT flight the member streams the whole query
+        without waiting, so by then it has sent frames the client has
+        not read: every kind drops the client's wire with them, and the
+        fault lands at the planned round — a SIGKILL mid-stream, a
+        drain (whose release and compaction still run) that stopped
+        the stream there, or a cut.
+        """
         deadline = time.monotonic() + self.deadline_s
-        if spec.kind == KILL_PROCESS:
-            return self._kill_at_commit(audit, fleet, sid, spec.frame, victim,
-                                        worker, deadline)
-        while time.monotonic() < deadline and worker.is_alive():
-            committed = audit.committed_round(sid)
-            if committed is not None and committed >= spec.frame:
-                break
-            time.sleep(0.001)
-        else:
-            return False
-        if spec.kind == TERM_PROCESS:
-            fleet.terminate(victim, timeout_s=max(5.0, self.deadline_s))
-        elif spec.kind == DISCONNECT_PROCESS:
+        try:
+            if not gate.wait(worker, deadline):
+                return False
+            end = round_end(audit, sid, spec.frame, deadline)
+            if end is None or not gate.hold(end, worker, deadline):
+                return False
+            if spec.kind == TERM_PROCESS:
+                fleet.terminate(victim, timeout_s=max(5.0, self.deadline_s))
+            elif spec.kind == KILL_PROCESS:
+                fleet.kill(victim)
             try:
                 client.endpoint.transport.close()
             except OSError:
                 pass
-        return True
-
-    @staticmethod
-    def _kill_at_commit(audit, fleet, sid, frame: int, victim: int, worker,
-                        deadline: float) -> bool:
-        """SIGKILL ``victim`` once the session's commit reaches ``frame``,
-        before it can commit another boundary.
-
-        The stream commits each boundary before that round's last frame,
-        and a round costs far less than a poll interval, so polling
-        alone lets the victim finish the whole query before the signal
-        lands.  Instead the shared log stays locked between the victim's
-        appends: each time the log grows, the lock is taken again and
-        the committed round checked, so the victim advances one commit
-        at a time and dies with the lock held — mid-stream, at the
-        planned boundary.
-        """
-        while time.monotonic() < deadline and worker.is_alive():
-            with audit.locked():
-                committed = audit.committed_round(sid)
-                if committed is not None and committed >= frame:
-                    fleet.kill(victim)
-                    return True
-                size = _file_size(audit.path)
-            while (_file_size(audit.path) == size
-                   and worker.is_alive() and time.monotonic() < deadline):
-                time.sleep(0.0002)
-        return False
+            return True
+        finally:
+            gate.release()
 
     def _check_process_counters(self, fleet, spec, victim: int, before) -> str:
         """The zero-re-garble oracle over the per-process counters.

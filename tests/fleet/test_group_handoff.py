@@ -8,6 +8,7 @@ session garbled exactly once.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.net import RemoteAnalyticsClient
 from repro.recover import BackoffPolicy
 from repro.serve import ServingConfig
 from repro.telemetry import MetricsRegistry
+from repro.testkit.oracle import FrameGate, round_end
 
 MODEL = np.array([
     [0.5, -1.0, 0.25, 0.75, -0.5, 1.0, 0.125, -0.25],
@@ -62,55 +64,67 @@ def client_for(group, start_at=0):
     )
 
 
-def run_handoff(group, fault, row=1):
-    """Start a query, fire ``fault(sid)`` at the first committed
-    round-boundary checkpoint, and return the client plus its result.
-
-    The trigger hooks the store's two commit paths (admission ``put``,
-    boundary ``cas_advance``) rather than polling: once the client's
-    single OT flight lands the gateway streams every round without
-    waiting, so a polling loop usually misses the mid-query window.
-    """
-    client = client_for(group)
+def run_query(client, row=1):
+    """Start ``client.query_row`` on a thread; returns (thread, result)."""
     result = {}
-    boundary = threading.Event()
-    hit = {}
-    orig_put, orig_cas = group.store.put, group.store.cas_advance
-
-    def observe(cp):
-        if not boundary.is_set() and 1 <= cp.next_round < cp.rounds:
-            hit["sid"] = cp.session_id
-            boundary.set()
-
-    def hooked_put(cp):
-        orig_put(cp)
-        observe(cp)
-
-    def hooked_cas(cp, *args, **kwargs):
-        orig_cas(cp, *args, **kwargs)
-        observe(cp)
-
-    group.store.put, group.store.cas_advance = hooked_put, hooked_cas
 
     def query():
         try:
             result["got"] = client.query_row(row, X)
-        except BaseException as exc:  # surfaced to the assertion below
+        except BaseException as exc:  # surfaced to the caller's assertion
             result["err"] = exc
 
     t = threading.Thread(target=query)
     t.start()
-    try:
-        if not boundary.wait(timeout=15.0):
-            pytest.fail("no round-boundary checkpoint appeared")
-        fault(hit["sid"], client)
-    finally:
-        group.store.put, group.store.cas_advance = orig_put, orig_cas
-        t.join(timeout=60.0)
+    return t, result
+
+
+def finish(t, result):
+    t.join(timeout=60.0)
     assert not t.is_alive(), "query never finished after the fault"
     if "err" in result:
         raise result["err"]
-    return client, result["got"]
+    return result["got"]
+
+
+def run_handoff(group, fault, row=1):
+    """Start a query, fire ``fault(sid, client)`` once the client holds
+    round 1, and return the client plus its result.
+
+    The client's reads are held at that frame count (read from the
+    session's stored frame map) while the fault fires: past the
+    client's single OT flight the gateway streams every round without
+    waiting, so a polling trigger usually misses the mid-query window.
+    """
+    client = client_for(group)
+    sid = client.session_id
+    # held after net.ack and seq.rounds: the checkpoint is stored
+    gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
+    t, result = run_query(client, row)
+    deadline = time.monotonic() + 15.0
+    try:
+        assert gate.wait(t, deadline), "the stream never started"
+        end = round_end(group.store, sid, 1, deadline)
+        assert end is not None and gate.hold(end, t, deadline), (
+            "the client never reached round 1"
+        )
+        fault(sid, client)
+    finally:
+        gate.release()
+    return client, finish(t, result)
+
+
+def assert_ledger_balanced(store, sid):
+    """After the client's BYE: checkpoint tombstoned, lease released."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        if store.get(sid) is None and store.lease_holder(sid) is None:
+            return
+        time.sleep(0.01)
+    pytest.fail(
+        f"ledger unbalanced: checkpoint={store.get(sid) is not None}, "
+        f"lease_holder={store.lease_holder(sid)!r}"
+    )
 
 
 class TestGroupLifecycle:
@@ -218,66 +232,112 @@ class TestKillHandoff:
         finally:
             group.stop()
 
-    def test_crash_between_commit_and_last_frame_rewinds_bit_exact(self):
-        """The victim's ``on_commit`` hook raises right after round k's
-        store commit, before that round's last frame: the store says k
-        while the client holds k - 1 rounds.  A successor resumes from
-        the store, rewinds to the client's round and finishes bit-exact
-        with zero re-garbled rounds."""
-        k = 3
+    def test_kill_before_every_frame_resumes_bit_exact(self):
+        """The gateway dies with the client holding exactly the first k
+        frames of the query's stream, for every k from seq.rounds to
+        seq.output_map: the frame map stored with the query's one put
+        tells the successor where to restart, and every kill resumes
+        bit-identical — one garble, a resume, a balanced ledger."""
         server = fresh_server()
         reference = AnalyticsClient(server).query_row(1, X)
-        garbled0 = server.stats.runs_garbled
-        group = make_group(server).start()
-        committed, crashed = threading.Event(), threading.Event()
-        victim = group.gateways[0]
-        boundaries = victim._commit_boundaries
-
-        def crashing_boundaries(sid, state):
-            on_commit, on_round = boundaries(sid, state)
-
-            def commit_then_crash(next_round):
-                on_commit(next_round)  # the store CAS
-                if next_round == k:
-                    committed.set()
-                    crashed.wait(timeout=15.0)
-                    raise RuntimeError("gateway died between commit and last frame")
-
-            return commit_then_crash, on_round
-
-        victim._commit_boundaries = crashing_boundaries
-        client = client_for(group)
-        result = {}
-
-        def query():
+        # rounds 1..M-1 are 4 frames; cold round 0 is 7 (ot.pool and
+        # ot.base.B); seq.rounds and seq.output_map add one each
+        frames = 1 + 7 + 4 * (MODEL.shape[1] - 1) + 1
+        for k in range(frames):
+            garbled0 = server.stats.runs_garbled
+            group = make_group(server, n=2, lease_ttl_s=0.1).start()
+            client = client_for(group)
             try:
-                result["got"] = client.query_row(1, X)
-            except BaseException as exc:  # surfaced to the assertion below
-                result["err"] = exc
+                sid = client.session_id
+                ep = client.endpoint
+                # the stream starts after net.ack
+                gate = FrameGate(ep, ep.recv_seq + 1 + k)
+                t, result = run_query(client)
+                try:
+                    assert gate.wait(t, time.monotonic() + 15.0), k
+                    # the kill lands after the put (the stream's first
+                    # frame follows it), never in the admission window
+                    assert round_end(group.store, sid, 0, time.monotonic() + 15.0) == 0
+                    transport = ep.transport
+                    group.kill(0)
+                    transport.close()
+                finally:
+                    gate.release()
+                got = finish(t, result)
+                assert got == reference, k  # bit-for-bit, not approx
+                assert ep.resumes >= 1, k
+                assert ep.last_gateway_id == "gw1", k
+                assert server.stats.runs_garbled == garbled0 + 1, k
+                client.close()
+                assert_ledger_balanced(group.store, sid)
+            finally:
+                client.close()
+                group.stop()
 
-        t = threading.Thread(target=query)
-        t.start()
+    def test_resume_tells_the_client_nothing_new(self):
+        """PROTOCOL.md's safety argument, observed: across the dead
+        stream and the resumed one, each (round, evaluator-input wire)
+        gets exactly one label, and every re-sent ``seq.tables`` and
+        ``seq.garbler_labels`` is byte-identical to the first send."""
+        server = fresh_server()
+        group = make_group(server, n=2, lease_ttl_s=0.1).start()
+        client = client_for(group)
+        ep = client.endpoint
+        frames, labels = [], []
+        raw_recv, raw_receive = ep.recv, client._ot.receive
+
+        def recv(tag, timeout=None):
+            payload = raw_recv(tag, timeout)
+            frames.append((tag, payload))
+            return payload
+
+        def receive(channel, choices, upcoming=None):
+            got = raw_receive(channel, choices, upcoming)
+            tables = next(p for tag, p in reversed(frames) if tag == "seq.tables")
+            labels.append((tables, got))
+            return got
+
+        ep.recv, client._ot.receive = recv, receive
         try:
-            assert committed.wait(timeout=15.0), "round k was never committed"
-            assert group.store.committed_round(client.session_id) == k
-            transport = client.endpoint.transport
-            group.kill(0, hard=True)
-            transport.close()
-            crashed.set()
-            t.join(timeout=60.0)
-            assert not t.is_alive(), "query never finished after the crash"
-            if "err" in result:
-                raise result["err"]
-            assert result["got"] == reference  # bit-for-bit, not approx
-            assert server.stats.runs_garbled == garbled0 + 1
-            tm = server.telemetry
-            assert tm.counter("gateway.resumes.restart").value == 1
-            assert tm.counter("gateway.resumes.rewound").value == 1
-            assert client.endpoint.last_gateway_id in ("gw1", "gw2")
+            sid = client.session_id
+            gate = FrameGate(ep, ep.recv_seq + 2)
+            t, result = run_query(client)
+            deadline = time.monotonic() + 15.0
+            try:
+                assert gate.wait(t, deadline)
+                # inside round 2, past its ot.e: round 2 is re-sent whole
+                end = round_end(group.store, sid, 2, deadline)
+                assert gate.hold(end + 3, t, deadline)
+                round_of = {m.tables: m.round_index
+                            for m in group.store.get(sid).materials}
+                transport = ep.transport
+                group.kill(0)
+                transport.close()
+            finally:
+                gate.release()
+            assert finish(t, result) == pytest.approx(
+                float(MODEL[1] @ X), abs=1e-12
+            )
+            assert ep.resumes >= 1
         finally:
-            crashed.set()
             client.close()
             group.stop()
+        by_round: dict = {}
+        for tables, got in labels:
+            by_round.setdefault(round_of[tables], []).append(got)
+        assert sorted(by_round) == list(range(MODEL.shape[1]))
+        assert len(by_round[2]) == 2, "round 2 was not re-sent"
+        for r, sends in by_round.items():
+            for wire in zip(*sends):
+                assert len(set(wire)) == 1, f"round {r}: two labels for one wire"
+        first: dict = {}
+        for i, (tag, payload) in enumerate(frames):
+            if tag != "seq.tables":
+                continue
+            r = round_of[payload]
+            garbler = frames[i + 1]
+            assert garbler[0] == "seq.garbler_labels"
+            assert first.setdefault(r, (payload, garbler[1])) == (payload, garbler[1])
 
     def test_live_lease_sheds_then_expiry_steals(self):
         """Satellite (gateway layer): while the dead owner's lease is
@@ -287,13 +347,13 @@ class TestKillHandoff:
         server = fresh_server()
         group = make_group(server, lease_ttl_s=0.6).start()
         try:
-            committed_at_kill = {}
+            stored_at_kill = {}
 
             def fault(sid, client):
                 transport = client.endpoint.transport
                 group.kill(0)
                 transport.close()
-                committed_at_kill["round"] = group.store.committed_round(sid)
+                stored_at_kill["cp"] = group.store.get(sid)
 
             client, got = run_handoff(group, fault)
             try:
@@ -301,8 +361,8 @@ class TestKillHandoff:
                 tm = server.telemetry
                 # at least one adoption bounced off the live lease...
                 assert tm.counter("recover.lease.denied").value >= 1
-                # ...and the denial did not advance the session
-                assert committed_at_kill["round"] is not None
+                # ...while the dead owner's checkpoint waited in the store
+                assert stored_at_kill["cp"] is not None
                 # exactly one steal won the session
                 assert tm.counter("recover.lease.steals").value == 1
                 assert tm.counter("gateway.resumes.restart").value == 1
@@ -319,6 +379,23 @@ class TestDrainHandoff:
         successor adopts epoch-clean — no steal, no re-garble."""
         server = fresh_server()
         group = make_group(server).start()
+        # the stream free-runs past the client: gw0's streams wait at
+        # round 1's boundary for the drain, so it lands mid-query
+        gw0 = group.gateways[0]
+        round_hook = gw0._round_hook
+
+        def held_hook(sid):
+            on_round = round_hook(sid)
+
+            def held(next_round):
+                if next_round == 1:
+                    while not gw0.draining:
+                        time.sleep(0.001)
+                on_round(next_round)
+
+            return held
+
+        gw0._round_hook = held_hook
         try:
             def fault(sid, client):
                 assert group.drain(0, timeout_s=10.0) is True

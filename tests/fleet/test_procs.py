@@ -1,6 +1,6 @@
 """ProcessFleet: real gateway subprocesses sharing one store file.
 
-The thread-fleet handoff suite proves the lease/CAS/checkpoint design;
+The thread-fleet handoff suite proves the lease/checkpoint design;
 these tests prove the same invariants survive real process boundaries:
 TCP transports, SIGKILL (counters lost, leases leaked, maybe a torn
 append), SIGTERM (drain + compact + clean exit), heartbeat-based silent
@@ -19,6 +19,7 @@ from repro.fleet.procs import derive_model
 from repro.net import RemoteAnalyticsClient
 from repro.recover import BackoffPolicy
 from repro.serve import ServingConfig
+from repro.testkit.oracle import FrameGate, round_end
 
 RECV_TIMEOUT = 20.0
 X6 = np.array([0.5, -0.25, 1.0, 0.75, 0.125, -0.5])
@@ -52,19 +53,19 @@ def make_client(fleet, start_at=0, seed=3):
     )
 
 
-def run_query_with_fault(fleet, client, fire, row=1, x=X6,
-                         after_committed=1, deadline_s=30.0):
-    """Run ``query_row`` on a thread; call ``fire()`` once the shared
-    store shows a committed round >= ``after_committed`` for the
-    session.  Frame counts are the wrong trigger across processes: with
-    per-round OT the client receives OT flights *before* the member's
-    admission checkpoint lands, so a kill gated on ``recv_seq`` can
-    strand the session lease-held but checkpoint-less.  The store is
-    the one surface both sides agree on — the same condition the
-    thread-fleet suite hooks in-process.  Returns (result, fired)."""
+def run_query_with_fault(fleet, client, fire, row=1, x=X6, at_round=1,
+                         deadline_s=30.0):
+    """Run ``query_row`` on a thread; call ``fire()`` once the client
+    holds every round below ``at_round``.  The client's reads are held
+    at that frame count — read from the session's checkpoint in the
+    shared store, which lands before the stream's first frame — while
+    the fault fires, so it hits the same point of the stream however
+    far the member streamed ahead.  Returns (result, fired)."""
     result = {}
     sid = client.session_id
     audit = fleet.open_store()
+    # held after net.ack and seq.rounds: the checkpoint is stored
+    gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
 
     def query():
         try:
@@ -77,14 +78,13 @@ def run_query_with_fault(fleet, client, fire, row=1, x=X6,
     fired = False
     deadline = time.monotonic() + deadline_s
     try:
-        while t.is_alive() and time.monotonic() < deadline:
-            committed = audit.committed_round(sid)
-            if committed is not None and committed >= after_committed:
+        if gate.wait(t, deadline):
+            end = round_end(audit, sid, at_round, deadline)
+            if end is not None and gate.hold(end, t, deadline):
                 fire()
                 fired = True
-                break
-            time.sleep(0.0005)
     finally:
+        gate.release()
         audit.close()
     t.join(timeout=deadline_s)
     assert not t.is_alive(), "query never finished after the fault"
@@ -143,9 +143,12 @@ class TestProcessFaults:
         with make_fleet(n=2, rounds=6) as fleet:
             client = make_client(fleet, start_at=0)
             try:
-                got, fired = run_query_with_fault(
-                    fleet, client, fire=lambda: fleet.kill(0),
-                )
+                def kill():
+                    fleet.kill(0)
+                    # frames the victim streamed past round 1 die with it
+                    client.endpoint.transport.close()
+
+                got, fired = run_query_with_fault(fleet, client, fire=kill)
                 assert fired, "query finished before the kill window"
                 assert got == fleet.expected(1, X6)
                 assert not fleet.alive(0)

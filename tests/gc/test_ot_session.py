@@ -79,7 +79,6 @@ def drained_then_resumed(k, successor):
 
     def on_run(stream):
         held["cp"] = checkpoint_from_stream(stream, "s-ot", ROW)
-        stream.checkpoint = held["cp"]
 
     def on_round(next_round):
         if next_round == k:
@@ -94,7 +93,10 @@ def drained_then_resumed(k, successor):
                                      ot=sender),
             lambda: evaluator.run(x_bits(), progress=progress),
         )
-    assert progress.completed_rounds == k == held["cp"].next_round
+    # the resume rule: the client's verified count, read against the
+    # frame map the checkpoint carried from the start, is its round
+    assert progress.completed_rounds == k == held["cp"].acked_round(e.recv_seq)
+    held["cp"].rewind_to(k)
     pool_before = receiver.pool_id
 
     g, e = local_channel(recv_timeout_s=10.0)

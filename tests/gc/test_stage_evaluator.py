@@ -253,8 +253,7 @@ class TestResume:
         reference = captured["cp"]
         for start in range(rounds):
             cp = SessionCheckpoint.from_dict(reference.to_dict())
-            if start:
-                cp.advance(start)
+            cp.rewind_to(start)
             g2, e2 = local_channel(recv_timeout_s=10.0)
             progress = EvaluatorProgress()
             streamed, resumed = run_two_party(

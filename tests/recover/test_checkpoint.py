@@ -1,4 +1,4 @@
-"""Checkpoints: advance/prune semantics, serialization, resumed serving.
+"""Checkpoints: frame map and rewind, serialization, resumed serving.
 
 The load-bearing claim: a :class:`SessionCheckpoint` captured by the
 ``on_run`` hook can serve the *whole* query (or its tail) without a
@@ -51,34 +51,34 @@ def make_checkpoint(rounds=3) -> SessionCheckpoint:
 
 
 class TestAdvance:
+    """How far a stream gets: its frame map, and rewinds to the client."""
+
     def test_advance_keeps_every_unacked_round(self):
         cp = make_checkpoint(rounds=3)
-        cp.advance(2, send_seq=14, recv_seq=9)
-        assert cp.next_round == 2
-        # past the client's one OT-correction flight the stream runs
-        # free: rounds 0 and 1 are streamed but maybe unverified, so a
-        # successor gateway must still be able to re-serve them
-        assert [m.round_index for m in cp.materials] == [0, 1, 2]
-        assert (cp.send_seq, cp.recv_seq) == (14, 9)
-        assert not cp.complete
-        cp.advance(3)
-        assert cp.complete
+        cp.begin_stream(4, pool_held=False)
+        # the whole stream is mapped before its first frame, and nothing
+        # is pruned: a successor gateway must be able to re-serve any
+        # round the client has not verified
+        assert cp.next_round == 0
         assert [m.round_index for m in cp.materials] == [0, 1, 2]
 
     def test_advance_far_past_the_client_never_prunes(self):
         cp = make_checkpoint(rounds=3)
-        cp.advance(3, send_seq=20, recv_seq=2)
-        # the stream ran free of the client's receipts: it keeps
-        # everything; only rewind_to (which knows the acked round) may
-        # discard
+        cp.begin_stream(0, pool_held=True)
+        # reading the map discards nothing; only rewind_to (which knows
+        # the acked round) may
+        assert cp.acked_round(10**6) == 3
         assert [m.round_index for m in cp.materials] == [0, 1, 2]
 
     def test_boundary_map_tracks_advances(self):
         cp = make_checkpoint(rounds=3)
-        cp.begin_stream(0)
-        cp.advance(1, send_seq=5)
-        cp.advance(2, send_seq=9)
-        assert cp.stream_boundaries == [[0, 0], [1, 5], [2, 9]]
+        # cold connection: round 0 also carries ot.pool and ot.base.B
+        cp.begin_stream(4, pool_held=False)
+        assert cp.stream_boundaries == [[0, 0], [1, 12], [2, 16], [3, 20]]
+        # warm connection: the pool is announced, no base-OT setup
+        cp.begin_stream(4, pool_held=True)
+        assert cp.stream_boundaries == [[0, 0], [1, 11], [2, 15], [3, 19]]
+        cp.stream_boundaries = [[0, 0], [1, 5], [2, 9]]
         assert cp.acked_round(0) == 0
         assert cp.acked_round(4) == 0
         assert cp.acked_round(5) == 1
@@ -86,20 +86,23 @@ class TestAdvance:
         assert cp.acked_round(9) == 2
         assert cp.acked_round(999) == 2
 
+    def test_no_map_falls_back_to_the_start_round(self):
+        cp = make_checkpoint(rounds=3)
+        assert cp.acked_round(999) == 0
+
     def test_rewind_restores_reservable_rounds(self):
         cp = make_checkpoint(rounds=3)
-        cp.advance(3, send_seq=20)
         cp.rewind_to(1)
         assert cp.next_round == 1
         assert [m.round_index for m in cp.materials] == [1, 2]
-        with pytest.raises(ResumeError, match="cannot rewind forward"):
-            cp.rewind_to(2)
+        # the stored stream starts at its first round, so a rewind to
+        # the client's round moves forward as often as not
+        cp.rewind_to(3)  # tail: every round held, the output map is not
+        assert cp.next_round == 3 and cp.materials == []
 
     def test_rewind_without_material_is_typed(self):
         cp = make_checkpoint(rounds=3)
-        cp.advance(2, send_seq=9)
         cp.rewind_to(1)
-        cp.advance(3, send_seq=14)
         # the rewind dropped round 0 (the client had verified it); only
         # rounds 1 and 2 are re-servable
         with pytest.raises(ResumeError, match="never re-served"):
@@ -108,14 +111,18 @@ class TestAdvance:
         assert cp.next_round == 2
 
     def test_advance_backwards_is_typed(self):
-        cp = make_checkpoint()
-        cp.advance(2)
-        with pytest.raises(ResumeError, match="cannot move backwards"):
-            cp.advance(1)
+        cp = make_checkpoint(rounds=3)
+        cp.rewind_to(1)
+        cp.begin_stream(0, pool_held=True)
+        # no acked count maps below the stored stream's first round, and
+        # moving the checkpoint back past its material is typed
+        assert cp.acked_round(0) == 1
+        with pytest.raises(ResumeError, match="never re-served"):
+            cp.rewind_to(0)
+        assert cp.next_round == 1
 
     def test_material_for_pruned_round_is_typed(self):
         cp = make_checkpoint()
-        cp.advance(2)
         cp.rewind_to(1)
         with pytest.raises(ResumeError, match="never re-served"):
             cp.material_for(0)
@@ -125,7 +132,7 @@ class TestAdvance:
 class TestSerialization:
     def test_dict_roundtrip_is_lossless(self):
         cp = make_checkpoint()
-        cp.advance(2, send_seq=7, recv_seq=4)
+        cp.begin_stream(7, pool_held=True)
         cp.rewind_to(1)
         rebuilt = SessionCheckpoint.from_dict(cp.to_dict())
         assert rebuilt.to_dict() == cp.to_dict()
@@ -204,7 +211,6 @@ class TestServeFromCheckpoint:
         assert streamed == MODEL.shape[1]
         assert h.decode(report) == pytest.approx(h.expected, abs=1e-12)
         assert h.server.stats.runs_garbled == garbled_before
-        assert cp.complete
         assert h.telemetry.counter("recover.rounds.streamed").value == streamed
 
     def test_checkpoint_survives_serialization_before_resume(self):
@@ -274,7 +280,7 @@ class TestServeFromCheckpoint:
         carried = list(counting.state_labels)
 
         # phase 2: a fresh channel serves rounds 1.. from the checkpoint
-        cp.advance(1)
+        cp.rewind_to(1)
         g2, e2 = local_channel(recv_timeout_s=10.0)
         evaluator2 = SequentialEvaluator(circuit, e2, h.server.group)
         _, report = run_two_party(
@@ -290,7 +296,7 @@ class TestServeFromCheckpoint:
 
     def test_completed_checkpoint_refuses_to_resume(self):
         cp = make_checkpoint(rounds=2)
-        cp.advance(2)
+        cp.rewind_to(2)
         g, _ = local_channel(recv_timeout_s=1.0)
         with pytest.raises(ResumeError, match="nothing to resume"):
             serve_from_checkpoint(g, cp)

@@ -1,5 +1,5 @@
 """Session stores: TTL eviction, JSONL persistence, corruption handling,
-and the fleet lease/CAS fence."""
+and the fleet lease fence."""
 
 import json
 import threading
@@ -34,13 +34,12 @@ def make_checkpoint(sid="s-1", rounds=2, next_round=0) -> SessionCheckpoint:
         session_id=sid,
         row_index=1,
         rounds=rounds,
-        next_round=0,
+        next_round=next_round,
         materials=materials,
         output_permute_bits=[0, 1, 1, 0],
         client_name="tester",
     )
-    if next_round:
-        cp.advance(next_round, send_seq=5, recv_seq=3)
+    cp.begin_stream(3, pool_held=False)
     return cp
 
 
@@ -227,8 +226,7 @@ class TestJsonlStore:
         a = JsonlSessionStore(path, ttl_s=60.0)
         b = JsonlSessionStore(path, ttl_s=60.0)
         a.put(make_checkpoint("s-shared", next_round=1))
-        assert b.committed_round("s-shared") == 1
-        assert b.get("s-shared") is not None
+        assert b.get("s-shared").next_round == 1
         assert b.acquire_lease("s-shared", "gw-b") is not None
         assert a.lease_holder("s-shared") == "gw-b"
         # a compaction by one peer does not lose the other's view
@@ -334,47 +332,45 @@ class TestLeases:
         lease = store.get_lease("s-race")
         assert lease.owner == winner and lease.epoch == 2
 
-    def test_cas_advance_requires_lease_and_agreement(self):
-        store = InMemorySessionStore(ttl_s=60.0)
-        cp = make_checkpoint("s-cas", rounds=2, next_round=0)
-        store.put(cp)
-        # no lease: the caller's serve is a no-op
-        mine = SessionCheckpoint.from_dict(cp.to_dict())
-        mine.advance(1)
-        with pytest.raises(LeaseError, match="lease held by"):
-            store.cas_advance(mine, "gw-a", 0)
-        store.acquire_lease("s-cas", "gw-a", ttl_s=30.0)
-        store.cas_advance(mine, "gw-a", 0)
-        assert store.committed_round("s-cas") == 1
-        # stale expectation: someone else committed since
-        other = SessionCheckpoint.from_dict(cp.to_dict())
-        other.advance(1)
-        with pytest.raises(LeaseError, match="CAS advance lost"):
-            store.cas_advance(other, "gw-a", 0)
-
-    def test_loser_cannot_advance_after_a_steal(self):
-        """The fencing property: the stale owner's copy is rejected even
-        though it disagrees with the store by nothing but ownership."""
+    def test_fenced_put_requires_the_live_owner(self):
         clock = FakeClock()
         store = InMemorySessionStore(ttl_s=600.0, clock=clock)
-        cp = make_checkpoint("s-fence", rounds=2, next_round=0)
+        cp = make_checkpoint("s-fenced", rounds=2)
+        # no lease: the caller's serve is a no-op
+        with pytest.raises(LeaseError, match="lease held by 'nobody'"):
+            store.put(cp, owner="gw-a")
+        assert store.get("s-fenced") is None
+        store.acquire_lease("s-fenced", "gw-a", ttl_s=1.0)
+        store.put(cp, owner="gw-a")
+        assert store.get("s-fenced") is cp
+        with pytest.raises(LeaseError, match="lease held by 'gw-a'"):
+            store.put(make_checkpoint("s-fenced"), owner="gw-b")
+        # an expired lease nobody stole is still the owner's
+        clock.now += 2.0
+        store.put(cp, owner="gw-a")
+
+    def test_loser_cannot_advance_after_a_steal(self):
+        """The fencing property: the stale owner's put is rejected even
+        though its checkpoint differs from the store's by nothing."""
+        clock = FakeClock()
+        store = InMemorySessionStore(ttl_s=600.0, clock=clock)
+        cp = make_checkpoint("s-fence", rounds=2)
         store.put(cp)
         store.acquire_lease("s-fence", "gw-old", ttl_s=1.0)
         clock.now += 2.0
         store.acquire_lease("s-fence", "gw-new", ttl_s=30.0)
         stale = SessionCheckpoint.from_dict(cp.to_dict())
-        stale.advance(1)
+        stale.rewind_to(1)
         with pytest.raises(LeaseError, match="lease held by 'gw-new'"):
-            store.cas_advance(stale, "gw-old", 0)
-        assert store.committed_round("s-fence") == 0
+            store.put(stale, owner="gw-old")
+        assert store.get("s-fence") is cp
 
-    def test_delete_drops_lease_and_committed_round(self):
+    def test_delete_drops_lease(self):
         store = InMemorySessionStore(ttl_s=60.0)
         store.put(make_checkpoint("s-d"))
         store.acquire_lease("s-d", "gw-a", ttl_s=30.0)
         store.delete("s-d")
         assert store.get_lease("s-d") is None
-        assert store.committed_round("s-d") is None
 
     def test_nonpositive_lease_ttl_rejected(self):
         store = InMemorySessionStore(ttl_s=60.0)
@@ -394,8 +390,7 @@ class TestJsonlLeasePersistence:
         assert lease.owner == "gw-a" and lease.epoch == 1
         # still live after the reload: another owner is denied
         assert reloaded.acquire_lease("s-l", "gw-b", ttl_s=30.0) is None
-        # and the committed round was rebuilt for the CAS fence
-        assert reloaded.committed_round("s-l") == 1
+        assert reloaded.get("s-l").next_round == 1
 
     def test_lease_release_survives_restart(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
@@ -407,53 +402,80 @@ class TestJsonlLeasePersistence:
         assert reloaded.get_lease("s-l") is None
         assert reloaded.acquire_lease("s-l", "gw-b", ttl_s=30.0) is not None
 
-    def test_boundary_commits_append_progress_not_material(self, tmp_path):
-        """A CAS advance logs the checkpoint's progress only; a reload
-        (or a peer) replays it onto the material the put logged,
-        including an adoption's rewind."""
+    def test_fenced_put_is_the_only_record_a_query_appends(self, tmp_path):
+        """A query's durable progress is its one put: the fence checks
+        the lease and appends nothing else, and a reload (or a peer)
+        reads the whole frame map back."""
         path = tmp_path / "sessions.jsonl"
         store = JsonlSessionStore(path, ttl_s=60.0)
-        cp = make_checkpoint("s-adv", rounds=3)
-        store.put(cp)
-        store.acquire_lease("s-adv", "gw-a", ttl_s=30.0)
-        put_bytes = path.stat().st_size
-        cp.begin_stream(0)
-        cp.advance(1, send_seq=6, recv_seq=2)
-        store.cas_advance(cp, "gw-a", 0)
-        cp.advance(2, send_seq=9, recv_seq=2)
-        cp.rewind_to(1)
-        store.cas_advance(cp, "gw-a", 1)
+        store.acquire_lease("s-one", "gw-a", ttl_s=30.0)
+        cp = make_checkpoint("s-one", rounds=3)
+        before = path.read_bytes().count(b"\n")
+        store.put(cp, owner="gw-a")
         records = [decode_record_line(line) for line in path.read_bytes().splitlines()]
-        advances = [r for r in records if r["op"] == "advance"]
-        assert len(advances) == 2
-        assert all("materials" not in json.dumps(r) for r in advances)
-        assert path.stat().st_size - put_bytes < put_bytes
-        reloaded = JsonlSessionStore(path, ttl_s=60.0).get("s-adv")
+        assert len(records) == before + 1
+        assert records[-1]["op"] == "put"
+        reloaded = JsonlSessionStore(path, ttl_s=60.0).get("s-one")
         assert reloaded.to_dict() == cp.to_dict()
-        assert [m.round_index for m in reloaded.materials] == [1, 2]
+        assert reloaded.stream_boundaries == [[0, 0], [1, 11], [2, 15], [3, 19]]
+
+    def test_log_with_per_round_advance_records_replays_adoptable(self, tmp_path):
+        """A log written when every round boundary appended an
+        ``advance`` record (and renewed the lease) replays without
+        error: the advances are skipped as unknown ops, and the
+        session's checkpoint, with every round's material, stays
+        adoptable by a peer."""
+        path = tmp_path / "sessions.jsonl"
+        old = make_checkpoint("s-old", rounds=3).to_dict()
+        old.update(send_seq=0, recv_seq=0, stream_boundaries=[[0, 0]])
+        lease = {"op": "lease", "session_id": "s-old", "owner": "gw-dead",
+                 "epoch": 1, "expires_in": 0.0}
+        records = [{"op": "put", "checkpoint": old}, lease]
+        for r, seq in ((1, 11), (2, 15)):
+            records += [
+                {"op": "advance", "session_id": "s-old", "next_round": r,
+                 "send_seq": seq, "recv_seq": 4,
+                 "stream_boundaries": [[0, 0], [1, 11], [2, 15]][: r + 1],
+                 "first_round": 0},
+                lease,
+            ]
+        with open(path, "wb") as fh:
+            for rec in records:
+                fh.write(encode_record_v2(rec))
+        store = JsonlSessionStore(path, ttl_s=60.0)
+        got = store.get("s-old")
+        assert store.torn_tail_recovered == 0
+        assert got.next_round == 0
+        assert got.stream_boundaries == [[0, 0]]
+        assert [m.round_index for m in got.materials] == [0, 1, 2]
+        # adoption: steal the expired lease, rewind, one fenced put
+        assert store.acquire_lease("s-old", "gw-b", ttl_s=30.0).epoch == 2
+        adopted = SessionCheckpoint.from_dict(got.to_dict())
+        adopted.rewind_to(adopted.acked_round(4))
+        adopted.begin_stream(1, pool_held=False)
+        store.put(adopted, owner="gw-b")
+        assert JsonlSessionStore(path, ttl_s=60.0).get("s-old").to_dict() == (
+            adopted.to_dict()
+        )
 
     def test_compact_mid_handoff_keeps_lease_and_unacked_tail(self, tmp_path):
         """Satellite: compaction while a handoff is in flight must not
-        lose the lease record or the unacked-frame tail material."""
+        lose the lease record, the unacked-frame tail material or the
+        frame map."""
         path = tmp_path / "sessions.jsonl"
         store = JsonlSessionStore(path, ttl_s=60.0)
-        cp = make_checkpoint("s-mid", rounds=2)
-        store.put(cp)
         store.acquire_lease("s-mid", "gw-a", ttl_s=30.0)
-        # advance to round 1: round 0 becomes the unacked tail
-        mine = SessionCheckpoint.from_dict(cp.to_dict())
-        mine.advance(1, send_seq=9, recv_seq=4)
-        store.cas_advance(mine, "gw-a", 0)
+        cp = make_checkpoint("s-mid", rounds=2)
+        store.put(cp, owner="gw-a")
         store.compact()  # a draining peer compacts the shared log now
         reloaded = JsonlSessionStore(path, ttl_s=60.0)
         got = reloaded.get("s-mid")
         assert got is not None
         assert [m.round_index for m in got.materials] == [0, 1]
-        assert got.stream_boundaries == mine.stream_boundaries
+        assert got.stream_boundaries == cp.stream_boundaries
         lease = reloaded.get_lease("s-mid")
         assert lease is not None
         assert lease.owner == "gw-a" and lease.epoch == 1
-        assert reloaded.committed_round("s-mid") == 1
 
     def test_compact_keeps_expired_leases_for_the_epoch_fence(self, tmp_path):
         """Dropping an expired lease at compaction would restart the

@@ -1,7 +1,7 @@
 """Cross-process store semantics with *real* subprocesses.
 
 The in-thread lease race (``test_expired_lease_contention_has_exactly_
-one_winner``) proves the in-memory CAS; these tests prove the same
+one_winner``) proves the in-memory fence; these tests prove the same
 invariants when the contenders are separate OS processes whose only
 shared state is the JSONL file — the fcntl lock and the replay/refresh
 path are load-bearing here, not the GIL.
@@ -35,13 +35,11 @@ def make_checkpoint(sid="s-1", rounds=2, next_round=0) -> SessionCheckpoint:
         session_id=sid,
         row_index=1,
         rounds=rounds,
-        next_round=0,
+        next_round=next_round,
         materials=materials,
         output_permute_bits=[0, 1],
         client_name="tester",
     )
-    if next_round:
-        cp.advance(next_round)
     return cp
 
 
@@ -80,20 +78,19 @@ if lease0 is not None and lease0.owner == "gw-dead":
         time.sleep(delay + 0.01)
 lease = store.acquire_lease("s-race", owner, ttl_s=30.0)
 won = lease is not None
-cas_ok = False
-if won:
-    cp = SessionCheckpoint.from_dict(store.get("s-race").to_dict())
-    cp.advance(2)
-    try:
-        store.cas_advance(cp, owner, 1)
-        cas_ok = True
-    except LeaseError:
-        cas_ok = False
+put_ok = False
+cp = SessionCheckpoint.from_dict(store.get("s-race").to_dict())
+cp.rewind_to(2)
+try:
+    store.put(cp, owner=owner)
+    put_ok = True
+except LeaseError:
+    put_ok = False
 print(json.dumps({
     "owner": owner,
     "won": won,
     "epoch": lease.epoch if lease else None,
-    "cas_ok": cas_ok,
+    "put_ok": put_ok,
 }))
 """
 
@@ -125,13 +122,14 @@ def test_two_subprocesses_race_one_lease_exactly_one_winner(tmp_path):
     winners = [r for r in results if r["won"]]
     assert len(winners) == 1, results
     # the winner stole the expired lease (epoch fence moved exactly once)
-    # and committed its round through the CAS
+    # and stored its adoption through the fenced put; the loser's put
+    # bounced off the fence
     assert winners[0]["epoch"] == 2
-    assert winners[0]["cas_ok"] is True
+    assert [r["put_ok"] for r in results] == [r["won"] for r in results]
     # the parent's store instance observes the subprocess outcome
     lease = seed.get_lease("s-race")
     assert lease.owner == winners[0]["owner"] and lease.epoch == 2
-    assert seed.committed_round("s-race") == 2
+    assert seed.get("s-race").next_round == 2
 
 
 _APPENDER = """

@@ -95,11 +95,8 @@ def test_upfront_resume_is_bit_exact_at_every_boundary(seed):
 
     for r in range(rounds):
         cp = SessionCheckpoint.from_dict(reference.to_dict())
-        if r:
-            cp.advance(r)
-            # advance never prunes: every remaining round must still
-            # be re-servable from the store copy
-            assert [m.round_index for m in cp.materials] == list(range(rounds))
+        cp.rewind_to(r)
+        assert [m.round_index for m in cp.materials] == list(range(r, rounds))
         g2, e2 = local_channel(recv_timeout_s=10.0)
         evaluator2 = SequentialEvaluator(circuit, e2, server.group)
         progress = EvaluatorProgress()
@@ -145,7 +142,7 @@ def test_per_round_resume_matches_upfront_results(seed):
     )
     r = rounds - 1
     cp = captured["cp"]
-    cp.advance(r)
+    cp.rewind_to(r)
     g2, e2 = local_channel(recv_timeout_s=10.0)
     evaluator2 = SequentialEvaluator(circuit, e2, server.group)
     _, resumed = run_two_party(

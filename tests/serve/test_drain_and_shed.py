@@ -241,6 +241,25 @@ class TestDrain:
         client = client_for(target, telemetry=server.telemetry)
         garbled0 = server.stats.runs_garbled
         result = {}
+        # the stream free-runs past the client: hold gw1's streams at
+        # their first round boundary until the drain is under way, so
+        # it lands mid-query
+        at_boundary = threading.Event()
+        round_hook = gw1._round_hook
+
+        def held_hook(sid):
+            on_round = round_hook(sid)
+
+            def held(next_round):
+                if next_round == 1:
+                    at_boundary.set()
+                    while not gw1.draining:
+                        time.sleep(0.001)
+                on_round(next_round)
+
+            return held
+
+        gw1._round_hook = held_hook
 
         def query():
             result["got"] = client.query_row(1, X)
@@ -248,15 +267,8 @@ class TestDrain:
         t = threading.Thread(target=query)
         t.start()
         try:
-            # wait for the first round-boundary checkpoint, then drain
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                cps = [store.get(s) for s in store.session_ids()]
-                if any(c and 1 <= c.next_round < c.rounds for c in cps):
-                    break
-                time.sleep(0.002)
-            else:
-                pytest.fail("no round-boundary checkpoint appeared")
+            if not at_boundary.wait(timeout=15.0):
+                pytest.fail("the stream never reached a round boundary")
             target[0] = gw2  # reconnects land on the successor
             clean = gw1.drain(timeout_s=10.0)
             t.join(timeout=30.0)

@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ResumeError
+from repro.gc.channel import local_channel
 from repro.gc.sequential_gc import RoundMaterial, SequentialStreamer
 from repro.recover import SessionCheckpoint, checkpoint_from_stream
 from repro.testkit import (
@@ -116,7 +117,7 @@ class TestBackendsTier:
 def checkpoint_from_he_result(result, session_id, row_index, **kwargs):
     """Checkpoint the one-round stream ``serve_row_he`` sends."""
     stream = SequentialStreamer(
-        None, [RoundMaterial(0, result, [], [], [])], backend="he"
+        local_channel()[0], [RoundMaterial(0, result, [], [], [])], backend="he"
     )
     return checkpoint_from_stream(stream, session_id, row_index, **kwargs)
 
