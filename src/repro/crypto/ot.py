@@ -269,6 +269,16 @@ class OTExtensionSender:
         """Bytes of OT state held between transfers."""
         return self._pool.nbytes + self._pads.nbytes
 
+    @property
+    def open_frames(self) -> int:
+        """Frames the next query's opening sends before its first
+        ``ot.e``: the ``ot.pool`` announcement and, with no pool held,
+        the base-OT answer ``ot.base.B``.  The client sets a pool up
+        exactly when the announcement is not the pool it holds, and the
+        two sides of a connection hold the same one, so the sender's
+        own state says which."""
+        return 1 if self.pool_id is not None else 2
+
     def send(self, channel: Endpoint, pairs: list[tuple[int, int]],
              upcoming: int | None = None) -> None:
         """Transfer one of each (m0, m1) pair (128-bit ints) as ``ot.e``.

@@ -86,8 +86,6 @@ def _member_main(spec: dict, conn) -> None:
     ``spawn`` start method (the parent is threaded; ``fork`` would be
     unsound), and spawn re-imports this function by qualified name.
     """
-    import threading
-
     from repro.fixedpoint import Q8_4
     from repro.host import CloudServer
     from repro.net.gateway import GCGateway
@@ -95,8 +93,11 @@ def _member_main(spec: dict, conn) -> None:
     from repro.serve import ServingConfig
     from repro.telemetry import MetricsRegistry
 
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    # the handler runs on the main thread between bytecodes, possibly
+    # inside the loop's wait: it must take no lock (Event.set does, the
+    # one Event.wait holds), so it only appends to a list
+    stop: list[bool] = []
+    signal.signal(signal.SIGTERM, lambda *_: stop.append(True))
 
     member_id = spec["member_id"]
     hb_path = spec["heartbeat_path"]
@@ -152,7 +153,7 @@ def _member_main(spec: dict, conn) -> None:
 
     last_runs = -1
     next_heartbeat = 0.0
-    while not stop.is_set():
+    while not stop:
         runs = server.stats.runs_garbled
         if runs != last_runs:
             conn.send(stats_doc())
@@ -164,7 +165,7 @@ def _member_main(spec: dict, conn) -> None:
                 "ts": time.time(), "runs_garbled": runs, "stopped": False,
             })
             next_heartbeat = now + spec["heartbeat_interval_s"]
-        stop.wait(spec["stats_poll_s"])
+        time.sleep(spec["stats_poll_s"])
 
     # SIGTERM: the graceful surface — checkpoint in-flight sessions,
     # release leases for the peers, compact the shared log, exit clean
@@ -386,8 +387,14 @@ class ProcessFleet:
     def terminate(self, index: int, timeout_s: float = 30.0) -> bool:
         """``SIGTERM`` member ``index`` — the graceful-drain surface.
         Returns True when the member drained and exited clean."""
+        os.kill(self.members[index].process.pid, signal.SIGTERM)
+        return self.await_exit(index, timeout_s)
+
+    def await_exit(self, index: int, timeout_s: float = 30.0) -> bool:
+        """Wait for member ``index``, already sent ``SIGTERM``, to
+        drain and exit (``SIGKILL`` past ``timeout_s``).  Returns True
+        when it exited clean."""
         member = self.members[index]
-        os.kill(member.process.pid, signal.SIGTERM)
         deadline = time.monotonic() + timeout_s
         while member.process.is_alive() and time.monotonic() < deadline:
             self.poll_stats()

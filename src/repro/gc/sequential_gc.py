@@ -97,6 +97,25 @@ class RoundMaterial:
             state_labels=None if state is None else [int(v) for v in state],
         )
 
+    def frames(self, backend: str = "gc") -> list[tuple[str, bytes | None]]:
+        """The frames that stream this round, in order — the one
+        definition of the round's schedule.  The OT answer is the entry
+        ``("ot.e", None)``: the connection's OT sender sends it, after
+        the frames that open the query on the stream's first transfer
+        (:attr:`~repro.crypto.ot.OTExtensionSender.open_frames`)."""
+        if backend == "he":
+            return [(HE_RESULT_TAG, self.tables)]
+        frames = [
+            ("seq.tables", self.tables),
+            ("seq.garbler_labels", _u128_payload(self.garbler_labels)),
+        ]
+        if self.evaluator_pairs:
+            frames.append(("ot.e", None))
+        frames.append(("seq.const_labels", _u128_payload(self.const_labels)))
+        if self.state_labels is not None:
+            frames.append(("seq.state_labels", _u128_payload(self.state_labels)))
+        return frames
+
 
 def materials_for_run(run, round_bits: list[list[int]]) -> list[RoundMaterial]:
     """Select one query's material from a garbled MAC run.
@@ -220,18 +239,15 @@ class SequentialStreamer:
         tm = self.telemetry
         m = self.materials[self.streamed]
         with tm.timer("stream.round"):
-            if self.backend == "he":
-                chan.send(HE_RESULT_TAG, m.tables)
-            else:
-                chan.send("seq.tables", m.tables)
-                chan.send_u128_list("seq.garbler_labels", m.garbler_labels)
-                later = self.materials[self.streamed + 1 :]
-                self._transfer(
-                    m.evaluator_pairs, sum(len(l.evaluator_pairs) for l in later)
-                )
-                chan.send("seq.const_labels", _u128_payload(m.const_labels))
-                if m.state_labels is not None:
-                    chan.send("seq.state_labels", _u128_payload(m.state_labels))
+            for tag, payload in m.frames(self.backend):
+                if payload is None:  # the round's OT answer
+                    later = self.materials[self.streamed + 1 :]
+                    self._transfer(
+                        m.evaluator_pairs,
+                        sum(len(l.evaluator_pairs) for l in later),
+                    )
+                else:
+                    chan.send(tag, payload)
         tm.counter("stream.bytes").inc(len(m.tables))
         self.streamed += 1
         if self.on_round is not None:
@@ -242,39 +258,31 @@ class SequentialStreamer:
     def boundaries(
         start_seq: int,
         materials: list[RoundMaterial],
-        pool_held: bool,
+        ot_open_frames: int,
         start_round: int = 0,
         backend: str = "gc",
     ) -> list[list[int]]:
         """The round boundaries of a stream, before it sends a frame.
 
-        Mirrors :meth:`begin` and :meth:`stream_round` frame for frame:
-        entry ``[r, s]`` says that once the client has verified ``s``
-        frames of the channel (which stood at ``start_seq`` when the
-        stream began) it holds every round below ``r``.  The first
-        entry, ``[start_round, 0]``, is the floor.  Only the stream's
-        first OT depends on the connection: it announces the pool
-        (``ot.pool``) and, when the sender holds none yet
-        (``pool_held`` false), answers the base-OT setup (``ot.base.B``).
+        Counts ``seq.rounds`` and each round's
+        :meth:`RoundMaterial.frames` — what :meth:`begin` and
+        :meth:`stream_round` send — plus ``ot_open_frames`` before the
+        stream's first OT answer (the connection's
+        :attr:`~repro.crypto.ot.OTExtensionSender.open_frames`).  Entry
+        ``[r, s]`` says that once the client has verified ``s`` frames
+        of the channel (which stood at ``start_seq`` when the stream
+        began) it holds every round below ``r``; the first entry,
+        ``[start_round, 0]``, is the floor.
         """
         bounds = [[start_round, 0]]
-        seq = start_seq
-        if backend != "he":
-            seq += 1  # seq.rounds
+        seq = start_seq if backend == "he" else start_seq + 1  # seq.rounds
         opened = False
         for r, m in enumerate(materials, start_round + 1):
-            if backend == "he":
-                seq += 1  # he.result
-            else:
-                # seq.tables, seq.garbler_labels, seq.const_labels
-                seq += 3
-                if m.evaluator_pairs:
-                    seq += 1  # ot.e
-                    if not opened:
-                        seq += 1 if pool_held else 2  # ot.pool [, ot.base.B]
-                        opened = True
-                if m.state_labels is not None:
-                    seq += 1
+            frames = m.frames(backend)
+            seq += len(frames)
+            if not opened and any(payload is None for _, payload in frames):
+                seq += ot_open_frames
+                opened = True
             bounds.append([r, seq])
         return bounds
 

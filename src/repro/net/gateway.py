@@ -111,7 +111,7 @@ class _GatewaySession:
 
     __slots__ = (
         "thread", "endpoint", "channel", "started_at", "handshaken",
-        "reaped", "session_id", "client_name", "in_query",
+        "reaped", "session_id", "client_name", "in_query", "unconfirmed",
         "handoff", "backend", "tenant", "ot",
     )
 
@@ -133,6 +133,9 @@ class _GatewaySession:
         #: negotiated private-MAC backend
         self.backend = "gc"
         self.in_query = False
+        #: the last answer streamed in full, but the client has sent no
+        #: frame since: it may still be reading it
+        self.unconfirmed = False
         #: admission account from the hello ("" = the default tenant)
         self.tenant = ""
         #: set when this connection's socket was handed to another live
@@ -148,6 +151,32 @@ class _GatewaySession:
             channel.kill()
         else:
             self.endpoint.close()
+
+
+class _FirstReply:
+    """A restarted stream's view of the adopting connection: the
+    client's first frame on it runs ``hook`` once, before the stream
+    reads on.  That frame is the first proof that the client read
+    ``net.resume_ok`` and counts this connection's frames."""
+
+    def __init__(self, endpoint: SocketEndpoint, hook):
+        self._endpoint = endpoint
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(self._endpoint, name)
+
+    def recv(self, expected_tag: str, timeout: float | None = None) -> bytes:
+        return self._replied(self._endpoint.recv(expected_tag, timeout))
+
+    def recv_any(self, tags: tuple[str, ...], timeout: float | None = None):
+        return self._replied(self._endpoint.recv_any(tags, timeout))
+
+    def _replied(self, frame):
+        hook, self._hook = self._hook, None
+        if hook is not None:
+            hook()
+        return frame
 
 
 class GCGateway:
@@ -376,9 +405,16 @@ class GCGateway:
         boundary and checkpoint, close idle ones, and hard-close
         whatever is left when the deadline expires.
 
-        Returns True when every session ended inside the deadline.
-        The serving layer keeps running — call :meth:`stop` after (a
-        drained gateway can also hand its store to a successor).
+        A session whose last answer streamed in full, unconfirmed,
+        stays open until its client's next frame — the ``net.bye`` (or
+        query) that deletes the answer's checkpoint — or the deadline.
+        The drain does not wait for it: a client that has read its
+        answer may stay silent for long.
+
+        Returns True when every session mid-stream finished or stopped
+        inside the deadline.  The serving layer keeps running — call
+        :meth:`stop` after (a drained gateway can also hand its store
+        to a successor).
         """
         timeout = (
             timeout_s if timeout_s is not None
@@ -393,16 +429,29 @@ class GCGateway:
         # idle sessions have nothing to checkpoint: close them now so
         # the deadline is spent on sessions that are mid-stream
         for s in sessions:
-            if not s.in_query and not s.handoff and s.thread.is_alive():
+            if not (s.in_query or s.handoff or s.unconfirmed) and s.thread.is_alive():
                 s.close_hard()
+
+        def busy() -> list[_GatewaySession]:
+            # alive, and not just waiting for its client's confirmation
+            return [s for s in sessions if s.thread.is_alive()
+                    and (s.in_query or not s.unconfirmed)]
+
+        while busy() and time.monotonic() < deadline:
+            time.sleep(0.005)
         clean = True
-        for s in sessions:
-            s.thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        for s in sessions:
-            if s.thread.is_alive():
-                clean = False
-                s.close_hard()
-                s.thread.join(timeout=1.0)
+        for s in busy():
+            clean = False
+            s.close_hard()
+            s.thread.join(timeout=1.0)
+        unconfirmed = [s for s in sessions if s.thread.is_alive()]
+        if unconfirmed:
+            closer = threading.Timer(
+                max(0.0, deadline - time.monotonic()),
+                lambda: [s.close_hard() for s in unconfirmed],
+            )
+            closer.daemon = True
+            closer.start()
         # the controller's operating point goes with the sessions: the
         # successor resumes from the learned knob settings instead of
         # re-walking the escalation ladder under the same load
@@ -614,13 +663,13 @@ class GCGateway:
         channel = session.channel
         while not self._stopping.is_set():
             tag, payload = channel.recv_any((QUERY_TAG, BYE_TAG))
+            # the client sends only once it has read every earlier frame:
+            # its last answer arrived, nothing is left for any gateway
+            # to resume, and no frame can need a replay
+            session.unconfirmed = False
+            self.store.delete(session.session_id)
             if tag == BYE_TAG:
-                # an explicit goodbye confirms every answer arrived:
-                # nothing left for any gateway to resume
-                self.store.delete(session.session_id)
                 break
-            # the client asks only once it has read every earlier frame,
-            # so none can need a replay: trim the buffer to this query
             channel.replay_buffer.ack(channel.send_seq)
             session.in_query = True
             try:
@@ -647,9 +696,6 @@ class GCGateway:
         if self._draining.is_set():
             self._shed(channel, "gateway is draining", tenant=session.tenant)
             return
-        # a new query proves the previous one fully arrived: drop its
-        # checkpoint (kept until now for the post-completion tail)
-        self.store.delete(session.session_id)
         # lease before ack: peers answering an early failover resume
         # (this gateway killed mid-garble, before the first put) must
         # see a live lease — "shed, retry" — not an unknown session
@@ -698,6 +744,7 @@ class GCGateway:
         # client's next query/bye confirms delivery, or the TTL judges
         # the session abandoned.  Ownership is released so a post-crash
         # resume needs no lease steal.
+        session.unconfirmed = True
         self.store.release_lease(session.session_id, self.gateway_id)
         tm.counter("gateway.queries").inc()
 
@@ -832,10 +879,13 @@ class GCGateway:
         session's lease (stealing it if the writer's expired), (2)
         deep-copies the stored checkpoint so no two gateways ever mutate
         one object, (3) rewinds it to the round the client's
-        ``last_acked_seq`` proves complete and maps the new stream's
-        frames, and (4) once the stream is admitted, stores the rewound
-        checkpoint with one lease-fenced ``put`` before ``net.resume_ok``
-        and the first streamed byte.
+        ``last_acked_seq`` proves complete and, once the stream is
+        admitted, stores it with a lease-fenced ``put`` before
+        ``net.resume_ok``, and (4) stores the new stream's frame map
+        with a second fenced ``put`` at the client's first frame on
+        this connection.  Until that frame the client may not have read
+        ``net.resume_ok``: a retry would send the old stream's count,
+        which only the rewound map reads right.
         """
         tm = self.telemetry
         cfg = self.serving.config
@@ -870,12 +920,15 @@ class GCGateway:
         checkpoint = SessionCheckpoint.from_dict(stored.to_dict())
         checkpoint.rewind_to(checkpoint.acked_round(client_acked))
         # the stream starts on this connection right after resume_ok
-        checkpoint.begin_stream(
-            endpoint.send_seq + 1, session.ot.pool_id is not None
-        )
+        start_seq, open_frames = endpoint.send_seq + 1, session.ot.open_frames
+
+        def remap() -> None:
+            checkpoint.begin_stream(start_seq, open_frames)
+            self.store.put(checkpoint, owner=self.gateway_id)
+
         try:
             handle = self._batcher.submit(
-                checkpoint, endpoint, self.server.group,
+                checkpoint, _FirstReply(endpoint, remap), self.server.group,
                 on_round=self._round_hook(sid), ot=session.ot,
             )
         except OverloadedError as exc:
@@ -887,9 +940,7 @@ class GCGateway:
             endpoint.send(REJECT_TAG, str(exc).encode())
             raise ResumeError(f"resume for {sid} failed: {exc}") from exc
         try:
-            # stored only once the stream is sure to start: until the
-            # client adopts this connection its acked count is the old
-            # stream's, which only the old map reads right
+            # stored only once the stream is sure to start
             self.store.put(checkpoint, owner=self.gateway_id)
         except LeaseError as exc:
             handle.cancel(exc)
@@ -902,7 +953,16 @@ class GCGateway:
             "session_id": sid,
             "gateway_id": self.gateway_id,
         }
-        endpoint.send(RESUME_OK_TAG, json.dumps(answer, sort_keys=True).encode())
+        try:
+            endpoint.send(
+                RESUME_OK_TAG, json.dumps(answer, sort_keys=True).encode()
+            )
+        except WireError as exc:
+            # the client never hears of this stream: withdraw it and
+            # free the session for the client's next resume
+            handle.cancel(exc)
+            self.store.release_lease(sid, self.gateway_id)
+            raise
         # counted at admission, not completion: the OK precedes every
         # streamed frame, so once a client holds the result this counter
         # provably reflects its restart (completion would race the
@@ -920,6 +980,7 @@ class GCGateway:
             raise
         # like a fresh query: keep the checkpoint for the unacked tail,
         # give up ownership now that streaming is done
+        session.unconfirmed = True
         self.store.release_lease(sid, self.gateway_id)
         session.client_name = checkpoint.client_name or session.client_name
         session.backend = checkpoint.backend

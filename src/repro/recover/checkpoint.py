@@ -71,13 +71,13 @@ class SessionCheckpoint:
     #: so a mass-adoption burst cannot jump the queue.
     tenant: str = ""
 
-    def begin_stream(self, start_seq: int, pool_held: bool) -> None:
+    def begin_stream(self, start_seq: int, ot_open_frames: int) -> None:
         """Map the stream of rounds ``next_round..rounds-1`` that starts
-        when the channel's send counter stands at ``start_seq``;
-        ``pool_held`` says whether the connection's OT sender holds a
-        pool already."""
+        when the channel's send counter stands at ``start_seq``, on a
+        connection whose OT sender opens a query with
+        ``ot_open_frames`` frames."""
         self.stream_boundaries = SequentialStreamer.boundaries(
-            start_seq, self.materials, pool_held,
+            start_seq, self.materials, ot_open_frames,
             start_round=self.next_round, backend=self.backend,
         )
 
@@ -100,12 +100,17 @@ class SessionCheckpoint:
         client proved it completed, discarding the rounds before it.
 
         Every round in ``[round_index, rounds)`` must still have
-        material.
+        material.  The map keeps its boundaries past ``round_index``
+        under a floor at it: the count the client proved this round
+        with still reads ``round_index``, and so does any smaller one.
         """
         for r in range(round_index, self.rounds):
             self.material_for(r)
         self.next_round = round_index
         self.materials = [m for m in self.materials if m.round_index >= round_index]
+        self.stream_boundaries = [[round_index, 0]] + [
+            b for b in self.stream_boundaries if b[0] > round_index
+        ]
 
     def material_for(self, round_index: int) -> RoundMaterial:
         for m in self.materials:
@@ -206,7 +211,7 @@ def checkpoint_from_stream(
         backend=stream.backend,
         tenant=tenant,
     )
-    cp.begin_stream(stream.channel.send_seq, stream.ot.pool_id is not None)
+    cp.begin_stream(stream.channel.send_seq, stream.ot.open_frames)
     return cp
 
 

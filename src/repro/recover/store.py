@@ -308,8 +308,10 @@ class JsonlSessionStore(SessionStore):
 
     The log is replayed on construction: a ``put`` record sets a
     session's checkpoint and a ``delete`` record tombstones.  (Logs
-    written before the put carried the whole frame map also hold
-    ``advance`` records; replay skips them like any unknown op.)
+    written before the put carried the whole frame map also hold an
+    ``advance`` record per round; replay takes the session's map from
+    the last one, so its sessions resume at the round their client
+    holds.)
     :meth:`compact` rewrites the log to just the live entries — the
     drain path calls it so a restarted gateway loads a minimal file.
 
@@ -464,6 +466,17 @@ class JsonlSessionStore(SessionStore):
             if op == "put":
                 cp = SessionCheckpoint.from_dict(rec["checkpoint"])
                 self._entries[cp.session_id] = (now, cp)
+            elif op == "advance":
+                # a log that committed round by round: the session's map
+                # is the one its last commit had reached, and an
+                # adoption's rewind pruned the rounds before first_round
+                entry = self._entries.get(rec["session_id"])
+                if entry is not None:
+                    cp = entry[1]
+                    cp.rewind_to(int(rec["first_round"]))
+                    cp.stream_boundaries = [
+                        [int(b[0]), int(b[1])] for b in rec["stream_boundaries"]
+                    ]
             elif op == "delete":
                 sid = rec.get("session_id")
                 self._entries.pop(sid, None)

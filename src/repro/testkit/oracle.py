@@ -23,6 +23,8 @@ drive the serving layer and gateway instead of the wire.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -1341,6 +1343,7 @@ class ConformanceOracle:
         before = fleet.runs_garbled_by_member()
         recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
         client = None
+        fired = False
         respawn_error = ""
         try:
             # dial the victim directly so the fault provably hits the
@@ -1441,6 +1444,9 @@ class ConformanceOracle:
         finally:
             if client is not None:
                 client.close()
+            if fired and spec.kind == TERM_PROCESS:
+                # the drain heard the client's goodbye; now it exits
+                fleet.await_exit(victim, timeout_s=max(5.0, self.deadline_s))
             for i in range(fleet.n_members):
                 if not fleet.alive(i):
                     try:
@@ -1465,10 +1471,11 @@ class ConformanceOracle:
         read, then again at the count while the fault fires.  Past the
         client's one OT flight the member streams the whole query
         without waiting, so by then it has sent frames the client has
-        not read: every kind drops the client's wire with them, and the
-        fault lands at the planned round — a SIGKILL mid-stream, a
-        drain (whose release and compaction still run) that stopped
-        the stream there, or a cut.
+        not read.  A SIGKILL drops the client's wire with them — the
+        power-cut model — and lands at the planned round, as does a
+        cut.  A SIGTERM is only a signal: the member drains while the
+        client reads on, and its exit is awaited once the client has
+        said goodbye (:meth:`run_process_session`).
         """
         deadline = time.monotonic() + self.deadline_s
         try:
@@ -1478,8 +1485,9 @@ class ConformanceOracle:
             if end is None or not gate.hold(end, worker, deadline):
                 return False
             if spec.kind == TERM_PROCESS:
-                fleet.terminate(victim, timeout_s=max(5.0, self.deadline_s))
-            elif spec.kind == KILL_PROCESS:
+                os.kill(fleet.pid(victim), signal.SIGTERM)
+                return True
+            if spec.kind == KILL_PROCESS:
                 fleet.kill(victim)
             try:
                 client.endpoint.transport.close()

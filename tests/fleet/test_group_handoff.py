@@ -114,6 +114,43 @@ def run_handoff(group, fault, row=1):
     return client, finish(t, result)
 
 
+class hold_on_next_connection:
+    """Park the client's reads once it has verified ``at`` frames of a
+    connection it opens after this call (a resumed stream's)."""
+
+    def __init__(self, endpoint, at):
+        self._first = endpoint.transport
+        self._endpoint = endpoint
+        self._raw = endpoint._recv_message
+        self._at = at
+        self._cond = threading.Condition()
+        self._held = self._go = False
+        endpoint._recv_message = self._recv_message
+
+    def _recv_message(self, timeout):
+        ep = self._endpoint
+        with self._cond:
+            while (ep.transport is not self._first and ep.recv_seq >= self._at
+                   and not self._go):
+                self._held = True
+                self._cond.notify_all()
+                self._cond.wait()
+        return self._raw(timeout)
+
+    def wait(self, worker, deadline):
+        with self._cond:
+            while not self._held:
+                if not worker.is_alive() or time.monotonic() > deadline:
+                    return False
+                self._cond.wait(0.005)
+        return True
+
+    def release(self):
+        with self._cond:
+            self._go = True
+            self._cond.notify_all()
+
+
 def assert_ledger_balanced(store, sid):
     """After the client's BYE: checkpoint tombstoned, lease released."""
     deadline = time.monotonic() + 5.0
@@ -273,6 +310,76 @@ class TestKillHandoff:
             finally:
                 client.close()
                 group.stop()
+
+    @pytest.mark.parametrize("second", ["after-put", 1, 4, 5, 12, 28])
+    def test_fault_while_a_peer_adopts_resumes_bit_exact(self, second):
+        """A second fault while a peer adopts the session still ends
+        bit-exact.  The adopter stores the rewound checkpoint before
+        ``net.resume_ok`` and its new stream's frame map only at the
+        client's first frame on the new connection, so the stored map
+        reads whichever count the client retries with: the old
+        stream's when the adopting connection is cut right after the
+        put (``after-put``), the new stream's when the adopter dies
+        with the client holding ``second`` frames of the new connection
+        — after ``net.resume_ok`` (1), before its OT reply (4), after
+        it (5), after round 3 (12), before the output map (28)."""
+        server = fresh_server()
+        reference = AnalyticsClient(server).query_row(1, X)
+        garbled0 = server.stats.runs_garbled
+        group = make_group(server, n=3, lease_ttl_s=0.1).start()
+        client = client_for(group)
+        try:
+            sid = client.session_id
+            ep = client.endpoint
+            raw_put = group.store.put
+            cut = []
+
+            def put(cp, owner=None):
+                raw_put(cp, owner)
+                if second == "after-put" and owner != "gw0" and not cut:
+                    # the adopter's first put, on its session thread
+                    for gw in group.gateways:
+                        for s in gw._sessions:
+                            if s.thread is threading.current_thread():
+                                cut.append(gw.gateway_id)
+                                s.endpoint.close()
+
+            group.store.put = put
+            gate = FrameGate(ep, ep.recv_seq + 2)
+            t, result = run_query(client)
+            deadline = time.monotonic() + 15.0
+            try:
+                assert gate.wait(t, deadline)
+                end = round_end(group.store, sid, 2, deadline)
+                assert gate.hold(end, t, deadline)
+                transport = ep.transport
+                group.kill(0)
+                transport.close()
+                if second != "after-put":
+                    held = hold_on_next_connection(ep, second)
+            finally:
+                gate.release()
+            if second != "after-put":
+                assert held.wait(t, deadline), "the adopted stream never started"
+                adopter = ep.last_gateway_id
+                transport = ep.transport
+                group.kill(int(adopter[2:]))
+                transport.close()
+                held.release()
+            got = finish(t, result)
+            assert got == reference
+            if second == "after-put":
+                assert cut, "no peer adopted the session"
+                assert ep.resumes >= 1
+            else:
+                assert ep.resumes >= 2
+                assert ep.last_gateway_id not in ("gw0", adopter)
+            assert server.stats.runs_garbled == garbled0 + 1
+            client.close()
+            assert_ledger_balanced(group.store, sid)
+        finally:
+            client.close()
+            group.stop()
 
     def test_resume_tells_the_client_nothing_new(self):
         """PROTOCOL.md's safety argument, observed: across the dead

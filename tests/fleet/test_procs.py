@@ -7,6 +7,8 @@ append), SIGTERM (drain + compact + clean exit), heartbeat-based silent
 death detection, and cumulative garble accounting across respawns.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -93,6 +95,30 @@ def run_query_with_fault(fleet, client, fire, row=1, x=X6, at_round=1,
     return result["got"], fired
 
 
+def listening(port):
+    """Whether a socket listens on local TCP ``port`` (read from
+    ``/proc/net/tcp``, so the check opens no connection)."""
+    with open("/proc/net/tcp", encoding="ascii") as fh:
+        next(fh)
+        return any(
+            fields[1].endswith(f":{port:04X}") and fields[3] == "0A"
+            for fields in (line.split() for line in fh)
+        )
+
+
+def sigterm_and_await_drain(fleet, index, deadline_s=30.0):
+    """SIGTERM member ``index`` and return once its drain is under way:
+    the drain marks the gateway draining, then closes its listener."""
+    port = fleet.members[index].port
+    assert listening(port)
+    os.kill(fleet.pid(index), signal.SIGTERM)
+    deadline = time.monotonic() + deadline_s
+    while listening(port):
+        if time.monotonic() > deadline:
+            pytest.fail(f"member m{index} never began to drain")
+        time.sleep(0.005)
+
+
 class TestFleetLifecycle:
     def test_needs_at_least_one_member(self):
         with pytest.raises(ConfigurationError, match="at least one member"):
@@ -173,23 +199,86 @@ class TestProcessFaults:
             assert audit.lease_holder(client.session_id) is None
 
     def test_sigterm_drains_and_peer_resumes_without_steal(self):
-        """SIGTERM is the graceful surface: the member checkpoints its
-        in-flight session, releases the lease, compacts, and exits 0;
-        the client resumes on the peer with no steal needed."""
+        """SIGTERM is the graceful surface: the member stops its
+        in-flight stream at the next round boundary, tells the client
+        (``net.drain``), releases the lease, compacts, and exits 0; the
+        client resumes on the peer with no steal needed.
+
+        The member streams a whole query past the client's one OT
+        flight, so the client is held inside round 0 — the member waits
+        on its base-OT reply — until the member has begun draining
+        (its listener is closed)."""
         with make_fleet(n=2, rounds=6) as fleet:
             client = make_client(fleet, start_at=0)
+            ep = client.endpoint
+            # net.ack, seq.rounds, seq.tables, seq.garbler_labels and
+            # ot.pool: the client has sent ot.setup and waits on the
+            # member's ot.base.B
+            gate = FrameGate(ep, ep.recv_seq + 5)
+            result = {}
+
+            def query():
+                try:
+                    result["got"] = client.query_row(1, X6)
+                except BaseException as exc:
+                    result["err"] = exc
+
+            t = threading.Thread(target=query)
+            t.start()
+            try:
+                assert gate.wait(t, time.monotonic() + 30.0), (
+                    "the stream never started"
+                )
+                sigterm_and_await_drain(fleet, 0)
+                gate.release()
+                t.join(timeout=30.0)
+                assert not t.is_alive(), "query never finished after the drain"
+                if "err" in result:
+                    raise result["err"]
+                assert result["got"] == fleet.expected(1, X6)
+                assert ep.resumes == 1
+                assert ep.last_gateway_id == fleet.members[1].member_id
+            finally:
+                gate.release()
+                client.close()
+            assert fleet.await_exit(0, timeout_s=20.0) is True
+            assert fleet.members[0].process.exitcode == 0
+            assert fleet.total_runs_garbled() == 1
+
+    def test_sigterm_after_the_answer_streamed_hears_the_bye(self):
+        """A SIGTERM that finds the answer streamed in full but not yet
+        read: the drained member keeps the session open, the client
+        reads its answer, and its BYE still deletes the checkpoint —
+        the ledger balances and the member exits 0."""
+        with make_fleet(n=2, rounds=6) as fleet:
+            client = make_client(fleet, start_at=0)
+            sid = client.session_id
+            audit = fleet.open_store()
+
+            def sigterm_once_streamed():
+                # the member releases the lease once every frame is sent
+                deadline = time.monotonic() + 30.0
+                while audit.get(sid) is None or audit.lease_holder(sid):
+                    assert time.monotonic() < deadline, "never streamed"
+                    time.sleep(0.005)
+                sigterm_and_await_drain(fleet, 0)
+
             try:
                 got, fired = run_query_with_fault(
-                    fleet, client,
-                    fire=lambda: fleet.terminate(0, timeout_s=20.0),
+                    fleet, client, fire=sigterm_once_streamed,
                 )
                 assert fired, "query finished before the drain window"
                 assert got == fleet.expected(1, X6)
+                assert client.endpoint.resumes == 0
             finally:
                 client.close()
-            assert not fleet.alive(0)
-            assert fleet.members[0].process.exitcode == 0
-            assert fleet.members[0].stopped_clean is True
+            deadline = time.monotonic() + 5.0
+            while audit.get(sid) is not None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert audit.get(sid) is None, "the BYE never deleted the checkpoint"
+            assert audit.lease_holder(sid) is None
+            audit.close()
+            assert fleet.await_exit(0, timeout_s=20.0) is True
             assert fleet.total_runs_garbled() == 1
 
     def test_heartbeat_detects_a_dead_member(self):

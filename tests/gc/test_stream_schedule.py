@@ -72,7 +72,7 @@ def _fresh_query(server, x_bits, ot_s, ot_r, progress=None):
 
     def on_run(stream):
         seen["predicted"] = SequentialStreamer.boundaries(
-            g.send_seq, stream.materials, ot_s.pool_id is not None
+            g.send_seq, stream.materials, ot_s.open_frames
         )
         seen["cp"] = checkpoint_from_stream(stream, "s-sched", 0)
 
@@ -118,7 +118,7 @@ def test_boundaries_equal_the_live_stream(total_bits, rounds, seed, data):
     adopted.rewind_to(k)
     g, e = local_channel(recv_timeout_s=10.0)
     adopter = OTExtensionSender(server.group)
-    adopted.begin_stream(g.send_seq, adopter.pool_id is not None)
+    adopted.begin_stream(g.send_seq, adopter.open_frames)
     live = _Reached(g, start_round=k)
     progress = EvaluatorProgress(
         completed_rounds=k, output_labels=list(recording.output_labels)

@@ -55,7 +55,7 @@ class TestAdvance:
 
     def test_advance_keeps_every_unacked_round(self):
         cp = make_checkpoint(rounds=3)
-        cp.begin_stream(4, pool_held=False)
+        cp.begin_stream(4, ot_open_frames=2)
         # the whole stream is mapped before its first frame, and nothing
         # is pruned: a successor gateway must be able to re-serve any
         # round the client has not verified
@@ -64,7 +64,7 @@ class TestAdvance:
 
     def test_advance_far_past_the_client_never_prunes(self):
         cp = make_checkpoint(rounds=3)
-        cp.begin_stream(0, pool_held=True)
+        cp.begin_stream(0, ot_open_frames=1)
         # reading the map discards nothing; only rewind_to (which knows
         # the acked round) may
         assert cp.acked_round(10**6) == 3
@@ -73,10 +73,10 @@ class TestAdvance:
     def test_boundary_map_tracks_advances(self):
         cp = make_checkpoint(rounds=3)
         # cold connection: round 0 also carries ot.pool and ot.base.B
-        cp.begin_stream(4, pool_held=False)
+        cp.begin_stream(4, ot_open_frames=2)
         assert cp.stream_boundaries == [[0, 0], [1, 12], [2, 16], [3, 20]]
         # warm connection: the pool is announced, no base-OT setup
-        cp.begin_stream(4, pool_held=True)
+        cp.begin_stream(4, ot_open_frames=1)
         assert cp.stream_boundaries == [[0, 0], [1, 11], [2, 15], [3, 19]]
         cp.stream_boundaries = [[0, 0], [1, 5], [2, 9]]
         assert cp.acked_round(0) == 0
@@ -113,7 +113,7 @@ class TestAdvance:
     def test_advance_backwards_is_typed(self):
         cp = make_checkpoint(rounds=3)
         cp.rewind_to(1)
-        cp.begin_stream(0, pool_held=True)
+        cp.begin_stream(0, ot_open_frames=1)
         # no acked count maps below the stored stream's first round, and
         # moving the checkpoint back past its material is typed
         assert cp.acked_round(0) == 1
@@ -132,7 +132,7 @@ class TestAdvance:
 class TestSerialization:
     def test_dict_roundtrip_is_lossless(self):
         cp = make_checkpoint()
-        cp.begin_stream(7, pool_held=True)
+        cp.begin_stream(7, ot_open_frames=1)
         cp.rewind_to(1)
         rebuilt = SessionCheckpoint.from_dict(cp.to_dict())
         assert rebuilt.to_dict() == cp.to_dict()

@@ -39,7 +39,7 @@ def make_checkpoint(sid="s-1", rounds=2, next_round=0) -> SessionCheckpoint:
         output_permute_bits=[0, 1, 1, 0],
         client_name="tester",
     )
-    cp.begin_stream(3, pool_held=False)
+    cp.begin_stream(3, ot_open_frames=2)
     return cp
 
 
@@ -419,24 +419,25 @@ class TestJsonlLeasePersistence:
         assert reloaded.to_dict() == cp.to_dict()
         assert reloaded.stream_boundaries == [[0, 0], [1, 11], [2, 15], [3, 19]]
 
-    def test_log_with_per_round_advance_records_replays_adoptable(self, tmp_path):
+    def test_log_with_per_round_advance_records_resumes_mid_query(self, tmp_path):
         """A log written when every round boundary appended an
         ``advance`` record (and renewed the lease) replays without
-        error: the advances are skipped as unknown ops, and the
-        session's checkpoint, with every round's material, stays
-        adoptable by a peer."""
+        error, and its session resumes where its client stands: the
+        map comes from the last advance, rounds an adoption pruned
+        stay pruned, and a peer adopts at the round the client's
+        count proves."""
         path = tmp_path / "sessions.jsonl"
-        old = make_checkpoint("s-old", rounds=3).to_dict()
+        old = make_checkpoint("s-old", rounds=4).to_dict()
         old.update(send_seq=0, recv_seq=0, stream_boundaries=[[0, 0]])
         lease = {"op": "lease", "session_id": "s-old", "owner": "gw-dead",
                  "epoch": 1, "expires_in": 0.0}
         records = [{"op": "put", "checkpoint": old}, lease]
-        for r, seq in ((1, 11), (2, 15)):
+        full = [[0, 0], [1, 11], [2, 15], [3, 19]]
+        for r in (1, 2, 3):
             records += [
                 {"op": "advance", "session_id": "s-old", "next_round": r,
-                 "send_seq": seq, "recv_seq": 4,
-                 "stream_boundaries": [[0, 0], [1, 11], [2, 15]][: r + 1],
-                 "first_round": 0},
+                 "send_seq": full[r][1], "recv_seq": 4,
+                 "stream_boundaries": full[: r + 1], "first_round": 0},
                 lease,
             ]
         with open(path, "wb") as fh:
@@ -445,18 +446,32 @@ class TestJsonlLeasePersistence:
         store = JsonlSessionStore(path, ttl_s=60.0)
         got = store.get("s-old")
         assert store.torn_tail_recovered == 0
-        assert got.next_round == 0
-        assert got.stream_boundaries == [[0, 0]]
-        assert [m.round_index for m in got.materials] == [0, 1, 2]
-        # adoption: steal the expired lease, rewind, one fenced put
+        assert got.stream_boundaries == full
+        assert [m.round_index for m in got.materials] == [0, 1, 2, 3]
+        assert [got.acked_round(n) for n in (4, 11, 16, 19)] == [0, 1, 2, 3]
+        # adoption: steal the expired lease, rewind to the client's
+        # round, one fenced put
         assert store.acquire_lease("s-old", "gw-b", ttl_s=30.0).epoch == 2
         adopted = SessionCheckpoint.from_dict(got.to_dict())
-        adopted.rewind_to(adopted.acked_round(4))
-        adopted.begin_stream(1, pool_held=False)
+        adopted.rewind_to(adopted.acked_round(16))
+        assert adopted.next_round == 2
+        assert adopted.stream_boundaries == [[2, 0], [3, 19]]
         store.put(adopted, owner="gw-b")
         assert JsonlSessionStore(path, ttl_s=60.0).get("s-old").to_dict() == (
             adopted.to_dict()
         )
+        # an adoption logged in the old format pruned its rounds: replay
+        # keeps them pruned
+        with open(path, "ab") as fh:
+            fh.write(encode_record_v2(
+                {"op": "advance", "session_id": "s-old", "next_round": 3,
+                 "send_seq": 9, "recv_seq": 2,
+                 "stream_boundaries": [[3, 0], [4, 9]], "first_round": 3}
+            ))
+        got = JsonlSessionStore(path, ttl_s=60.0).get("s-old")
+        assert [m.round_index for m in got.materials] == [3]
+        assert got.next_round == 3
+        assert got.acked_round(2) == 3
 
     def test_compact_mid_handoff_keeps_lease_and_unacked_tail(self, tmp_path):
         """Satellite: compaction while a handoff is in flight must not

@@ -28,6 +28,7 @@ from repro.recover import BackoffPolicy, JsonlSessionStore
 from repro.serve import ServingConfig, resolve_reaper_timeout
 from repro.serve.config import DEFAULT_REAPER_TIMEOUT_S, REAPER_TIMEOUT_ENV
 from repro.telemetry import MetricsRegistry
+from repro.testkit.oracle import FrameGate, round_end
 
 MODEL = np.array([
     [0.5, -1.0, 0.25, 0.75, -0.5, 1.0, 0.125, -0.25],
@@ -319,6 +320,57 @@ class TestDrain:
         finally:
             signal.signal(signal.SIGTERM, saved)
             gw.stop()
+
+    def test_drain_keeps_an_unread_answer_open_for_its_bye(self):
+        """An answer streamed in full while its client is still reading
+        it: the drain returns without waiting for that session but
+        leaves it open, so the client reads the answer and its BYE
+        still deletes the checkpoint."""
+        server = fresh_server()
+        gw = make_gateway(server)
+
+        def dial():
+            ours, theirs = socket.socketpair()
+            # room for the whole answer, so it streams while unread
+            theirs.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 22)
+            gw.adopt(theirs)
+            return SocketEndpoint("client", ours, recv_timeout_s=RECV_TIMEOUT)
+
+        client = RemoteAnalyticsClient(
+            dial=dial, backoff=BackoffPolicy(base_s=0.01, cap_s=0.1, seed=3)
+        )
+        sid = client.session_id
+        ep = client.endpoint
+        gate = FrameGate(ep, ep.recv_seq + 2)  # past net.ack, seq.rounds
+        result = {}
+        t = threading.Thread(
+            target=lambda: result.update(got=client.query_row(1, X))
+        )
+        t.start()
+        try:
+            deadline = time.monotonic() + 15.0
+            assert gate.wait(t, deadline)
+            # past round 0's OT flight; then the gateway streams the
+            # rest and releases the lease once every frame is sent
+            assert gate.hold(round_end(gw.store, sid, 1, deadline), t, deadline)
+            while gw.store.get(sid) is None or gw.store.lease_holder(sid):
+                assert time.monotonic() < deadline, "the stream never finished"
+                time.sleep(0.005)
+            t0 = time.monotonic()
+            assert gw.drain(timeout_s=5.0) is True
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            gate.release()
+        t.join(timeout=15.0)
+        assert not t.is_alive(), "the answer was never read"
+        assert result["got"] == pytest.approx(float(MODEL[1] @ X), abs=1e-12)
+        assert gw.store.get(sid) is not None
+        client.close()
+        deadline = time.monotonic() + 5.0
+        while gw.store.get(sid) is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gw.store.get(sid) is None, "the BYE never reached the gateway"
+        gw.stop()
 
     def test_drain_meets_its_deadline_against_an_idle_session(self):
         """An idle (handshaken, between-queries) session must not hold
