@@ -123,3 +123,10 @@ class SessionDrainedError(ServingError):
         #: server is streaming from ``next_round`` — the caller should
         #: re-enter evaluation directly instead of reconnecting.
         self.resumed = resumed
+
+
+class SessionParkedError(SessionDrainedError):
+    """A peer adopted this session with no answer to resume
+    (``net.resume_ok`` mode ``idle``): it was drained between queries,
+    or its gateway died before storing the query's checkpoint.  The
+    client sends its query again.  ``next_round`` is -1."""

@@ -43,6 +43,7 @@ from repro.errors import (
     ResumeError,
     ServingError,
     SessionDrainedError,
+    SessionParkedError,
 )
 from repro.fixedpoint import FixedPointFormat
 from repro.gc.sequential_gc import SequentialEvaluator
@@ -54,7 +55,7 @@ from repro.he import (
     params_for_workload,
 )
 from repro.net.endpoint import SocketEndpoint
-from repro.net.gateway import ACK_TAG, BYE_TAG, ERROR_TAG, QUERY_TAG
+from repro.net.lifecycle import ACK_TAG, BYE_TAG, ERROR_TAG, QUERY_TAG
 from repro.net.handshake import client_session_handshake, netlist_fingerprint
 from repro.recover.checkpoint import EvaluatorProgress
 from repro.recover.endpoint import (
@@ -161,6 +162,7 @@ class RemoteAnalyticsClient:
                 telemetry=telemetry,
                 recv_timeout_s=recv_timeout_s,
                 sleeper=sleeper,
+                identity={"name": name, "backend": self.backend, "tenant": tenant},
             )
         else:
             self.endpoint = transport
@@ -246,28 +248,51 @@ class RemoteAnalyticsClient:
         x_bits = [
             to_bits(int(v), self.fmt.total_bits) for v in self.fmt.encode_array(x)
         ]
-        self._admit(row_index)
-        report = self._evaluate(x_bits)
+        report = self._answered(row_index, lambda: self._evaluate(x_bits))
         raw = from_bits(report.output_bits, signed=True)
         return self.fmt.decode_product(raw)
+
+    def _answered(self, row_index: int, receive):
+        """Admit the query, then ``receive()`` its answer.  A peer that
+        adopted the session before any answer was sent
+        (:class:`SessionParkedError`) is asked again."""
+        for _ in range(self.backoff.max_attempts):
+            self._admit(row_index)
+            try:
+                return receive()
+            except SessionParkedError:
+                continue
+        raise ResumeError(
+            f"session {self.session_id}: no gateway answered its query"
+        )
 
     def _query_he(self, row_index: int, x) -> float:
         """One encrypted-MAC round trip: ``he.query`` out, ``he.result``
         back, decrypted and decoded locally.
 
-        Recovery differs from the GC path in one way: the query
-        ciphertext is never re-sent.  A restarted session (drain notice
-        or wire break) re-streams the *stored result* ciphertext from
-        the checkpoint — the adopted session is already past its
-        receive phase — so the client only ever re-enters the receive.
+        Recovery differs from the GC path in one way: a restarted
+        session (drain notice or wire break) re-streams the *stored
+        result* ciphertext from the checkpoint — the adopted session is
+        already past its receive phase — so the client re-enters the
+        receive.  The query is sent again only to a peer that adopted
+        the session before any result existed.
         """
+        query = self._he.encrypt_query(x)
+        raw = self._he.decrypt_row_result(
+            self._answered(row_index, lambda: self._he_result(query))
+        )
+        if self.telemetry is not None:
+            self.telemetry.counter("client.he_queries").inc()
+        return self.fmt.decode_product(raw)
+
+    def _he_result(self, query: bytes) -> bytes:
         ep = self.endpoint
-        self._admit(row_index)
-        ep.send(HE_QUERY_TAG, self._he.encrypt_query(x))
+        ep.send(HE_QUERY_TAG, query)
         while True:
             try:
-                result = ep.recv(HE_RESULT_TAG)
-                break
+                return ep.recv(HE_RESULT_TAG)
+            except SessionParkedError:
+                raise
             except SessionDrainedError as exc:
                 if not self.resumable:
                     raise
@@ -282,18 +307,17 @@ class RemoteAnalyticsClient:
                     ) from exc
                 if self.telemetry is not None:
                     self.telemetry.counter("client.resumed_queries").inc()
-        raw = self._he.decrypt_row_result(result)
-        if self.telemetry is not None:
-            self.telemetry.counter("client.he_queries").inc()
-        return self.fmt.decode_product(raw)
 
     def _admit(self, row_index: int) -> None:
         """QUERY until ACKed, honoring ``net.retry_after`` shed replies."""
         ep = self.endpoint
         payload = json.dumps({"row": int(row_index)}).encode()
         for attempt in range(self.backoff.max_attempts):
-            ep.send(QUERY_TAG, payload)
-            tag, reply = ep.recv_any((ACK_TAG, ERROR_TAG, RETRY_AFTER_TAG))
+            try:
+                ep.send(QUERY_TAG, payload)
+                tag, reply = ep.recv_any((ACK_TAG, ERROR_TAG, RETRY_AFTER_TAG))
+            except SessionParkedError:
+                continue  # a peer adopted the idle session: ask it
             if tag == ACK_TAG:
                 return
             if tag == ERROR_TAG:
@@ -332,6 +356,8 @@ class RemoteAnalyticsClient:
                     state_labels=state_labels,
                     progress=progress,
                 )
+            except SessionParkedError:
+                raise
             except SessionDrainedError as exc:
                 if not self.resumable:
                     raise

@@ -38,9 +38,12 @@ from repro.errors import GCProtocolError, HandshakeError, WireError
 #: ``ot.setup`` / ``ot.ext.u``, one ``ot.d`` correction flight per
 #: query, ``ot.e`` answers (:mod:`repro.crypto.ot`); and (v6) one OT
 #: schedule — each round carries its own ``ot.e`` answer, so neither
-#: the GC preamble nor ``net.query`` names a schedule.  A hello at any
-#: other version gets a typed ``net.reject``.
-PROTOCOL_VERSION = 6
+#: the GC preamble nor ``net.query`` names a schedule; and (v7) a
+#: session with no answer to resume is adopted by a peer
+#: (``net.resume_ok`` mode ``idle``; ``net.resume`` repeats the hello's
+#: name, backend and tenant).  A hello at any other version gets a
+#: typed ``net.reject``.
+PROTOCOL_VERSION = 7
 
 HELLO_TAG = "net.hello"
 WELCOME_TAG = "net.welcome"
@@ -128,6 +131,7 @@ def server_handshake(
     backends: tuple[str, ...] = ("gc",),
     default_backend: str = "gc",
     backend_params=None,
+    before_welcome=None,
 ) -> dict:
     """Gateway side: validate the client's hello, answer welcome/reject.
 
@@ -145,6 +149,10 @@ def server_handshake(
     mapping a granted backend to a parameter dict merged into the
     welcome as ``backend_params`` (the HE ring parameters, which the
     client re-derives and verifies).
+
+    ``before_welcome``, when given, is called with the accepted hello
+    just before the welcome goes out: the gateway's session is idle
+    from then on, whenever the client reads it.
 
     ``hello_payload`` lets a caller that already read the first frame
     (the gateway's hello-or-resume intake) hand it in instead of
@@ -171,13 +179,7 @@ def server_handshake(
     except (ValueError, KeyError, TypeError) as exc:
         _reject(endpoint, f"malformed hello: {exc}")
         raise HandshakeError(f"malformed client hello: {exc}") from exc
-    if version != descriptor.protocol_version:
-        reason = (
-            f"protocol version mismatch: client speaks v{version}, "
-            f"gateway serves v{descriptor.protocol_version}"
-        )
-        _reject(endpoint, reason)
-        raise HandshakeError(reason)
+    _check_version(endpoint, version, descriptor.protocol_version)
     granted = str(hello.get("backend") or "") or default_backend
     if granted not in backends:
         reason = (
@@ -194,17 +196,19 @@ def server_handshake(
         params = backend_params(granted)
         if params is not None:
             welcome["backend_params"] = params
+    hello["negotiated_backend"] = granted
+    # tenant id is advisory metadata (admission accounting, not auth):
+    # normalize whatever the client sent to a string, "" meaning the
+    # default tenant
+    hello["tenant"] = str(hello.get("tenant") or "")
+    if before_welcome is not None:
+        before_welcome(hello)
     try:
         endpoint.send(WELCOME_TAG, json.dumps(welcome, sort_keys=True).encode())
     except WireError as exc:
         raise HandshakeError(
             f"client vanished before the welcome could be sent: {exc}"
         ) from exc
-    hello["negotiated_backend"] = granted
-    # tenant id is advisory metadata (admission accounting, not auth):
-    # normalize whatever the client sent to a string, "" meaning the
-    # default tenant
-    hello["tenant"] = str(hello.get("tenant") or "")
     return hello
 
 
@@ -269,6 +273,35 @@ def client_handshake(endpoint, client_name: str = "client") -> SessionDescriptor
     """Client side: send hello, receive the session descriptor (or reject)."""
     descriptor, _ = client_session_handshake(endpoint, client_name)
     return descriptor
+
+
+def read_resume(endpoint, payload: bytes,
+                descriptor: SessionDescriptor) -> tuple[str, int, dict]:
+    """Gateway side: validate a ``net.resume`` request; returns the
+    session id, the client's verified-receive count and the request
+    (which repeats the hello's ``name``, ``backend`` and ``tenant``).
+    A malformed request, or one at any version but the descriptor's,
+    is rejected on the wire and raised as :class:`HandshakeError`, as
+    a bad hello is."""
+    try:
+        request = json.loads(payload.decode())
+        sid, acked = str(request["session_id"]), int(request["last_acked_seq"])
+    except (ValueError, KeyError, TypeError) as exc:
+        _reject(endpoint, f"malformed resume: {exc}")
+        raise HandshakeError(f"malformed resume request: {exc}") from exc
+    _check_version(endpoint, request.get("protocol_version"),
+                   descriptor.protocol_version)
+    return sid, acked, request
+
+
+def _check_version(endpoint, version, served: int) -> None:
+    if version != served:
+        reason = (
+            f"protocol version mismatch: client speaks v{version}, "
+            f"gateway serves v{served}"
+        )
+        _reject(endpoint, reason)
+        raise HandshakeError(reason)
 
 
 def _reject(endpoint, reason: str) -> None:

@@ -71,6 +71,19 @@ class SessionCheckpoint:
     #: so a mass-adoption burst cannot jump the queue.
     tenant: str = ""
 
+    @classmethod
+    def idle(cls, session_id: str, client_name: str = "", backend: str = "gc",
+             tenant: str = "") -> "SessionCheckpoint":
+        """The record a drain stores for a session with no query in
+        flight: who the session is, and no stream."""
+        return cls(session_id, -1, 0, 0, [], [], client_name,
+                   backend=backend, tenant=tenant)
+
+    @property
+    def is_idle(self) -> bool:
+        """An :meth:`idle` record: no stream to resume."""
+        return self.rounds == 0
+
     def begin_stream(self, start_seq: int, ot_open_frames: int) -> None:
         """Map the stream of rounds ``next_round..rounds-1`` that starts
         when the channel's send counter stands at ``start_seq``, on a

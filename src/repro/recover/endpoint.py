@@ -35,6 +35,7 @@ from repro.errors import (
     ConfigurationError,
     ResumeError,
     SessionDrainedError,
+    SessionParkedError,
     WireError,
 )
 from repro.gc.channel import EndpointBase, TrafficStats
@@ -49,8 +50,9 @@ DRAIN_TAG = "net.drain"
 #: Resume modes a gateway may answer with: ``rebind`` continues the
 #: interrupted frame stream in place (the session thread is still
 #: live); ``restart`` re-enters the protocol at a round boundary from
-#: a stored checkpoint (the original thread is gone — drain/restart).
-RESUME_MODES = ("rebind", "restart")
+#: a stored checkpoint (the original thread is gone — drain/restart);
+#: ``idle`` adopts a session that has no answer to resume.
+RESUME_MODES = ("rebind", "restart", "idle")
 
 
 class _RetryLater(Exception):
@@ -129,6 +131,7 @@ class ResumableClientEndpoint(EndpointBase):
         recv_timeout_s: float | None = None,
         replay_capacity: int = REPLAY_BUFFER_FRAMES,
         sleeper=time.sleep,
+        identity: dict | None = None,
     ):
         super().__init__(
             transport.name, TrafficStats(), telemetry, recv_timeout_s
@@ -136,12 +139,17 @@ class ResumableClientEndpoint(EndpointBase):
         self._transport = transport
         self._dial = dial
         self.session_id = session_id
+        #: the hello's ``name``/``backend``/``tenant``, sent with every
+        #: resume: a peer adopting a session whose gateway died before
+        #: storing anything learns who it serves from them
+        self.identity = dict(identity or {})
         self.policy = policy or BackoffPolicy()
         self._sleeper = sleeper
         self.resumes = 0
         self.frames_replayed = 0
         #: set when the gateway answered a resume with mode=restart:
-        #: the round the checkpointed session will re-stream from
+        #: the round the checkpointed session will re-stream from (-1
+        #: for mode=idle: no answer to resume)
         self.restart_round: int | None = None
         #: the ``gateway_id`` from the most recent ``net.resume_ok`` —
         #: in a fleet it may differ from the gateway that issued the
@@ -206,7 +214,8 @@ class ResumableClientEndpoint(EndpointBase):
             return
         next_round = self.restart_round
         self.restart_round = None
-        raise SessionDrainedError(
+        error = SessionParkedError if next_round < 0 else SessionDrainedError
+        raise error(
             f"{self.name}: session {self.session_id} resumed from a "
             f"checkpoint at round {next_round}",
             session_id=self.session_id,
@@ -286,6 +295,7 @@ class ResumableClientEndpoint(EndpointBase):
         from repro.net.handshake import PROTOCOL_VERSION
 
         request = {
+            **self.identity,
             "session_id": self.session_id,
             "last_acked_seq": self.recv_seq,
             "protocol_version": PROTOCOL_VERSION,
@@ -316,12 +326,15 @@ class ResumableClientEndpoint(EndpointBase):
         if mode not in RESUME_MODES:
             raise ResumeError(f"{self.name}: unknown resume mode '{mode}'")
         self.last_gateway_id = str(answer.get("gateway_id", ""))
-        if mode == "restart":
+        if mode != "rebind":
             # the original session thread is gone; the gateway will
-            # re-stream from a round boundary on this very connection,
-            # continuing the control exchange's counters
+            # re-stream from a round boundary (or, idle, take the next
+            # query) on this very connection, continuing the control
+            # exchange's counters
             self._transport = fresh
-            self.restart_round = int(answer.get("next_round", 0))
+            self.restart_round = (
+                int(answer.get("next_round", 0)) if mode == "restart" else -1
+            )
             self.restore_sequences(fresh.send_seq, fresh.recv_seq)
             self._replay = type(self._replay)(self._replay.capacity)
             return
@@ -360,6 +373,31 @@ class ResumableClientEndpoint(EndpointBase):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class FirstReplyEndpoint:
+    """A view of ``endpoint`` whose first received frame runs ``hook``
+    once, before the reader sees it: the gateway's stream adopted on
+    resume learns when the client has replied on its new connection."""
+
+    def __init__(self, endpoint, hook):
+        self._endpoint = endpoint
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(self._endpoint, name)
+
+    def recv(self, expected_tag: str, timeout: float | None = None) -> bytes:
+        return self._replied(self._endpoint.recv(expected_tag, timeout))
+
+    def recv_any(self, tags: tuple[str, ...], timeout: float | None = None):
+        return self._replied(self._endpoint.recv_any(tags, timeout))
+
+    def _replied(self, frame):
+        hook, self._hook = self._hook, None
+        if hook is not None:
+            hook()
+        return frame
 
 
 class RebindableEndpoint(EndpointBase):

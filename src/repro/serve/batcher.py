@@ -76,10 +76,10 @@ class ResumeHandle:
         if self.scheduler is not None:
             self.scheduler.complete(self.tenant)
 
-    def cancel(self, error: BaseException) -> None:
+    def cancel(self, error: BaseException | None = None) -> None:
         """Withdraw the session before its stream begins: it fails
         with ``error`` and the batch skips it without waiting."""
-        self._finish(error)
+        self._finish(error or ServingError("resume withdrawn before its stream"))
         self.start_gate.set()
 
     @property

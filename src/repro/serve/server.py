@@ -29,7 +29,9 @@ from repro.serve.config import (
     resolve_controller,
     resolve_scheduler,
 )
-from repro.serve.control import LoadSample, SLOController
+from repro.serve.control import (
+    CONTROLLER_STATE_KEY, LoadSample, OperatingPoint, SLOController,
+)
 from repro.serve.refiller import PoolRefiller
 from repro.serve.tenants import GarbleStation, TenantScheduler
 from repro.telemetry import MetricsRegistry, percentile_of
@@ -285,6 +287,25 @@ class ServingServer:
         if self.controller is not None:
             return self.controller.operating_point.retry_after_s
         return self.config.retry_after_s
+
+    def save_operating_point(self, store) -> None:
+        """Leave the controller's learned operating point in ``store``
+        for a successor (a draining gateway calls this)."""
+        if self.controller is not None:
+            store.put_meta(
+                CONTROLLER_STATE_KEY, self.controller.operating_point.to_dict()
+            )
+
+    def restore_operating_point(self, store) -> None:
+        """Resume the controller from the operating point a drained
+        predecessor left in ``store``; a malformed or future-format
+        record is counted and ignored, never fatal."""
+        raw = self.controller and store.get_meta(CONTROLLER_STATE_KEY)
+        if raw:
+            try:
+                self.controller.restore(OperatingPoint.from_dict(raw))
+            except (KeyError, TypeError, ValueError):
+                self.telemetry.counter("controller.restore_rejected").inc()
 
     @property
     def resume_batch_cap(self) -> int | None:

@@ -49,16 +49,19 @@ from repro.testkit.faults import (
     FaultSpec,
 )
 from repro.testkit.oracle import (
+    CONTRACTS,
     RECOVERED,
     SURFACED,
     TOLERATED,
     VIOLATION,
     ConformanceOracle,
     SessionVerdict,
+    contract_for,
 )
 
 __all__ = [
     "ALL_FAULT_KINDS",
+    "CONTRACTS",
     "ChaosConfig",
     "ChaosReport",
     "ChaosRunner",
@@ -90,6 +93,7 @@ __all__ = [
     "TOLERATED",
     "TRANSPORTS",
     "VIOLATION",
+    "contract_for",
     "derive_session_seed",
     "faulty_pair",
 ]

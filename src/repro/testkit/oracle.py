@@ -6,7 +6,9 @@ deadline:
 * **tolerated** — the session completes with the bit-identical MAC
   result the fault-free session produces (possibly after one bounded
   retry of a retryable fault);
-* **surfaced** — a typed error from the :mod:`repro.errors` hierarchy.
+* **surfaced** — a typed error from the :mod:`repro.errors` hierarchy,
+  for a fault kind whose contract allows one (:data:`CONTRACTS`): where
+  recovery is promised, a typed error is a violation too.
 
 Anything else — a silent wrong answer, an untyped exception, a hang —
 is a **violation**, the class of failure TinyGarble-style sequential
@@ -84,6 +86,27 @@ VIOLATION = "violation"
 #: shed) mid-query and still finished with the bit-identical result —
 #: without re-garbling any completed round.
 RECOVERED = "recovered"
+
+#: What each fault kind promises.  ``RECOVERED``: the query finishes
+#: bit-identical (``tolerated`` when the fault never fired), so a typed
+#: error is a violation.  Every other kind may end ``SURFACED``.
+CONTRACTS = {
+    DISCONNECT: RECOVERED,
+    SHED: RECOVERED,
+    KILL_GATEWAY: RECOVERED,
+    DRAIN_GATEWAY: RECOVERED,
+    KILL_PROCESS: RECOVERED,
+    TERM_PROCESS: RECOVERED,
+    DISCONNECT_PROCESS: RECOVERED,
+}
+
+
+def contract_for(plan: FaultPlan) -> str:
+    """The plan's contract: recovery only when all its faults promise it."""
+    kinds = plan.kinds
+    if kinds and all(CONTRACTS.get(k) == RECOVERED for k in kinds):
+        return RECOVERED
+    return SURFACED
 
 
 @dataclass
@@ -337,6 +360,11 @@ class ConformanceOracle:
                 verdict = self.run_gateway_recovery(plan, row, x_values)
         else:
             verdict = self.run_channel_session(plan, row, x_values, transport)
+        if verdict.verdict == SURFACED and contract_for(plan) == RECOVERED:
+            verdict.verdict = VIOLATION
+            verdict.detail = (
+                f"typed error where recovery is promised: {verdict.detail}"
+            )
         self.telemetry.counter(
             {
                 TOLERATED: "faults.tolerated",

@@ -239,6 +239,40 @@ class TestKillHandoff:
         finally:
             group.stop()
 
+    def test_he_query_whose_gateway_died_before_its_put_is_asked_again(self):
+        """An HE gateway stores its checkpoint only once the client's
+        ciphertext arrives.  Killed between ``net.ack`` and that put, it
+        leaves a lease and no record: once the lease expires a peer
+        adopts the session idle, and the client's query, asked again,
+        reads exact there."""
+        server = fresh_server()
+        group = make_group(server, lease_ttl_s=0.1).start()
+        dialer = group.loopback_dialer(
+            name="client", recv_timeout_s=RECV_TIMEOUT, start_at=0,
+        )
+        client = RemoteAnalyticsClient(
+            dial=dialer, backend="he", telemetry=server.telemetry,
+            backoff=BackoffPolicy(base_s=0.02, cap_s=0.1, max_attempts=12, seed=3),
+        )
+        sent, killed = client._he_result, []
+
+        def killed_before_the_put(query):
+            if not killed:  # the first ask: gw0 has acked, not yet stored
+                killed.append(client.endpoint.transport)
+                group.kill(0)
+                killed[0].close()
+            return sent(query)
+
+        client._he_result = killed_before_the_put
+        try:
+            got = client.query_row(1, X)
+            assert got == pytest.approx(float(MODEL[1] @ X), abs=1e-12)
+            assert server.telemetry.counter("gateway.resumes.idle").value == 1
+            assert client.endpoint.last_gateway_id in ("gw1", "gw2")
+        finally:
+            client.close()
+            group.stop()
+
     def test_hard_kill_abandons_sockets_and_still_migrates(self):
         """Satellite: the hard-kill path skips every cooperative
         teardown hook (no channel.kill, no joins, no serving stop) yet
@@ -519,3 +553,33 @@ class TestDrainHandoff:
                 client.close()
         finally:
             group.stop()
+
+    def test_idle_session_drained_before_its_query_finishes_on_a_peer(self):
+        """Welcome, drain, then query: the drain parks the idle session
+        (one idle record), and a peer adopts it with no query in
+        flight, so the client's query reads bit-exact there.  20 runs,
+        every one."""
+        expected = float(MODEL[1] @ X)
+        for run in range(20):
+            server = fresh_server()
+            group = make_group(server).start()
+            try:
+                client = client_for(group)
+                sid = client.session_id
+                try:
+                    assert group.drain(0, timeout_s=10.0) is True
+                    assert group.store.get(sid).is_idle, f"run {run}"
+                    got = client.query_row(1, X)
+                    assert got == pytest.approx(expected, abs=1e-12), f"run {run}"
+                    assert client.endpoint.resumes == 1
+                    assert client.endpoint.last_gateway_id != "gw0"
+                    tm = server.telemetry
+                    assert tm.counter("gateway.resumes.idle").value == 1
+                    assert server.stats.runs_garbled == 1
+                    # the query on the peer deleted the idle record
+                    assert group.store.get(sid) is not None
+                    assert not group.store.get(sid).is_idle
+                finally:
+                    client.close()
+            finally:
+                group.stop()

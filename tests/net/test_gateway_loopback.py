@@ -10,6 +10,7 @@ full TCP accept path on 127.0.0.1 with an ephemeral port.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -194,3 +195,77 @@ class TestHostileClients:
         gateway.adopt(theirs)
         with pytest.raises(HandshakeError, match="fingerprint mismatch"):
             RemoteAnalyticsClient.from_socket(ours, recv_timeout_s=RECV_TIMEOUT)
+
+
+class TestConcurrentAdopt:
+    def test_adopts_racing_a_drain_and_a_stop_are_all_joined(
+        self, server, monkeypatch
+    ):
+        """Eight threads adopt at once while a drain and a stop run: a
+        session is registered and started in one step, so no teardown
+        joins an unstarted thread and no concurrent adopt drops a
+        peer's session — every adopted session is joined by the stop.
+        Session threads start 2 ms late, which widens any window
+        between registering a session and starting it."""
+        real_start = threading.Thread.start
+
+        def late_start(thread):
+            if thread.name == "gateway-session":
+                time.sleep(0.002)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", late_start)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._race_adopts_against_teardown(server)
+        finally:
+            sys.setswitchinterval(switch)
+
+    @staticmethod
+    def _race_adopts_against_teardown(server):
+        for _ in range(10):
+            config = ServingConfig(workers=1, recv_timeout_s=RECV_TIMEOUT)
+            gw = GCGateway(server, config=config)
+            gw.serving.start()
+            pairs = [socket.socketpair() for _ in range(8)]
+            start = threading.Barrier(len(pairs) + 2)
+            threads, errors = [], []
+
+            def adopt(sock):
+                start.wait()
+                try:
+                    threads.append(gw.adopt(sock))
+                except WireError:
+                    pass  # refused once the stop began, as a dead listener
+                except Exception as exc:
+                    errors.append(exc)
+
+            def teardown(step):
+                start.wait()
+                time.sleep(0.003)  # once the first adopts have registered
+                try:
+                    step()
+                except Exception as exc:
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=adopt, args=(theirs,))
+                       for _ours, theirs in pairs]
+            workers += [
+                threading.Thread(target=teardown, args=(lambda: gw.drain(1.0),)),
+                threading.Thread(target=teardown, args=(gw.stop,)),
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30.0)
+            assert not any(w.is_alive() for w in workers)
+            gw.stop()
+            joined = all(not t.is_alive() for t in threads)
+            for ours, theirs in pairs:
+                ours.close()
+                theirs.close()
+            assert not errors, errors
+            assert joined, "the stop left an adopted session running"
+            registered = {s.thread for s in gw._sessions}
+            assert registered <= set(threads)

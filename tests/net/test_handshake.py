@@ -108,8 +108,9 @@ class TestNegotiation:
 
     def test_v5_hello_rejected_typed(self, descriptor):
         """v6 dropped the GC preamble's OT-schedule frame and the
-        query's schedule field, so a v5 peer is refused up front."""
-        assert PROTOCOL_VERSION == 6
+        query's schedule field, and v7 added the ``idle`` resume mode,
+        so a v5 peer is refused up front."""
+        assert PROTOCOL_VERSION == 7
 
         def v5_client(ep):
             ep.send(HELLO_TAG, json.dumps({"protocol_version": 5}).encode())
@@ -119,7 +120,7 @@ class TestNegotiation:
         box = _run_handshake(descriptor, v5_client)
         assert box["client"] == (
             REJECT_TAG,
-            "protocol version mismatch: client speaks v5, gateway serves v6",
+            "protocol version mismatch: client speaks v5, gateway serves v7",
         )
         assert isinstance(box["server_error"], HandshakeError)
 

@@ -29,7 +29,16 @@ from repro.testkit import (
     TOLERATED,
     ChaosConfig,
     ChaosRunner,
+    FaultPlan,
+    contract_for,
 )
+
+
+def _allowed(v):
+    """A typed error passes only where the plan's fault kind allows one."""
+    if contract_for(FaultPlan.from_dict(v.plan)) == RECOVERED:
+        return (TOLERATED, RECOVERED)
+    return (TOLERATED, RECOVERED, SURFACED)
 
 
 def _config(seed, sessions=6):
@@ -83,7 +92,7 @@ class TestBackendsTier:
     def test_green_on_the_pinned_seed(self, report):
         assert report.ok, report.format()
         for v in report.verdicts:
-            assert v.verdict in (TOLERATED, RECOVERED, SURFACED), report.format()
+            assert v.verdict in _allowed(v), report.format()
 
     def test_recoveries_are_bit_identical_without_recompute(self, report):
         recovered = [v for v in report.verdicts if v.verdict == RECOVERED]
@@ -111,7 +120,7 @@ class TestBackendsTier:
         assert replayed.ok, replayed.format()
         assert len(replayed.verdicts) == len(report.verdicts)
         for v in replayed.verdicts:
-            assert v.verdict in (TOLERATED, RECOVERED, SURFACED)
+            assert v.verdict in _allowed(v), replayed.format()
 
 
 def checkpoint_from_he_result(result, session_id, row_index, **kwargs):
