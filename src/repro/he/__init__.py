@@ -12,8 +12,9 @@ ciphertexts that cross the wire are genuine RLWE samples.
 
 Layout:
 
-- :mod:`repro.he.ntt`     — prime search + negacyclic number-theoretic
-  transform over ``Z_q[x]/(x^N + 1)``.
+- :mod:`repro.he.ntt`     — prime search + exact negacyclic
+  number-theoretic transform over ``Z_q[x]/(x^N + 1)``, computed in a
+  residue number system of word-sized primes with numpy butterflies.
 - :mod:`repro.he.params`  — deterministic parameter derivation from a
   :class:`repro.fixedpoint.FixedPointFormat` and workload shape; both
   endpoints recompute the same parameters and compare (the HE analogue

@@ -23,7 +23,7 @@ at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,44 @@ _MAGIC = b"RHE1"
 #: magic(4) + ring_degree uint32 + coeff_bytes uint16
 CIPHERTEXT_HEADER_BYTES = 10
 
+_WORD_MASK = (1 << 64) - 1
+
+
+def _ints_from_bytes(buf: bytes, width: int) -> np.ndarray:
+    """The big-endian ``width``-byte unsigned integers packed in ``buf``,
+    as a 1-D object array of python ints."""
+    words = -(-width // 8)
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    padded = np.zeros((raw.shape[0], 8 * words), dtype=np.uint8)
+    padded[:, 8 * words - width:] = raw
+    limbs = padded.view(">u8")
+    out = limbs[:, 0].astype(object)
+    for j in range(1, words):
+        out = (out << 64) | limbs[:, j].astype(object)
+    return out
+
+
+def _ints_to_bytes(values: np.ndarray, width: int) -> bytes:
+    """Inverse of :func:`_ints_from_bytes` (C order over ``values``)."""
+    words = -(-width // 8)
+    limbs = np.empty(values.shape + (words,), dtype=">u8")
+    for j in range(words - 1, 0, -1):
+        limbs[..., j] = values & _WORD_MASK
+        values = values >> 64
+    limbs[..., 0] = values
+    padded = limbs.view(np.uint8).reshape(-1, 8 * words)
+    if padded[:, :8 * words - width].any():
+        raise OverflowError(f"coefficient does not fit {width} bytes")
+    return padded[:, 8 * words - width:].tobytes()
+
 
 @dataclass(frozen=True)
 class SecretKey:
-    """Ternary RLWE secret (coefficients in {-1, 0, 1})."""
+    """Ternary RLWE secret (coefficients in {-1, 0, 1}) with its RNS
+    transform under the context that made it, computed once per key."""
 
     coeffs: tuple[int, ...]
+    ntt_values: np.ndarray = field(compare=False, repr=False)
 
 
 class Ciphertext:
@@ -54,12 +86,9 @@ class Ciphertext:
 
     def to_bytes(self, params: HEParams) -> bytes:
         width = params.coeff_bytes
-        n = params.ring_degree
-        parts = [_MAGIC, n.to_bytes(4, "big"), width.to_bytes(2, "big")]
-        for poly in (self.c0, self.c1):
-            for c in poly:
-                parts.append(c.to_bytes(width, "big"))
-        return b"".join(parts)
+        header = (_MAGIC + params.ring_degree.to_bytes(4, "big")
+                  + width.to_bytes(2, "big"))
+        return header + _ints_to_bytes(np.array([self.c0, self.c1], dtype=object), width)
 
     @classmethod
     def from_bytes(cls, data: bytes, params: HEParams) -> "Ciphertext":
@@ -75,28 +104,21 @@ class Ciphertext:
         body = data[CIPHERTEXT_HEADER_BYTES:]
         if len(body) != 2 * n * width:
             raise GCProtocolError("truncated HE ciphertext body")
-        q = params.q
-        polys = []
-        for half in range(2):
-            base = half * n * width
-            coeffs = [
-                int.from_bytes(body[base + i * width: base + (i + 1) * width], "big")
-                for i in range(n)
-            ]
-            if any(c >= q for c in coeffs):
-                raise GCProtocolError("HE ciphertext coefficient out of range")
-            polys.append(coeffs)
-        return cls(polys[0], polys[1])
+        coeffs = _ints_from_bytes(body, width)
+        if (coeffs >= params.q).any():
+            raise GCProtocolError("HE ciphertext coefficient out of range")
+        c0, c1 = coeffs.reshape(2, n).tolist()
+        return cls(c0, c1)
 
 
 class PlainPoly:
-    """A plaintext ring element with its NTT image cached, so a model
-    row encoded once multiplies many ciphertexts at one forward
-    transform each."""
+    """A plaintext ring element with its RNS transform cached, so a
+    model row encoded once multiplies many ciphertexts at no forward
+    transform of its own."""
 
     __slots__ = ("coeffs", "ntt_values")
 
-    def __init__(self, coeffs: list[int], ntt_values: list[int]):
+    def __init__(self, coeffs: list[int], ntt_values: np.ndarray):
         self.coeffs = coeffs
         self.ntt_values = ntt_values
 
@@ -110,29 +132,25 @@ class BFVContext:
 
     # -- randomness ---------------------------------------------------
 
-    def _uniform_poly(self, rng: np.random.Generator) -> list[int]:
+    def _uniform_poly(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform element of Z_q^N (8 spare bytes make mod bias
         negligible, and the draw stays seed-deterministic)."""
         width = self.params.coeff_bytes + 8
         raw = rng.bytes(self.params.ring_degree * width)
-        q = self.params.q
-        return [
-            int.from_bytes(raw[i * width: (i + 1) * width], "big") % q
-            for i in range(self.params.ring_degree)
-        ]
+        return _ints_from_bytes(raw, width) % self.params.q
 
-    def _error_poly(self, rng: np.random.Generator) -> list[int]:
+    def _error_poly(self, rng: np.random.Generator) -> np.ndarray:
         draws = rng.normal(0.0, self.params.sigma, self.params.ring_degree)
-        return [int(e) for e in
-                np.clip(np.rint(draws), -ERROR_BOUND, ERROR_BOUND).astype(np.int64)]
+        return (np.clip(np.rint(draws), -ERROR_BOUND, ERROR_BOUND)
+                .astype(np.int64).astype(object))
 
     # -- keys and encryption ------------------------------------------
 
     def keygen(self, rng: np.random.Generator) -> SecretKey:
-        coeffs = rng.integers(-1, 2, self.params.ring_degree)
-        return SecretKey(tuple(int(c) for c in coeffs))
+        coeffs = tuple(int(c) for c in rng.integers(-1, 2, self.params.ring_degree))
+        return SecretKey(coeffs, self.ntt.forward(self._centered_to_residues(coeffs)))
 
-    def _centered_to_residues(self, centered: list[int]) -> list[int]:
+    def _centered_to_residues(self, centered) -> list[int]:
         q = self.params.q
         return [c % q for c in centered]
 
@@ -145,17 +163,16 @@ class BFVContext:
             raise CryptoError(
                 f"plaintext must have {params.ring_degree} coefficients"
             )
-        if any(c < -half_t or c >= half_t for c in plain_centered):
+        m = np.array(plain_centered, dtype=object)
+        if ((m < -half_t) | (m >= half_t)).any():
             raise CryptoError("plaintext coefficient outside the centered range")
-        q, delta = params.q, params.delta
+        ntt = self.ntt
         a = self._uniform_poly(rng)
         e = self._error_poly(rng)
-        a_s = self.ntt.multiply(a, self._centered_to_residues(list(sk.coeffs)))
-        c0 = [
-            (delta * m - prod + err) % q
-            for m, prod, err in zip(plain_centered, a_s, e)
-        ]
-        return Ciphertext(c0, a)
+        a_s = np.array(ntt.inverse(ntt.pointwise(ntt.forward(a), sk.ntt_values)),
+                       dtype=object)
+        c0 = (params.delta * m - a_s + e) % params.q
+        return Ciphertext(c0.tolist(), a.tolist())
 
     # -- homomorphic operations ---------------------------------------
 
@@ -164,10 +181,11 @@ class BFVContext:
         return PlainPoly(residues, self.ntt.forward(residues))
 
     def plain_mul(self, ct: Ciphertext, plain: PlainPoly) -> Ciphertext:
-        """Multiply a ciphertext by a plaintext ring element."""
+        """Multiply a ciphertext by a plaintext ring element: one
+        forward and one inverse transform over the stacked ``(c0, c1)``."""
         ntt = self.ntt
-        c0 = ntt.inverse(ntt.pointwise(ntt.forward(ct.c0), plain.ntt_values))
-        c1 = ntt.inverse(ntt.pointwise(ntt.forward(ct.c1), plain.ntt_values))
+        c0, c1 = ntt.inverse(ntt.pointwise(ntt.forward([ct.c0, ct.c1]),
+                                           plain.ntt_values))
         return Ciphertext(c0, c1)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -179,38 +197,32 @@ class BFVContext:
 
     # -- decryption and noise -----------------------------------------
 
-    def _phase(self, ct: Ciphertext, sk: SecretKey) -> list[int]:
-        """Centered ``(c0 + c1*s) mod q`` — equals ``Delta*P + E``."""
-        q = self.params.q
-        c1_s = self.ntt.multiply(ct.c1, self._centered_to_residues(list(sk.coeffs)))
-        out = []
-        for x, y in zip(ct.c0, c1_s):
-            v = (x + y) % q
-            out.append(v - q if v >= (q + 1) // 2 else v)
-        return out
+    def decrypt_with_budget(self, ct: Ciphertext,
+                            sk: SecretKey) -> tuple[list[int], int]:
+        """Plaintext and noise budget from one phase ``c0 + c1*s``.
+
+        The phase is centered ``(c0 + c1*s) mod q``, which equals
+        ``Delta*P + E``.  The plaintext is its centered coefficients
+        (mod ``t``, in ``[-t/2, t/2)``); the budget is the exact
+        ``floor(log2(Delta / 2|E|))``.  A positive budget means every
+        coefficient still decodes correctly with at least that many
+        bits of headroom; zero or negative means the ciphertext is at
+        (or past) the decryption threshold.
+        """
+        params, ntt = self.params, self.ntt
+        q, delta, t = params.q, params.delta, params.plain_modulus
+        c1_s = ntt.inverse(ntt.pointwise(ntt.forward(ct.c1), sk.ntt_values))
+        phase = (np.array([ct.c0, c1_s], dtype=object).sum(axis=0)
+                 + q // 2) % q - q // 2
+        rounded = (phase + delta // 2) // delta
+        plain = (rounded + t // 2) % t - t // 2
+        worst = max(1, np.abs(phase - rounded * delta).max())
+        return plain.tolist(), delta.bit_length() - (2 * worst).bit_length()
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> list[int]:
         """Centered plaintext coefficients (mod ``t``, in ``[-t/2, t/2)``)."""
-        params = self.params
-        delta, t = params.delta, params.plain_modulus
-        out = []
-        for v in self._phase(ct, sk):
-            p = (v + delta // 2) // delta
-            p %= t
-            out.append(p - t if p >= t // 2 else p)
-        return out
+        return self.decrypt_with_budget(ct, sk)[0]
 
     def noise_budget_bits(self, ct: Ciphertext, sk: SecretKey) -> int:
-        """Exact remaining noise budget: ``floor(log2(Delta / 2|E|))``.
-
-        Positive means every coefficient still decodes correctly with
-        at least that many bits of headroom; zero or negative means
-        the ciphertext is at (or past) the decryption threshold.
-        """
-        delta = self.params.delta
-        worst = 1
-        for v in self._phase(ct, sk):
-            p = (v + delta // 2) // delta
-            residual = abs(v - p * delta)
-            worst = max(worst, residual)
-        return delta.bit_length() - 1 - (2 * worst).bit_length() + 1
+        """Exact remaining noise budget: ``floor(log2(Delta / 2|E|))``."""
+        return self.decrypt_with_budget(ct, sk)[1]

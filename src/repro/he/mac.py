@@ -31,9 +31,10 @@ HE_RESULT_TAG = "he.result"
 class HEMacServer:
     """Server half: plaintext model rows, ciphertext-in/ciphertext-out.
 
-    Rows are NTT-transformed once at construction, so answering a
-    query costs three transforms (two forward on the ciphertext, one
-    inverse pair) regardless of how many queries hit the same row.
+    Rows are transformed once at construction, so answering a query
+    costs two transforms (one forward and one inverse, each over the
+    stacked ``(c0, c1)``) regardless of how many queries hit the same
+    row.
     """
 
     def __init__(self, model_matrix, fmt: FixedPointFormat):
@@ -88,10 +89,10 @@ class HEMacClient:
 
     def _decrypt(self, result_bytes: bytes) -> list[int]:
         ct = Ciphertext.from_bytes(bytes(result_bytes), self.params)
-        self.last_noise_budget_bits = self.context.noise_budget_bits(
+        plain, self.last_noise_budget_bits = self.context.decrypt_with_budget(
             ct, self.secret_key
         )
-        return self.context.decrypt(ct, self.secret_key)
+        return plain
 
     def decrypt_row_result(self, result_bytes: bytes) -> int:
         """Raw product-scale MAC value (centered acc_width-bit int)."""

@@ -23,8 +23,11 @@ accumulator:
 
 Ring degrees here are toy-sized for the same reason the OT layer
 ships ``TOY_GROUP``: the reproduction targets protocol behaviour, not
-concrete 128-bit security.  A production deployment would fix
-``N >= 4096`` and pick ``q`` from the homomorphic-encryption standard.
+concrete 128-bit security.  The transform is not what keeps them
+small: :mod:`repro.he.ntt` multiplies in a residue number system of
+word-sized primes with numpy butterflies.  A production deployment
+would fix ``N >= 4096`` and pick ``q`` from the homomorphic-encryption
+standard.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CryptoError, GCProtocolError
-from repro.fixedpoint import Q8_4, Q16_8
+from repro.fixedpoint import Q8_4, Q16_8, Q32_16
 from repro.he.bfv import CIPHERTEXT_HEADER_BYTES, BFVContext, Ciphertext
 from repro.he.ntt import negacyclic_mul_schoolbook
 from repro.he.params import params_for_workload
@@ -160,3 +160,70 @@ class TestSerialization:
         assert len(wire) - CIPHERTEXT_HEADER_BYTES == 2 * params.ring_degree * width
         with pytest.raises(GCProtocolError, match="out of range"):
             Ciphertext.from_bytes(wire, params)
+
+
+def _wire(ctx, seed=8):
+    rng = np.random.default_rng(seed)
+    sk = ctx.keygen(rng)
+    return ctx.encrypt(_bounded_plaintext(ctx, rng, 1000), sk, rng).to_bytes(ctx.params)
+
+
+#: one coefficient per machine word (q < 2**64) and a three-word width
+#: (the 32-bit format's 135-bit q)
+WIDTHS = [pytest.param(Q8_4, id="one-word"), pytest.param(Q32_16, id="multi-word")]
+
+
+class TestCodecChecks:
+    """The vectorised decoder's shape and range checks, at both widths
+    (a bad magic is refused before the width is read)."""
+
+    @pytest.mark.parametrize("fmt", WIDTHS)
+    def test_roundtrip_at_width(self, fmt):
+        ctx = _context(fmt, 4, 4)
+        wire = _wire(ctx)
+        ct = Ciphertext.from_bytes(wire, ctx.params)
+        assert all(0 <= c < ctx.params.q for c in ct.c0 + ct.c1)
+        assert ct.to_bytes(ctx.params) == wire
+
+    @pytest.mark.parametrize("fmt", WIDTHS)
+    @pytest.mark.parametrize("field, delta", [(slice(4, 8), 1), (slice(8, 10), 1)],
+                             ids=["ring-degree", "width"])
+    def test_header_field_mismatch(self, fmt, field, delta):
+        ctx = _context(fmt, 4, 4)
+        wire = bytearray(_wire(ctx))
+        size = field.stop - field.start
+        wire[field] = (int.from_bytes(wire[field], "big") + delta).to_bytes(size, "big")
+        with pytest.raises(GCProtocolError, match="shape mismatch"):
+            Ciphertext.from_bytes(bytes(wire), ctx.params)
+
+    @pytest.mark.parametrize("fmt", WIDTHS)
+    @pytest.mark.parametrize("change", ["byte-short", "coefficient-short", "byte-long"])
+    def test_body_length_mismatch(self, fmt, change):
+        ctx = _context(fmt, 4, 4)
+        wire = _wire(ctx)
+        bad = {
+            "byte-short": wire[:-1],
+            "coefficient-short": wire[:-ctx.params.coeff_bytes],
+            "byte-long": wire + b"\x00",
+        }[change]
+        with pytest.raises(GCProtocolError, match="truncated"):
+            Ciphertext.from_bytes(bad, ctx.params)
+
+    @pytest.mark.parametrize("fmt", WIDTHS)
+    @pytest.mark.parametrize("index", ["first", "last"])
+    @pytest.mark.parametrize("value", ["q", "max"])
+    def test_one_coefficient_out_of_range(self, fmt, index, value):
+        ctx = _context(fmt, 4, 4)
+        params = ctx.params
+        width = params.coeff_bytes
+        wire = bytearray(_wire(ctx))
+        bad = params.q if value == "q" else (1 << (8 * width)) - 1
+        at = CIPHERTEXT_HEADER_BYTES + (
+            0 if index == "first" else (2 * params.ring_degree - 1) * width
+        )
+        wire[at:at + width] = bad.to_bytes(width, "big")
+        with pytest.raises(GCProtocolError, match="out of range"):
+            Ciphertext.from_bytes(bytes(wire), params)
+        # q - 1 in the same place is a valid coefficient
+        wire[at:at + width] = (params.q - 1).to_bytes(width, "big")
+        Ciphertext.from_bytes(bytes(wire), params)
