@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.accel.tree_mac import total_cores
 from repro.crypto.labels import K_BITS
@@ -64,6 +63,11 @@ class ResourceModel:
     """Component-based resource estimator calibrated to Table 1."""
 
     def __init__(self) -> None:
+        # imported here, not at module level: scipy.optimize is ~29 MB of
+        # resident memory that a serving gateway (which imports this
+        # package but never fits Table 1) would otherwise carry
+        from scipy.optimize import nnls
+
         widths = sorted(PAPER_TABLE1)
         a = np.array([_components(b) for b in widths])
         self.coefficients: dict[str, np.ndarray] = {}

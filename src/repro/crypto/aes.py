@@ -1,27 +1,30 @@
-"""AES-128 implemented from scratch (FIPS-197).
+"""AES-128: a from-scratch FIPS-197 oracle and an OpenSSL batch engine.
 
 The garbling scheme of Bellare et al. [23] keys a single AES-128 instance
 once and then encrypts one block per garbled table, so encryption speed of
 a *fixed-key* cipher is what matters.  Two code paths are provided:
 
-* a scalar T-table implementation (``encrypt_block`` / ``encrypt_u128``)
-  used by the FSM reference garbler and the scalar evaluator oracle,
-  where blocks arrive one at a time;
-* a numpy batch implementation (``encrypt_words``) used by both parties'
-  stage-vectorised garbling hash, the label DRBG and the OT-extension
-  PRG.  Its fixed cost per call — numpy dispatch, not arithmetic — is
-  what a garbling stage of a few dozen blocks pays, so each round is a
-  handful of whole-batch array operations.
+* a scalar T-table implementation written from the standard
+  (``encrypt_block`` / ``encrypt_u128``), used by the FSM reference
+  garbler and the scalar evaluator oracle, where blocks arrive one at a
+  time;
+* a batch path (``encrypt_words``) used by both parties' run-plan
+  garbling hash, the label DRBG and the OT-extension hash.  It hands a
+  whole batch to one fixed-key AES-128-ECB encryptor from
+  ``cryptography`` (OpenSSL, on the CPU's AES instructions where the
+  host has them): the software stand-in for the paper's fixed-key AES
+  engines, one ``update()`` per batch.
 
-Both paths share the same S-box and key schedule and are cross-checked in
-the test suite against the FIPS-197 appendix vectors.
+The scalar path is the oracle the batch path is tested against, on the
+FIPS-197 appendix vectors and on random batches in both word layouts.
 """
 
 from __future__ import annotations
 
-import sys
+import threading
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.errors import CryptoError
 
@@ -116,70 +119,12 @@ def _build_enc_tables() -> list[list[int]]:
 
 _T0, _T1, _T2, _T3 = _build_enc_tables()
 
-# ----------------------------------------------------------------------
-# batch-path tables
-#
-# The batch kernel keeps the state as C-contiguous machine words and
-# reads it back as bytes, so where AES byte ``i`` (FIPS-197 order, byte
-# ``4c + r`` is row ``r`` of column ``c``) sits in memory depends on the
-# word width and the host's byte order.  Every gather index below is
-# built through :func:`_mem_pos`, which makes the kernel byte-order
-# explicit instead of assuming a little-endian host.
-# ----------------------------------------------------------------------
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _mem_pos(i: int, width: int) -> int:
-    """Memory offset of AES byte ``i`` in a row of big-endian-valued
-    ``width``-byte words stored in host order."""
-    if not _LITTLE_ENDIAN:
-        return i
-    return width * (i // width) + (width - 1 - i % width)
-
-
-#: ShiftRows as a gather: slot ``4c + j`` of a round's index row holds
-#: state byte (row j, column c + j), the operand of T_j for column c.
-_SHIFTED = [4 * ((c + j) % 4) + j for c in range(4) for j in range(4)]
-
-
-def _pair_tables() -> np.ndarray:
-    """T-table lookups paired on two index bytes, end to end.
-
-    Read as 16-bit words, a gathered index row is eight byte pairs:
-    (T0, T1) operands then (T2, T3) operands of each column.  Entry
-    ``v`` of the first 65536-entry half is ``T0[x] ^ T1[y]`` for the
-    pair (x, y) that ``v`` holds in host byte order, the second half
-    ``T2[x] ^ T3[y]`` — so a round is eight lookups per block, not 16.
-    """
-    t = [np.array(table, dtype=np.uint32) for table in (_T0, _T1, _T2, _T3)]
-    v = np.arange(1 << 16)
-    first, second = (v & 0xFF, v >> 8) if _LITTLE_ENDIAN else (v >> 8, v & 0xFF)
-    return np.concatenate([t[0][first] ^ t[1][second], t[2][first] ^ t[3][second]])
-
-
-_PAIR_TABLE = _pair_tables()
-_PAIR_OFFSETS = np.tile(np.array([0, 1 << 16], dtype=np.intp), 4)
-_SBOX8 = np.array(SBOX, dtype=np.uint8)
-
-
-def _round_gather(width: int) -> np.ndarray:
-    return np.array([_mem_pos(i, width) for i in _SHIFTED], dtype=np.intp)
-
-
-def _final_gather(width: int) -> np.ndarray:
-    """Last round: output byte (r, c) is S[state (r, c + r)], placed
-    where a ``width``-byte output word row keeps AES byte ``4c + r``."""
-    out = np.empty(16, dtype=np.intp)
-    for i in range(16):
-        r, c = i % 4, i // 4
-        out[_mem_pos(i, width)] = _mem_pos(4 * ((c + r) % 4) + r, 4)
-    return out
-
-
-_GATHER_IN = {4: _round_gather(4), 8: _round_gather(8)}
-_GATHER_OUT = {4: _final_gather(4), 8: _final_gather(8)}
+#: Batch layouts: words are big-endian *values* (AES byte 0 is the most
+#: significant byte of word 0) held in host order; the engine reads and
+#: writes bytes, so each batch goes through the explicit big-endian dtype
+#: of its word width on the way in and out, whatever the host's order.
 _WORD_DTYPE = {4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
-
+_BE_DTYPE = {4: np.dtype(">u4"), 8: np.dtype(">u8")}
 
 def expand_key(key: bytes) -> list[int]:
     """AES-128 key schedule: 44 32-bit round-key words."""
@@ -202,26 +147,24 @@ def expand_key(key: bytes) -> list[int]:
 
 
 class AES128:
-    """AES-128 block cipher with scalar and numpy-batch encryption paths.
+    """AES-128 block cipher with a scalar oracle and a batch engine.
 
     Invocation counters (`scalar_calls`, `batch_calls`, `batch_blocks`)
     model the hardware interface: each *batch call* is one hand-off to
-    the vectorised engine regardless of how many blocks ride in it, so
-    the stage-vectorised garbler can prove "one AES invocation per
-    topological stage" from the counters alone.
+    the batch engine regardless of how many blocks ride in it, so the
+    run-plan garbler can prove "one AES invocation per topological
+    stage" from the counters alone.
+
+    Each thread that encrypts a batch gets its own OpenSSL encryptor for
+    this key, kept on the instance: a cipher context is never shared
+    between threads (the gateway's serve and refill threads hash on one
+    cipher), and it is freed with the instance.
     """
 
     def __init__(self, key: bytes):
         self.key = bytes(key)
         self._rk = expand_key(self.key)
-        # Batch path: inner round keys as (4,) uint32 column words; the
-        # first and last round keys in both supported word layouts.
-        self._nrk = np.array(self._rk, dtype=np.uint32).reshape(11, 4)
-        self._edge_rk = {
-            width: (self._lanes(0, width), self._lanes(10, width))
-            for width in (4, 8)
-        }
-        self._dec_rk = self._build_dec_schedule()
+        self._local = threading.local()
         self.scalar_calls = 0
         self.batch_calls = 0
         self.batch_blocks = 0
@@ -285,9 +228,6 @@ class AES128:
     # decryption (scalar only; the GC protocol never decrypts, this is
     # provided for completeness and round-trip tests)
     # ------------------------------------------------------------------
-    def _build_dec_schedule(self) -> list[int]:
-        return list(self._rk)
-
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block (straightforward inverse cipher)."""
         if len(block) != BLOCK_BYTES:
@@ -333,16 +273,20 @@ class AES128:
         return bytes(out)
 
     # ------------------------------------------------------------------
-    # numpy batch path
+    # batch path
     # ------------------------------------------------------------------
-    def _lanes(self, rnd: int, width: int) -> np.ndarray:
-        """Round key ``rnd`` as the words of a ``width``-byte layout."""
-        k = self._rk[4 * rnd : 4 * rnd + 4]
-        if width == 4:
-            return np.array(k, dtype=np.uint32)
-        return np.array(
-            [(k[0] << 32) | k[1], (k[2] << 32) | k[3]], dtype=np.uint64
-        )
+    def _encryptor(self):
+        """This thread's fixed-key AES-128-ECB encryptor.
+
+        ECB over whole blocks buffers nothing between ``update()`` calls,
+        so one context serves every batch the thread encrypts.
+        """
+        try:
+            return self._local.encryptor
+        except AttributeError:
+            encryptor = Cipher(algorithms.AES(self.key), modes.ECB()).encryptor()
+            self._local.encryptor = encryptor
+            return encryptor
 
     def encrypt_words(self, words: np.ndarray, allow_copy: bool = True) -> np.ndarray:
         """Encrypt a batch of blocks held as big-endian-valued words.
@@ -380,32 +324,9 @@ class AES128:
             words = np.ascontiguousarray(words, dtype=_WORD_DTYPE[width])
         self.batch_calls += 1
         self.batch_blocks += int(words.shape[0])
-        return self._encrypt_rows(words, width)
-
-    def _encrypt_rows(self, words: np.ndarray, width: int) -> np.ndarray:
-        """The T-table kernel on one C-contiguous batch.
-
-        Per round: one ShiftRows gather of all 16 state bytes, one
-        lookup of the eight byte pairs in the paired T-tables, one XOR
-        folding the pairs into the column words, one round-key XOR.  The
-        word layout only changes which bytes the first and last gathers
-        read and write.
-        """
-        n = words.shape[0]
-        first_rk, last_rk = self._edge_rk[width]
-        state = words ^ first_rk
-        gather = _GATHER_IN[width]
-        rk = self._nrk
-        for rnd in range(1, 10):
-            index = np.take(state.view(np.uint8).reshape(n, 16), gather, axis=1)
-            t = _PAIR_TABLE[index.view(np.uint16) + _PAIR_OFFSETS]
-            state = np.bitwise_xor(t[:, 0::2], t[:, 1::2], order="C")
-            state ^= rk[rnd]
-            gather = _GATHER_IN[4]
-        last = np.take(state.view(np.uint8).reshape(n, 16), _GATHER_OUT[width], axis=1)
-        out = _SBOX8.take(last).view(_WORD_DTYPE[width]).reshape(n, 16 // width)
-        out ^= last_rk
-        return out
+        be = _BE_DTYPE[width]
+        cipher = self._encryptor().update(words.astype(be).view(np.uint8))
+        return np.frombuffer(cipher, dtype=be).reshape(words.shape).astype(words.dtype)
 
     def encrypt_blocks(self, blocks: bytes) -> bytes:
         """Encrypt a byte string holding n concatenated 16-byte blocks."""

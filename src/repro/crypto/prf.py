@@ -68,7 +68,7 @@ class GarblingHash:
         return self._aes.encrypt_u128(k) ^ k
 
     def hash_many(self, labels: list[int], tweaks: list[int]) -> list[int]:
-        """Batch version (numpy AES path); same outputs as repeated calls."""
+        """Batch version (one batch AES call); same outputs as repeated calls."""
         if len(labels) != len(tweaks):
             raise ValueError("labels and tweaks must have equal length")
         self.calls = self.calls + len(labels)

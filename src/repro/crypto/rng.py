@@ -131,23 +131,26 @@ class TRNGSeededDRBG:
             raise ConfigurationError("DRBG seed must be 16 bytes")
         self._aes = AES128(seed)
         self._counter = 0
+        #: keystream bytes drawn so far are ``_pool[:_pos]``
         self._pool = b""
+        self._pos = 0
 
     def _refill(self, blocks: int) -> None:
-        counters = np.zeros((blocks, 4), dtype=np.uint32)
-        for i in range(blocks):
-            c = self._counter + i
-            counters[i, 2] = (c >> 32) & 0xFFFFFFFF
-            counters[i, 3] = c & 0xFFFFFFFF
+        """Append ``blocks`` keystream blocks: AES of the 128-bit counter
+        values ``_counter ..`` (mod 2^64), as one ``(blocks, 2)`` batch."""
+        counters = np.zeros((blocks, 2), dtype=np.uint64)
+        counters[:, 1] = np.arange(blocks, dtype=np.uint64) + np.uint64(self._counter)
         self._counter += blocks
-        out = self._aes.encrypt_words(counters)
-        self._pool += out.astype(">u4").tobytes()
+        out = self._aes.encrypt_words(counters, allow_copy=False)
+        self._pool = self._pool[self._pos :] + out.astype(">u8").tobytes()
+        self._pos = 0
 
     def random_bytes(self, n: int) -> bytes:
-        while len(self._pool) < n:
-            need = n - len(self._pool)
-            self._refill(max((need + 15) // 16, 64))
-        out, self._pool = self._pool[:n], self._pool[n:]
+        short = n - (len(self._pool) - self._pos)
+        if short > 0:
+            self._refill(max((short + 15) // 16, 64))
+        out = self._pool[self._pos : self._pos + n]
+        self._pos += n
         return out
 
     def getrandbits(self, k: int) -> int:

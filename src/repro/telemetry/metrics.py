@@ -5,13 +5,19 @@ monotone event counts (pool hits, tables streamed, retries) and latency
 distributions with percentile readout (request latency, garbling time,
 OT time).  A :class:`MetricsRegistry` owns both by name, plus a span
 recorder, and takes an injectable ``clock`` so exporter snapshots are
-bit-deterministic under a fixed clock in tests.
+bit-deterministic under a fixed clock in tests.  Memory stays bounded
+however long a process serves: histograms keep their percentiles over a
+window of recent values and the span recorder keeps a ring of recent
+spans.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 
 from repro.errors import ConfigurationError
@@ -19,6 +25,10 @@ from repro.telemetry.spans import SpanRecorder
 
 #: Percentiles included in every histogram snapshot.
 SNAPSHOT_PERCENTILES = (50.0, 90.0, 99.0)
+
+#: Recent observations a histogram keeps for percentiles and windowed
+#: readout; the SLO controller reads a few dozen per tick.
+HISTOGRAM_WINDOW = 1024
 
 
 def percentile_of(values, p: float) -> float:
@@ -64,85 +74,104 @@ class Counter:
 class Histogram:
     """A thread-safe value distribution with percentile readout.
 
-    Observations are kept exactly (the serving bench records thousands,
-    not millions, of samples), so percentiles are exact: for percentile
-    ``p`` over ``n`` sorted samples the rank is ``(p/100) * (n-1)`` with
-    linear interpolation between neighbouring samples — the same
-    definition numpy's default ``percentile`` uses, chosen so tests can
-    assert against hand-computed values.
+    Memory is bounded for a process that serves for days: ``count``,
+    ``total``, ``min`` and ``max`` are kept exactly over every
+    observation, while percentiles and :meth:`values_since` read a ring
+    of the ``window`` most recent ones.  Over the window percentiles are
+    exact: for percentile ``p`` over ``n`` sorted samples the rank is
+    ``(p/100) * (n-1)`` with linear interpolation between neighbouring
+    samples — the same definition numpy's default ``percentile`` uses,
+    chosen so tests can assert against hand-computed values.
     """
 
-    __slots__ = ("_lock", "_values")
+    __slots__ = ("_lock", "_recent", "_count", "_total", "_min", "_max")
 
-    def __init__(self) -> None:
+    def __init__(self, window: int = HISTOGRAM_WINDOW) -> None:
+        if window < 1:
+            raise ConfigurationError(f"histogram window must be positive, got {window}")
         self._lock = threading.Lock()
-        self._values: list[float] = []
+        self._recent: deque[float] = deque(maxlen=window)
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     def record(self, value: float) -> None:
+        value = float(value)
         with self._lock:
-            self._values.append(float(value))
+            self._recent.append(value)
+            self._count += 1
+            self._total += value
+            self._min = min(self._min, value)
+            self._max = max(self._max, value)
 
     @property
     def count(self) -> int:
         with self._lock:
-            return len(self._values)
+            return self._count
 
     @property
     def total(self) -> float:
         with self._lock:
-            return sum(self._values)
+            return self._total
+
+    def _require(self, what: str) -> None:
+        if not self._count:
+            raise ConfigurationError(f"empty histogram has no {what}")
 
     @property
     def mean(self) -> float:
         with self._lock:
-            if not self._values:
-                raise ConfigurationError("empty histogram has no mean")
-            return sum(self._values) / len(self._values)
+            self._require("mean")
+            return self._total / self._count
 
     @property
     def minimum(self) -> float:
         with self._lock:
-            if not self._values:
-                raise ConfigurationError("empty histogram has no minimum")
-            return min(self._values)
+            self._require("minimum")
+            return self._min
 
     @property
     def maximum(self) -> float:
         with self._lock:
-            if not self._values:
-                raise ConfigurationError("empty histogram has no maximum")
-            return max(self._values)
+            self._require("maximum")
+            return self._max
 
     def percentile(self, p: float) -> float:
+        """Percentile ``p`` of the window of recent observations."""
         with self._lock:
-            if not self._values:
-                raise ConfigurationError("empty histogram has no percentiles")
-            values = list(self._values)
+            self._require("percentiles")
+            values = list(self._recent)
         return percentile_of(values, p)
 
     def values_since(self, offset: int) -> list[float]:
-        """The observations recorded at index ``offset`` onward, in
-        record order.  Pairing this with :attr:`count` gives windowed
-        readout — the SLO controller snapshots ``count`` each tick and
-        takes percentiles over only the latencies completed since."""
+        """The observations recorded at absolute index ``offset`` onward
+        (``offset`` counts every observation ever recorded), in record
+        order.  Pairing this with :attr:`count` gives windowed readout —
+        the SLO controller snapshots ``count`` each tick and takes
+        percentiles over only the latencies completed since.  Values
+        that have already left the window are gone: the call then
+        returns the whole window, the most recent observations."""
         if offset < 0:
             raise ConfigurationError(f"offset cannot be negative, got {offset}")
         with self._lock:
-            return list(self._values[offset:])
+            skip = offset - (self._count - len(self._recent))
+            if skip <= 0:
+                return list(self._recent)
+            return list(itertools.islice(self._recent, skip, None))
 
     def snapshot(self) -> dict:
         with self._lock:
-            values = list(self._values)
-        if not values:
-            return {"count": 0}
-        ordered = sorted(values)
-        snap = {
-            "count": len(values),
-            "total": sum(values),
-            "mean": sum(values) / len(values),
-            "min": ordered[0],
-            "max": ordered[-1],
-        }
+            if not self._count:
+                return {"count": 0}
+            snap = {
+                "count": self._count,
+                "total": self._total,
+                "mean": self._total / self._count,
+                "min": self._min,
+                "max": self._max,
+            }
+            ordered = sorted(self._recent)
         for p in SNAPSHOT_PERCENTILES:
             snap[f"p{p:g}"] = percentile_of(ordered, p)
         return snap

@@ -4,20 +4,25 @@ A span marks one timed section of the serving pipeline ("request",
 "garble", "ot", "stream").  Nesting is tracked per thread with a
 context-manager stack, so concurrent requests each build their own
 well-formed tree while sharing one recorder; completed spans land in a
-single list ordered by completion time.
+single ring ordered by completion time, which keeps the most recent
+:data:`SPAN_RING` of them.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Completed spans a recorder keeps (the most recent ones).
+SPAN_RING = 1024
 
-@dataclass
+
+@dataclass(slots=True)
 class Span:
     """One timed section; ``parent`` is the enclosing span's name."""
 
@@ -35,13 +40,16 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects spans from any number of threads into one ordered list."""
+    """Collects spans from any number of threads into one bounded,
+    completion-ordered ring of the ``capacity`` most recent."""
 
-    def __init__(self, clock=time.perf_counter):
+    def __init__(self, clock=time.perf_counter, capacity: int = SPAN_RING):
+        if capacity < 1:
+            raise ConfigurationError(f"span ring capacity must be positive, got {capacity}")
         self._clock = clock
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._completed: list[Span] = []
+        self._completed: deque[Span] = deque(maxlen=capacity)
 
     def _stack(self) -> list[Span]:
         if not hasattr(self._local, "stack"):

@@ -853,10 +853,14 @@ class ConformanceOracle:
             worker = threading.Thread(
                 target=attempt, daemon=True, name="oracle-recovery"
             )
+            cut_gate = (
+                FrameGate(client.endpoint, spec.frame)
+                if spec.kind == DISCONNECT
+                else None
+            )
             worker.start()
-            if spec.kind == DISCONNECT:
-                cut = self._cut_after_frame(client, spec.frame, worker)
-                if cut:
+            if cut_gate is not None:
+                if self._cut_at_gate(client, cut_gate, worker):
                     injected.append(f"{DISCONNECT}:cut@{spec.frame}")
             else:
                 # the queue is saturated, so the first QUERY is shed;
@@ -1008,10 +1012,14 @@ class ConformanceOracle:
             worker = threading.Thread(
                 target=attempt, daemon=True, name="oracle-slo"
             )
+            cut_gate = (
+                FrameGate(client.endpoint, spec.frame)
+                if spec.kind == DISCONNECT
+                else None
+            )
             worker.start()
-            if spec.kind == DISCONNECT:
-                cut = self._cut_after_frame(client, spec.frame, worker)
-                if cut:
+            if cut_gate is not None:
+                if self._cut_at_gate(client, cut_gate, worker):
                     injected.append(f"{DISCONNECT}:cut@{spec.frame}")
             else:
                 self._await_counter("gateway.shed", worker)
@@ -1584,17 +1592,17 @@ class ConformanceOracle:
             f"lease_holder={lease!r}"
         )
 
-    def _cut_after_frame(self, client, frame: int, worker) -> bool:
-        """Close the client's transport once it has verified ``frame``
-        session frames; returns False if the query finished first."""
-        deadline = time.monotonic() + self.deadline_s
-        while time.monotonic() < deadline and worker.is_alive():
-            endpoint = client.endpoint
-            if endpoint.recv_seq >= frame:
-                endpoint.transport.close()
-                return True
-            time.sleep(0.001)
-        return False
+    def _cut_at_gate(self, client, gate: FrameGate, worker) -> bool:
+        """Close the client's transport while ``gate`` holds its reader
+        (it has verified exactly the gate's frame count), then let it
+        read on; returns False if the query finished first.  Holding the
+        reader lands the cut at the same frame on every run, however far
+        the gateway has streamed ahead."""
+        held = gate.wait(worker, time.monotonic() + self.deadline_s)
+        if held:
+            client.endpoint.transport.close()
+        gate.release()
+        return held
 
     def _await_counter(self, name: str, worker, minimum: int = 1) -> None:
         deadline = time.monotonic() + self.deadline_s

@@ -1,7 +1,10 @@
 """Garbling hash and wire-label algebra tests."""
 
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.crypto.labels import (
@@ -73,6 +76,56 @@ class TestGarblingHash:
         h(1, 2)
         h.hash_many([3, 4], [5, 6])
         assert h.calls == 3
+
+
+class TestSharedHashAcrossThreads:
+    """The gateway's serve and refill threads hash on one cipher: each
+    thread's batches must still match the scalar oracle exactly."""
+
+    THREADS, BATCHES, BLOCKS = 4, 25, 48
+
+    def test_four_threads_share_one_hash(self):
+        shared = GarblingHash()
+        oracle = GarblingHash()
+        rng = np.random.default_rng(11)
+        work = []
+        for _ in range(self.THREADS):
+            batches = []
+            for _ in range(self.BATCHES):
+                labels = rng.integers(0, 2**64, size=(self.BLOCKS, 2), dtype=np.uint64)
+                tweaks = rng.integers(0, 2**64, size=(self.BLOCKS, 2), dtype=np.uint64)
+                expected = [
+                    oracle(
+                        (int(l[0]) << 64) | int(l[1]),
+                        (int(t[0]) << 64) | int(t[1]),
+                    )
+                    for l, t in zip(labels, tweaks)
+                ]
+                batches.append((labels, tweaks, expected))
+            work.append(batches)
+        barrier = threading.Barrier(self.THREADS)
+        mismatches = [0] * self.THREADS
+
+        def hammer(i):
+            barrier.wait()
+            for labels, tweaks, expected in work[i]:
+                out = shared.hash_words(labels, tweaks)
+                got = [(int(hi) << 64) | int(lo) for hi, lo in out]
+                mismatches[i] += sum(g != e for g, e in zip(got, expected))
+
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [0] * self.THREADS
+        assert shared.aes.scalar_calls == 0
 
 
 class TestTweaks:

@@ -1,5 +1,7 @@
 """Ring-oscillator RNG simulation and NIST-style battery tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,39 @@ class TestDRBG:
         drbg = TRNGSeededDRBG(seed=b"\x42" * 16)
         bits = np.unpackbits(np.frombuffer(drbg.random_bytes(4000), dtype=np.uint8))
         assert run_battery(bits).passed
+
+
+class TestDRBGStream:
+    """The first 4 KiB of two seeded streams, recorded from the
+    loop-built counter blocks and whole-pool re-slicing that preceded
+    the vectorised refill: draws of any size read the same stream."""
+
+    GOLDEN = {
+        bytes(range(16)): "8a0e8a514e748aba01b579326622143542ff39e9928ffb5024805da3b3b7a897",
+        b"\x42" * 16: "e73ea1bd47581fec299142b87edc2ebd07cf427b2523ca27ea3a782d3e9a6bfc",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN), ids=["counting", "0x42"])
+    def test_first_4kib_match_the_pinned_digest(self, seed):
+        stream = TRNGSeededDRBG(seed=seed).random_bytes(4096)
+        assert hashlib.sha256(stream).hexdigest() == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN), ids=["counting", "0x42"])
+    def test_uneven_draws_read_the_same_stream(self, seed):
+        drbg = TRNGSeededDRBG(seed=seed)
+        sizes = [1, 15, 16, 17, 0, 1023, 5, 2048, 3]
+        chunks = [drbg.random_bytes(n) for n in sizes]
+        assert [len(c) for c in chunks] == sizes
+        chunks.append(drbg.random_bytes(4096 - sum(sizes)))
+        stream = b"".join(chunks)
+        assert hashlib.sha256(stream).hexdigest() == self.GOLDEN[seed]
+
+    def test_getrandbits_reads_the_stream_big_endian(self):
+        seed = bytes(range(16))
+        head = TRNGSeededDRBG(seed=seed).random_bytes(32)
+        drbg = TRNGSeededDRBG(seed=seed)
+        assert drbg.getrandbits(128) == int.from_bytes(head[:16], "big")
+        assert drbg.getrandbits(4) == head[16] >> 4
 
 
 class TestBattery:

@@ -5,7 +5,16 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import Counter, Histogram, MetricsRegistry, render_text, to_json
+from repro.telemetry import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    SpanRecorder,
+    render_text,
+    to_json,
+)
+from repro.telemetry.metrics import HISTOGRAM_WINDOW
+from repro.telemetry.spans import SPAN_RING
 
 
 class FakeClock:
@@ -100,6 +109,66 @@ class TestHistogramPercentiles:
         h.record(1.0)
         with pytest.raises(ConfigurationError):
             h.percentile(101)
+
+
+class TestBoundedMemory:
+    """A long-lived gateway records per query forever: histograms and
+    the span recorder keep a bounded window, while count, total, min
+    and max stay exact over every observation."""
+
+    N = 100_000
+
+    def test_histogram_keeps_a_bounded_window(self):
+        h = Histogram(window=1000)
+        for v in range(self.N):
+            h.record(v)
+        assert len(h._recent) == 1000
+        assert h.count == self.N
+        assert h.total == sum(range(self.N))
+        assert h.minimum == 0 and h.maximum == self.N - 1
+        assert h.mean == (self.N - 1) / 2
+        # percentiles read the window of the most recent values
+        assert h.percentile(0) == self.N - 1000
+        assert h.percentile(100) == self.N - 1
+        snap = h.snapshot()
+        assert snap["count"] == self.N and snap["min"] == 0
+        assert snap["p50"] == pytest.approx(self.N - 500.5)
+
+    def test_default_window_is_bounded(self):
+        h = Histogram()
+        for v in range(self.N):
+            h.record(v)
+        assert len(h._recent) == HISTOGRAM_WINDOW < self.N
+        assert h.count == self.N
+
+    def test_values_since_keeps_absolute_offsets(self):
+        h = Histogram(window=8)
+        for v in range(20):
+            h.record(v)
+        assert h.values_since(15) == [15.0, 16.0, 17.0, 18.0, 19.0]
+        assert h.values_since(12) == [float(v) for v in range(12, 20)]
+        assert h.values_since(20) == []
+        # values that left the window are gone: the window is returned
+        assert h.values_since(3) == [float(v) for v in range(12, 20)]
+        offset = h.count
+        h.record(99)
+        assert h.values_since(offset) == [99.0]
+
+    def test_span_recorder_keeps_a_ring(self):
+        reg = MetricsRegistry(clock=FakeClock())
+        for i in range(self.N // 10):
+            with reg.span(f"s{i}"):
+                pass
+        spans = reg.spans.completed()
+        assert len(spans) == SPAN_RING
+        assert spans[-1].name == f"s{self.N // 10 - 1}"
+        assert spans[0].name == f"s{self.N // 10 - SPAN_RING}"
+
+    def test_bad_window_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Histogram(window=0)
+        with pytest.raises(ConfigurationError):
+            SpanRecorder(capacity=0)
 
 
 class TestSpans:
