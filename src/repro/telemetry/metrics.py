@@ -77,7 +77,7 @@ class Histogram:
     Memory is bounded for a process that serves for days: ``count``,
     ``total``, ``min`` and ``max`` are kept exactly over every
     observation, while percentiles and :meth:`values_since` read a ring
-    of the ``window`` most recent ones.  Over the window percentiles are
+    of the :data:`HISTOGRAM_WINDOW` most recent ones.  Over the window percentiles are
     exact: for percentile ``p`` over ``n`` sorted samples the rank is
     ``(p/100) * (n-1)`` with linear interpolation between neighbouring
     samples — the same definition numpy's default ``percentile`` uses,
@@ -86,11 +86,9 @@ class Histogram:
 
     __slots__ = ("_lock", "_recent", "_count", "_total", "_min", "_max")
 
-    def __init__(self, window: int = HISTOGRAM_WINDOW) -> None:
-        if window < 1:
-            raise ConfigurationError(f"histogram window must be positive, got {window}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._recent: deque[float] = deque(maxlen=window)
+        self._recent: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._count = 0
         self._total = 0.0
         self._min = math.inf

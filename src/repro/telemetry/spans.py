@@ -41,15 +41,13 @@ class Span:
 
 class SpanRecorder:
     """Collects spans from any number of threads into one bounded,
-    completion-ordered ring of the ``capacity`` most recent."""
+    completion-ordered ring of the :data:`SPAN_RING` most recent."""
 
-    def __init__(self, clock=time.perf_counter, capacity: int = SPAN_RING):
-        if capacity < 1:
-            raise ConfigurationError(f"span ring capacity must be positive, got {capacity}")
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._completed: deque[Span] = deque(maxlen=capacity)
+        self._completed: deque[Span] = deque(maxlen=SPAN_RING)
 
     def _stack(self) -> list[Span]:
         if not hasattr(self._local, "stack"):

@@ -5,14 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    SpanRecorder,
-    render_text,
-    to_json,
-)
+from repro.telemetry import Counter, Histogram, MetricsRegistry, render_text, to_json
 from repro.telemetry.metrics import HISTOGRAM_WINDOW
 from repro.telemetry.spans import SPAN_RING
 
@@ -119,56 +112,46 @@ class TestBoundedMemory:
     N = 100_000
 
     def test_histogram_keeps_a_bounded_window(self):
-        h = Histogram(window=1000)
-        for v in range(self.N):
-            h.record(v)
-        assert len(h._recent) == 1000
-        assert h.count == self.N
-        assert h.total == sum(range(self.N))
-        assert h.minimum == 0 and h.maximum == self.N - 1
-        assert h.mean == (self.N - 1) / 2
-        # percentiles read the window of the most recent values
-        assert h.percentile(0) == self.N - 1000
-        assert h.percentile(100) == self.N - 1
-        snap = h.snapshot()
-        assert snap["count"] == self.N and snap["min"] == 0
-        assert snap["p50"] == pytest.approx(self.N - 500.5)
-
-    def test_default_window_is_bounded(self):
         h = Histogram()
         for v in range(self.N):
             h.record(v)
         assert len(h._recent) == HISTOGRAM_WINDOW < self.N
         assert h.count == self.N
+        assert h.total == sum(range(self.N))
+        assert h.minimum == 0 and h.maximum == self.N - 1
+        assert h.mean == (self.N - 1) / 2
+        # percentiles read the window of the most recent values
+        first = self.N - HISTOGRAM_WINDOW
+        assert h.percentile(0) == first
+        assert h.percentile(100) == self.N - 1
+        snap = h.snapshot()
+        assert snap["count"] == self.N and snap["min"] == 0
+        assert snap["p50"] == pytest.approx((first + self.N - 1) / 2)
 
     def test_values_since_keeps_absolute_offsets(self):
-        h = Histogram(window=8)
-        for v in range(20):
+        h = Histogram()
+        n = HISTOGRAM_WINDOW + 20
+        for v in range(n):
             h.record(v)
-        assert h.values_since(15) == [15.0, 16.0, 17.0, 18.0, 19.0]
-        assert h.values_since(12) == [float(v) for v in range(12, 20)]
-        assert h.values_since(20) == []
+        assert h.values_since(n - 5) == [float(v) for v in range(n - 5, n)]
+        assert h.values_since(20) == [float(v) for v in range(20, n)]
+        assert h.values_since(n) == []
         # values that left the window are gone: the window is returned
-        assert h.values_since(3) == [float(v) for v in range(12, 20)]
+        assert h.values_since(3) == [float(v) for v in range(20, n)]
         offset = h.count
-        h.record(99)
-        assert h.values_since(offset) == [99.0]
+        h.record(-1)
+        assert h.values_since(offset) == [-1.0]
 
     def test_span_recorder_keeps_a_ring(self):
         reg = MetricsRegistry(clock=FakeClock())
-        for i in range(self.N // 10):
+        n = self.N // 10
+        for i in range(n):
             with reg.span(f"s{i}"):
                 pass
         spans = reg.spans.completed()
-        assert len(spans) == SPAN_RING
-        assert spans[-1].name == f"s{self.N // 10 - 1}"
-        assert spans[0].name == f"s{self.N // 10 - SPAN_RING}"
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Histogram(window=0)
-        with pytest.raises(ConfigurationError):
-            SpanRecorder(capacity=0)
+        assert len(spans) == SPAN_RING < n
+        assert spans[-1].name == f"s{n - 1}"
+        assert spans[0].name == f"s{n - SPAN_RING}"
 
 
 class TestSpans:
