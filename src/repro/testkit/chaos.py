@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,33 +35,99 @@ from repro.testkit.oracle import (
     VIOLATION,
 )
 
-#: Chaos fault profiles: ``default`` draws from the classic wire +
-#: environment kinds (its seed → plan mapping is pinned and must never
-#: change); ``recovery`` draws disconnect/shed/stall plans that
-#: exercise the session-resume machinery; ``handoff`` kills/drains
-#: members of a multi-gateway fleet mid-stream (:mod:`repro.fleet`);
-#: ``backends`` reruns both against HE-backed sessions (protocol-v4
-#: backend negotiation) — checkpoint/resume must carry the backend id
-#: and shed/retry_after must be honored identically, with the
-#: zero-recompute oracle counting homomorphic products instead of
-#: garbled runs; ``tenants`` makes one tenant of a ring-scheduled
-#: serving layer misbehave (poison, stall, disconnect) and requires the
-#: other tenants' results to stay bit-identical and unstalled — the
-#: multi-tenant isolation contract, with the cross-tenant batching
-#: path under fire; ``processes`` runs the recovery
-#: invariants against a fleet of *real* gateway subprocesses sharing
-#: one store file — SIGKILL (leaked lease, maybe a torn append),
-#: SIGTERM drains, and TCP cuts mid-stream, with the zero-regarble
-#: proof carried by per-process counters over the results pipes and a
-#: balanced-ledger audit of the shared file after every recovery;
-#: ``slo`` reruns the recovery invariants against a gateway whose SLO
-#: controller is mid-adaptation (warmed to a non-default operating
-#: point before the fault fires) — bit-identical MACs, zero re-garbles,
-#: and the post-recovery gateway's controller state must match the
-#: checkpointed operating point after a drain/adopt handoff.
-PROFILES = (
-    "default", "recovery", "handoff", "backends", "tenants", "processes", "slo",
-)
+# Chaos fault profiles, the rows of PROFILE_TABLE: ``default`` draws
+# from the classic wire + environment kinds (its seed → plan mapping is pinned and must never
+# change); ``recovery`` draws disconnect/shed/stall plans that
+# exercise the session-resume machinery; ``handoff`` kills/drains
+# members of a multi-gateway fleet mid-stream (:mod:`repro.fleet`);
+# ``backends`` reruns both against HE-backed sessions (protocol-v4
+# backend negotiation) — checkpoint/resume must carry the backend id
+# and shed/retry_after must be honored identically, with the
+# zero-recompute oracle counting homomorphic products instead of
+# garbled runs; ``tenants`` makes one tenant of a ring-scheduled
+# serving layer misbehave (poison, stall, disconnect) and requires the
+# other tenants' results to stay bit-identical and unstalled — the
+# multi-tenant isolation contract, with the cross-tenant batching
+# path under fire; ``processes`` runs the recovery
+# invariants against a fleet of *real* gateway subprocesses sharing
+# one store file — SIGKILL (leaked lease, maybe a torn append),
+# SIGTERM drains, and TCP cuts mid-stream, with the zero-regarble
+# proof carried by per-process counters over the results pipes and a
+# balanced-ledger audit of the shared file after every recovery;
+# ``slo`` reruns the recovery invariants against a gateway whose SLO
+# controller is mid-adaptation (warmed to a non-default operating
+# point before the fault fires) — bit-identical MACs, zero re-garbles,
+# and the post-recovery gateway's controller state must match the
+# checkpointed operating point after a drain/adopt handoff.
+
+
+@dataclass(frozen=True)
+class Profile:
+    """One row of the profile table: how a profile draws its plans and
+    what it serves them on."""
+
+    #: ``(config, session, session_seed, max_cut) -> FaultPlan``
+    plans: Callable
+    #: the private-MAC backend the remote sessions negotiate
+    backend: str = "gc"
+    #: the serving controller the single-gateway topology runs
+    controller: str = "static"
+    #: the fleet size below which the profile has no peer to hand off to
+    min_gateways: int = 1
+    #: the highest client frame a cut, kill or drain is drawn at
+    max_cut: int = 24
+
+
+def _recovery_plans(c, session, seed, cut):
+    return FaultPlan.random_recovery(
+        seed, recv_timeout_s=c.recv_timeout_s, max_cut_frame=cut
+    )
+
+
+def _handoff_plans(c, session, seed, cut):
+    return FaultPlan.random_handoff(
+        seed, recv_timeout_s=c.recv_timeout_s, n_gateways=c.gateways,
+        max_cut_frame=cut,
+    )
+
+
+def _backends_plans(c, session, seed, cut):
+    """Recovery plans on even sessions, handoff plans on odd ones."""
+    return (_handoff_plans if session % 2 else _recovery_plans)(c, session, seed, cut)
+
+
+PROFILE_TABLE = {
+    "default": Profile(
+        lambda c, s, seed, cut: FaultPlan.random(seed, recv_timeout_s=c.recv_timeout_s)
+    ),
+    "recovery": Profile(_recovery_plans),
+    "handoff": Profile(_handoff_plans, min_gateways=2),
+    # an HE query is a two-frame exchange, so its cut frames come from
+    # a matching range
+    "backends": Profile(_backends_plans, backend="he", min_gateways=2, max_cut=3),
+    "tenants": Profile(
+        lambda c, s, seed, cut: FaultPlan.random_tenants(
+            seed, recv_timeout_s=c.recv_timeout_s
+        )
+    ),
+    # the round trigger lands strictly before the final round: the
+    # fault then hits the query mid-stream
+    "processes": Profile(
+        lambda c, s, seed, cut: FaultPlan.random_processes(
+            seed, recv_timeout_s=c.recv_timeout_s, n_members=c.gateways,
+            max_commit_round=max(1, c.rounds - 1),
+        ),
+        min_gateways=2,
+    ),
+    "slo": Profile(
+        lambda c, s, seed, cut: FaultPlan.random_slo(
+            seed, recv_timeout_s=c.recv_timeout_s, max_cut_frame=cut
+        ),
+        controller="slo",
+    ),
+}
+PROFILES = tuple(PROFILE_TABLE)
+
 
 #: mixes the master seed with a session index (distinct from the
 #: workload stream's mixer so plan and workload are independent draws)
@@ -99,8 +166,7 @@ class ChaosConfig:
             )
         if self.gateways < 1:
             raise ConfigurationError("the fleet needs at least one gateway")
-        if (self.profile in ("handoff", "backends", "processes")
-                and self.gateways < 2):
+        if self.gateways < PROFILE_TABLE[self.profile].min_gateways:
             raise ConfigurationError(
                 f"the {self.profile} profile needs at least two gateways to "
                 "hand off between"
@@ -206,12 +272,8 @@ class ChaosReport:
             "rounds": self.config.rounds,
             "pool_size": self.config.pool_size,
             "profile": self.config.profile,
-            "backend": (
-                "he" if self.config.profile == "backends" else "gc"
-            ),
-            "controller": (
-                "slo" if self.config.profile == "slo" else "static"
-            ),
+            "backend": PROFILE_TABLE[self.config.profile].backend,
+            "controller": PROFILE_TABLE[self.config.profile].controller,
             "gateways": self.config.gateways,
             "tolerated": c[TOLERATED],
             "recovered": c[RECOVERED],
@@ -229,6 +291,7 @@ class ChaosRunner:
         telemetry: MetricsRegistry | None = None,
     ):
         self.config = (config or ChaosConfig()).validate()
+        self.profile = PROFILE_TABLE[self.config.profile]
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         model_rng = np.random.default_rng(self.config.seed)
         model = _snap_q84(
@@ -249,69 +312,14 @@ class ChaosRunner:
             deadline_s=self.config.deadline_s,
             max_retries=self.config.max_retries,
             gateways=self.config.gateways,
-            backend=self.backend,
-            controller=self.controller,
+            backend=self.profile.backend,
+            controller=self.profile.controller,
             fleet_seed=self.config.seed,
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The private-MAC backend this profile's sessions negotiate."""
-        return "he" if self.config.profile == "backends" else "gc"
-
-    @property
-    def controller(self) -> str:
-        """The serving controller the oracle's recovery gateways run."""
-        return "slo" if self.config.profile == "slo" else "static"
-
-    def _is_handoff_session(self, session: int) -> bool:
-        """Which oracle a session runs: the ``backends`` profile
-        alternates recovery (even sessions) and handoff (odd sessions)
-        plans, seed-stable by parity."""
-        if self.config.profile == "handoff":
-            return True
-        return self.config.profile == "backends" and session % 2 == 1
-
     def plan_for(self, session: int) -> FaultPlan:
-        session_seed = derive_session_seed(self.config.seed, session)
-        # an HE query is a two-frame exchange, so the backends profile
-        # draws its cut frames from a matching range — the GC profiles'
-        # pinned seed→plan mappings are untouched
-        max_cut = 3 if self.config.profile == "backends" else 24
-        if self.config.profile == "tenants":
-            return FaultPlan.random_tenants(
-                session_seed, recv_timeout_s=self.config.recv_timeout_s
-            )
-        if self.config.profile == "processes":
-            # the round trigger lands strictly before the final round:
-            # the fault then hits the query mid-stream
-            return FaultPlan.random_processes(
-                session_seed,
-                recv_timeout_s=self.config.recv_timeout_s,
-                n_members=self.config.gateways,
-                max_commit_round=max(1, self.config.rounds - 1),
-            )
-        if self._is_handoff_session(session):
-            return FaultPlan.random_handoff(
-                session_seed,
-                recv_timeout_s=self.config.recv_timeout_s,
-                n_gateways=self.config.gateways,
-                max_cut_frame=max_cut,
-            )
-        if self.config.profile == "slo":
-            return FaultPlan.random_slo(
-                session_seed, recv_timeout_s=self.config.recv_timeout_s,
-                max_cut_frame=max_cut,
-            )
-        if self.config.profile in ("recovery", "backends"):
-            return FaultPlan.random_recovery(
-                session_seed, recv_timeout_s=self.config.recv_timeout_s,
-                max_cut_frame=max_cut,
-            )
-        return FaultPlan.random(
-            session_seed, recv_timeout_s=self.config.recv_timeout_s
-        )
+        seed = derive_session_seed(self.config.seed, session)
+        return self.profile.plans(self.config, session, seed, self.profile.max_cut)
 
     def workload_for(self, session: int) -> tuple[int, list[float]]:
         """The (row, x) a session queries — grid-snapped, seed-stable."""

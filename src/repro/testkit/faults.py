@@ -300,24 +300,7 @@ class FaultPlan:
         tests, and adding kinds to its draw stream would silently remap
         every historical seed.
         """
-        rng = random.Random(seed)
-        kind = rng.choice((DISCONNECT, DISCONNECT, SHED, STALL))
-        if kind == DISCONNECT:
-            spec = FaultSpec(
-                kind=DISCONNECT,
-                side="evaluator",
-                frame=rng.randint(1, max_cut_frame),
-            )
-        elif kind == SHED:
-            spec = FaultSpec(kind=SHED)
-        else:
-            spec = FaultSpec(
-                kind=STALL,
-                side=rng.choice(SIDES),
-                frame=rng.randint(0, 8),
-                duration_s=round(4.0 * recv_timeout_s, 4),
-            )
-        return cls(faults=(spec,), seed=seed)
+        return cls._recovery_draw(random.Random(seed), seed, recv_timeout_s, max_cut_frame)
 
     @classmethod
     def random_slo(
@@ -340,7 +323,19 @@ class FaultPlan:
         slo stream is independent of recovery's from day one — the two
         tiers fire different fault sequences for the same master seed.
         """
-        rng = random.Random(seed ^ _SLO_PLAN_SALT)
+        return cls._recovery_draw(
+            random.Random(seed ^ _SLO_PLAN_SALT), seed, recv_timeout_s,
+            max_cut_frame,
+        )
+
+    @classmethod
+    def _recovery_draw(
+        cls, rng: random.Random, seed: int, recv_timeout_s: float,
+        max_cut_frame: int,
+    ) -> "FaultPlan":
+        """The one recovery-class draw behind :meth:`random_recovery`
+        and :meth:`random_slo`; they differ only in how ``rng`` is
+        seeded."""
         kind = rng.choice((DISCONNECT, DISCONNECT, SHED, STALL))
         if kind == DISCONNECT:
             spec = FaultSpec(

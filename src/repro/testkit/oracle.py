@@ -73,6 +73,7 @@ from repro.testkit.faults import (
     KILL_WORKER,
     POISON_TENANT,
     PROCESS_FAULT_KINDS,
+    RECOVERY_FAULT_KINDS,
     SHED,
     STALL_TENANT,
     TENANT_FAULT_KINDS,
@@ -268,6 +269,68 @@ def round_end(store, sid: str, round_index: int, deadline: float) -> int | None:
     return dict(map(tuple, cp.stream_boundaries)).get(round_index)
 
 
+
+
+@dataclass
+class Outcome:
+    """What one session attempt ended as, before it is judged: the MAC
+    value it returned, the exception it raised, or a hang."""
+
+    value: float | None = None
+    error: BaseException | None = None
+    hang: bool = False
+
+
+def judge(
+    outcome: Outcome,
+    expected: float,
+    contract: str = SURFACED,
+    *,
+    noun: str = "",
+    where: str = "",
+    invariants=(),
+    recovered: str = "",
+    clean: str = "result bit-identical to the fault-free session",
+) -> tuple[str, str, str]:
+    """The one verdict ladder: ``(verdict, detail, error_type)``.
+
+    Hang, then typed error (a violation where ``contract`` promises
+    recovery), then untyped error, then a wrong result, then each of
+    ``invariants`` in order (a callable returning ``""`` when it holds,
+    else the violation detail), then ``recovered`` (the detail of a
+    fault that fired and was healed) or ``clean``.  ``noun`` names the
+    session in a hang's detail, ``where`` says where a wrong result
+    showed up.
+    """
+    if outcome.hang:
+        return VIOLATION, f"{noun} session exceeded its deadline (hang)".strip(), ""
+    exc = outcome.error
+    if isinstance(exc, ReproError):
+        detail = f"typed error within deadline: {exc}"
+        if contract == RECOVERED:
+            detail = f"typed error where recovery is promised: {detail}"
+            return VIOLATION, detail, type(exc).__name__
+        return SURFACED, detail, type(exc).__name__
+    if exc is not None:
+        return (
+            VIOLATION,
+            f"untyped exception escaped: {type(exc).__name__}: {exc}",
+            type(exc).__name__,
+        )
+    if abs(outcome.value - expected) >= 1e-9:
+        return (
+            VIOLATION,
+            f"silent wrong MAC result{where}: got {outcome.value}, "
+            f"expected {expected}",
+            "",
+        )
+    for check in invariants:
+        detail = check()
+        if detail:
+            return VIOLATION, detail, ""
+    return (RECOVERED, recovered, "") if recovered else (TOLERATED, clean, "")
+
+
 class ConformanceOracle:
     """Runs faulted sessions against one server and classifies them."""
 
@@ -289,13 +352,12 @@ class ConformanceOracle:
         self.deadline_s = deadline_s
         self.max_retries = max_retries
         self.gateways = gateways
-        #: private-MAC backend the recovery/handoff sessions negotiate;
-        #: the wire/environment fault tiers always exercise the GC path
+        #: private-MAC backend the remote sessions negotiate; the
+        #: wire/environment fault tiers always exercise the GC path
         self.backend = backend
-        #: serving controller the recovery gateways run: ``slo`` routes
-        #: recovery plans through :meth:`run_slo_recovery`, which warms
-        #: the controller to a non-default operating point first and
-        #: checks the drain/adopt handoff of that state afterwards
+        #: serving controller the single-gateway topology runs (``slo``
+        #: warms it to a non-default operating point first and checks
+        #: that the point survives a drain afterwards)
         self.controller = controller
         #: seed the process fleet's members derive the shared model from
         #: (must reproduce ``server.model``); the fleet itself is built
@@ -314,26 +376,6 @@ class ConformanceOracle:
             self._fleet.stop()
             self._fleet = None
 
-    def _served_runs(self, server) -> int:
-        """The zero-recompute oracle counter for this backend: a query,
-        resumed or not, must evaluate exactly once (GC: garbled runs;
-        HE: homomorphic products — a re-served checkpoint re-streams
-        the stored result ciphertext without recomputing it)."""
-        if self.backend == "he":
-            return server.stats.he_queries
-        return server.stats.runs_garbled
-
-    def _recompute_detail(self, served: int) -> str:
-        if self.backend == "he":
-            return (
-                f"query evaluated {served} HE products (expected exactly 1): "
-                "a checkpointed result was recomputed"
-            )
-        return (
-            f"query garbled {served} runs (expected exactly 1): "
-            "a completed round was re-garbled"
-        )
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -341,6 +383,9 @@ class ConformanceOracle:
         self, plan: FaultPlan, row: int, x_values, transport: str = "memory",
     ) -> SessionVerdict:
         """Run one session under ``plan`` and return its verdict."""
+        topology = next(
+            (t for t in TOPOLOGIES if set(plan.kinds) & set(t.kinds)), None
+        )
         if ABORT_HANDSHAKE in plan.kinds:
             verdict = self.run_handshake_abort(plan)
         elif KILL_WORKER in plan.kinds:
@@ -349,22 +394,10 @@ class ConformanceOracle:
             verdict = self.run_pool_exhaustion(plan, row, x_values, transport)
         elif plan.is_tenant:
             verdict = self.run_tenant_isolation(plan, row, x_values)
-        elif plan.is_process:
-            verdict = self.run_process_session(plan, row, x_values)
-        elif plan.is_handoff:
-            verdict = self.run_gateway_handoff(plan, row, x_values)
-        elif plan.is_recovery:
-            if self.controller == "slo":
-                verdict = self.run_slo_recovery(plan, row, x_values)
-            else:
-                verdict = self.run_gateway_recovery(plan, row, x_values)
+        elif topology is not None:
+            verdict = self.run_remote(topology(self, plan), row, x_values)
         else:
             verdict = self.run_channel_session(plan, row, x_values, transport)
-        if verdict.verdict == SURFACED and contract_for(plan) == RECOVERED:
-            verdict.verdict = VIOLATION
-            verdict.detail = (
-                f"typed error where recovery is promised: {verdict.detail}"
-            )
         self.telemetry.counter(
             {
                 TOLERATED: "faults.tolerated",
@@ -374,6 +407,25 @@ class ConformanceOracle:
             }[verdict.verdict]
         ).inc()
         return verdict
+
+    def _watch(self, work, fire=None) -> tuple[Outcome, str]:
+        """Run ``work`` on a watchdog thread; ``fire(worker)`` (if given)
+        runs meanwhile and returns what it injected.  A worker still
+        running ``deadline_s`` after that is a hang."""
+        outcome = Outcome()
+
+        def run():
+            try:
+                outcome.value = work()
+            except BaseException as exc:
+                outcome.error = exc
+
+        worker = threading.Thread(target=run, daemon=True, name="oracle-session")
+        worker.start()
+        injected = fire(worker) if fire is not None else ""
+        worker.join(timeout=self.deadline_s)
+        outcome.hang = worker.is_alive()
+        return outcome, injected
 
     # ------------------------------------------------------------------
     # wire faults
@@ -388,42 +440,19 @@ class ConformanceOracle:
         current = plan
         while True:
             attempts += 1
-            status, value = self._attempt_with_deadline(
+            outcome = self._attempt_with_deadline(
                 current, row, x_values, transport, injected
             )
-            if status == "hang":
-                return self._verdict(
-                    plan, transport, VIOLATION, "session exceeded its deadline (hang)",
-                    attempts=attempts, injected=injected, start=start,
-                )
-            if status == "ok":
-                if abs(value - expected) < 1e-9:
-                    return self._verdict(
-                        plan, transport, TOLERATED,
-                        "result bit-identical to the fault-free session",
-                        attempts=attempts, injected=injected, start=start,
-                    )
-                return self._verdict(
-                    plan, transport, VIOLATION,
-                    f"silent wrong MAC result: got {value}, expected {expected}",
-                    attempts=attempts, injected=injected, start=start,
-                )
-            exc = value
-            if not isinstance(exc, ReproError):
-                return self._verdict(
-                    plan, transport, VIOLATION,
-                    f"untyped exception escaped: {type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    attempts=attempts, injected=injected, start=start,
-                )
-            if plan.retryable and attempts <= self.max_retries:
+            verdict, detail, error_type = judge(
+                outcome, expected, contract_for(plan)
+            )
+            if verdict == SURFACED and plan.retryable and attempts <= self.max_retries:
                 # the fault was one-shot: a bounded retry should succeed
                 self.telemetry.counter("faults.retried").inc()
                 current = FaultPlan(seed=plan.seed)
                 continue
             return self._verdict(
-                plan, transport, SURFACED, f"typed error within deadline: {exc}",
-                error_type=type(exc).__name__,
+                plan, transport, verdict, detail, error_type=error_type,
                 attempts=attempts, injected=injected, start=start,
             )
 
@@ -452,24 +481,19 @@ class ConformanceOracle:
 
     def _attempt_with_deadline(
         self, plan: FaultPlan, row: int, x_values, transport: str, injected: list
-    ):
-        """One session attempt on a watchdog thread: ok/error/hang."""
-        box: dict = {}
+    ) -> Outcome:
+        """One session attempt over a faulty pair, on the watchdog."""
 
-        def attempt():
+        def attempt() -> float:
             g_chan, e_chan = faulty_pair(
                 plan,
                 transport,
                 telemetry=self.telemetry,
                 recv_timeout_s=self.recv_timeout_s,
             )
-            injected_ref = (g_chan, e_chan)
             try:
                 if self.backend == "he":
-                    box["value"] = self._he_channel_attempt(
-                        g_chan, e_chan, row, x_values
-                    )
-                    return
+                    return self._he_channel_attempt(g_chan, e_chan, row, x_values)
                 fmt = self.server.fmt
                 x_bits = [
                     to_bits(int(v), fmt.total_bits)
@@ -484,26 +508,13 @@ class ConformanceOracle:
                     join_timeout_s=max(1.0, 4 * self.recv_timeout_s),
                 )
                 raw = from_bits(report.output_bits, signed=True)
-                box["value"] = fmt.decode_product(raw)
+                return fmt.decode_product(raw)
             finally:
-                for ep in injected_ref:
+                for ep in (g_chan, e_chan):
                     for kind, frame, tag in ep.injected:
                         injected.append(f"{kind}@{ep.side}:{frame}:{tag}")
 
-        def runner():
-            try:
-                attempt()
-            except BaseException as exc:
-                box["error"] = exc
-
-        watchdog = threading.Thread(target=runner, daemon=True, name="oracle-session")
-        watchdog.start()
-        watchdog.join(timeout=self.deadline_s)
-        if watchdog.is_alive():
-            return "hang", None
-        if "error" in box:
-            return "error", box["error"]
-        return "ok", box["value"]
+        return self._watch(attempt)[0]
 
     # ------------------------------------------------------------------
     # environment faults
@@ -781,529 +792,53 @@ class ConformanceOracle:
         finally:
             gateway.stop()
 
-    # ------------------------------------------------------------------
-    # recovery faults (session resume)
-    # ------------------------------------------------------------------
-    def run_gateway_recovery(self, plan: FaultPlan, row: int, x_values) -> SessionVerdict:
-        """Cut or shed a live gateway session; the query must still end
-        with the bit-identical result — and without re-garbling.
 
-        The run gets its own :class:`CloudServer` with ``pool_size=0``
-        so ``runs_garbled`` is an exact oracle: one query, resumed or
-        not, must garble exactly once.  A delta of 2 means a completed
-        round was re-garbled, which is both wasted accelerator work and
-        a label-reuse hazard.
-        """
+    # ------------------------------------------------------------------
+    # remote sessions (a real client through a gateway topology)
+    # ------------------------------------------------------------------
+    def run_remote(self, topology: "_Topology", row: int, x_values) -> SessionVerdict:
+        """One query through ``topology`` while it fires the plan's
+        fault, judged on the verdict ladder and the topology's
+        invariants."""
         start = time.perf_counter()
-        spec = next(f for f in plan.faults if f.kind in (DISCONNECT, SHED))
-        injected: list[str] = []
-        self.telemetry.counter(f"faults.injected.{spec.kind}").inc()
+        self.telemetry.counter(f"faults.injected.{topology.spec.kind}").inc()
         expected = self._expected(row, x_values)
-        rec_server = CloudServer(
-            self.server.model,
-            self.server.fmt,
-            pool_size=0,
-            seed=plan.seed,
-            auto_refill=False,
-            telemetry=self.telemetry,
-        )
-        recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
-        config = ServingConfig(
+        try:
+            client = topology.open()
+            outcome, fired = self._watch(
+                lambda: client.query_row(row, x_values), topology.fire
+            )
+            resumes = getattr(client.endpoint, "resumes", 0)
+            verdict, detail, error_type = topology.judge(
+                outcome, expected, fired, resumes
+            )
+            return self._verdict(
+                topology.plan, topology.transport, verdict, detail,
+                error_type=error_type,
+                attempts=1 + resumes if verdict == RECOVERED else 1,
+                injected=[fired] if fired else [], start=start,
+                gateway_id=topology.gateway_id(),
+            )
+        finally:
+            topology.close()
+
+    def _remote_config(self, **extra) -> ServingConfig:
+        """The serving config every remote topology starts from: one
+        worker, no refill, a resume window as long as the deadline."""
+        return ServingConfig(
             workers=1,
-            queue_depth=1,
             refill=False,
-            recv_timeout_s=recv_timeout,
+            recv_timeout_s=self.remote_recv_timeout_s,
             request_timeout_s=self.deadline_s,
             resume_window_s=self.deadline_s,
             retry_after_s=0.02,
+            **extra,
         )
-        serving = ServingServer(rec_server, config, telemetry=self.telemetry)
-        gateway = GCGateway(rec_server, serving=serving, telemetry=self.telemetry)
-        serving.start()
-        client = None
-        release = threading.Event()
-        try:
-            def dial():
-                ours, theirs = socket.socketpair()
-                gateway.adopt(theirs)
-                return SocketEndpoint(
-                    "chaos-recovery", ours, recv_timeout_s=recv_timeout
-                )
 
-            client = RemoteAnalyticsClient(
-                dial=dial,
-                name="chaos-recovery",
-                backoff=BackoffPolicy(
-                    base_s=0.01, cap_s=0.1, max_attempts=10, seed=plan.seed
-                ),
-                recv_timeout_s=recv_timeout,
-                backend=self.backend if self.backend != "gc" else None,
-            )
-            if spec.kind == SHED:
-                self._saturate(serving, release)
-            served_before = self._served_runs(rec_server)
-            box: dict = {}
+    @property
+    def remote_recv_timeout_s(self) -> float:
+        return max(1.0, 8.0 * self.recv_timeout_s)
 
-            def attempt():
-                try:
-                    box["value"] = client.query_row(row, x_values)
-                except BaseException as exc:
-                    box["error"] = exc
-
-            worker = threading.Thread(
-                target=attempt, daemon=True, name="oracle-recovery"
-            )
-            cut_gate = (
-                FrameGate(client.endpoint, spec.frame)
-                if spec.kind == DISCONNECT
-                else None
-            )
-            worker.start()
-            if cut_gate is not None:
-                if self._cut_at_gate(client, cut_gate, worker):
-                    injected.append(f"{DISCONNECT}:cut@{spec.frame}")
-            else:
-                # the queue is saturated, so the first QUERY is shed;
-                # release the blockers once the shed reply went out
-                self._await_counter("gateway.shed", worker)
-                injected.append(f"{SHED}:queue_full")
-                release.set()
-            worker.join(timeout=self.deadline_s)
-            if worker.is_alive():
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    "recovery session exceeded its deadline (hang)",
-                    injected=injected, start=start,
-                )
-            if "error" in box:
-                exc = box["error"]
-                if isinstance(exc, ReproError):
-                    return self._verdict(
-                        plan, "gateway", SURFACED,
-                        f"typed error within deadline: {exc}",
-                        error_type=type(exc).__name__,
-                        injected=injected, start=start,
-                    )
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    f"untyped exception escaped: {type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    injected=injected, start=start,
-                )
-            if abs(box["value"] - expected) >= 1e-9:
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    f"silent wrong MAC result after recovery: "
-                    f"got {box['value']}, expected {expected}",
-                    injected=injected, start=start,
-                )
-            served = self._served_runs(rec_server) - served_before
-            if served != 1:
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    self._recompute_detail(served),
-                    injected=injected, start=start,
-                )
-            resumes = getattr(client.endpoint, "resumes", 0)
-            if injected and (resumes >= 1 or spec.kind == SHED):
-                return self._verdict(
-                    plan, "gateway", RECOVERED,
-                    "fault hit a live session; query finished bit-identical "
-                    "without recomputing",
-                    attempts=1 + resumes, injected=injected, start=start,
-                )
-            return self._verdict(
-                plan, "gateway", TOLERATED,
-                "fault never fired (cut frame beyond the session); clean run",
-                injected=injected, start=start,
-            )
-        finally:
-            release.set()
-            if client is not None:
-                client.close()
-            gateway.stop()
-            serving.stop()
-
-    def run_slo_recovery(self, plan: FaultPlan, row: int, x_values) -> SessionVerdict:
-        """The recovery invariants with the SLO controller in the loop.
-
-        The gateway runs ``controller="slo"`` with the worker knob
-        pinned (``min == max == 1`` — the saturation fault assumes the
-        1-worker/depth-1 layer) and a tick interval far beyond the
-        deadline, so the only ticks are the two deterministic warm-up
-        ticks this method fires by hand: an overloaded sample trace
-        that walks the escalation ladder to a non-default operating
-        point (batch ceiling shrunk 4 → 2, shed left at zero so the
-        session's own query is never probabilistically dropped).  The
-        fault then fires mid-adaptation, and on top of the standard
-        checks (bit-identical MAC, exactly one garble, typed errors)
-        the drained gateway's operating point must be inherited intact
-        by a successor built on the same store.
-        """
-        start = time.perf_counter()
-        spec = next(f for f in plan.faults if f.kind in (DISCONNECT, SHED))
-        injected: list[str] = []
-        self.telemetry.counter(f"faults.injected.{spec.kind}").inc()
-        expected = self._expected(row, x_values)
-        rec_server = CloudServer(
-            self.server.model,
-            self.server.fmt,
-            pool_size=0,
-            seed=plan.seed,
-            auto_refill=False,
-            telemetry=self.telemetry,
-        )
-        recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
-        config = ServingConfig(
-            workers=1,
-            queue_depth=1,
-            refill=False,
-            recv_timeout_s=recv_timeout,
-            request_timeout_s=self.deadline_s,
-            resume_window_s=self.deadline_s,
-            retry_after_s=0.02,
-            controller="slo",
-            slo_min_workers=1,
-            slo_max_workers=1,
-            slo_tick_s=60.0,
-            slo_cooldown_ticks=1,
-        )
-        serving = ServingServer(rec_server, config, telemetry=self.telemetry)
-        gateway = GCGateway(rec_server, serving=serving, telemetry=self.telemetry)
-        serving.start()
-        # two deterministic warm ticks: pinned workers + overload walks
-        # the ladder to batch-shrink; shed stays 0 after two moves
-        hot = LoadSample(
-            queue_depth=1, queue_capacity=1, inflight=1, workers=1,
-            p50_ms=4.0 * config.slo_p99_ms, p99_ms=4.0 * config.slo_p99_ms,
-        )
-        for _ in range(2):
-            serving.controller.tick(hot)
-        client = None
-        release = threading.Event()
-        try:
-            def dial():
-                ours, theirs = socket.socketpair()
-                gateway.adopt(theirs)
-                return SocketEndpoint(
-                    "chaos-slo", ours, recv_timeout_s=recv_timeout
-                )
-
-            client = RemoteAnalyticsClient(
-                dial=dial,
-                name="chaos-slo",
-                backoff=BackoffPolicy(
-                    base_s=0.01, cap_s=0.1, max_attempts=10, seed=plan.seed
-                ),
-                recv_timeout_s=recv_timeout,
-                backend=self.backend if self.backend != "gc" else None,
-            )
-            if spec.kind == SHED:
-                self._saturate(serving, release)
-            served_before = self._served_runs(rec_server)
-            box: dict = {}
-
-            def attempt():
-                try:
-                    box["value"] = client.query_row(row, x_values)
-                except BaseException as exc:
-                    box["error"] = exc
-
-            worker = threading.Thread(
-                target=attempt, daemon=True, name="oracle-slo"
-            )
-            cut_gate = (
-                FrameGate(client.endpoint, spec.frame)
-                if spec.kind == DISCONNECT
-                else None
-            )
-            worker.start()
-            if cut_gate is not None:
-                if self._cut_at_gate(client, cut_gate, worker):
-                    injected.append(f"{DISCONNECT}:cut@{spec.frame}")
-            else:
-                self._await_counter("gateway.shed", worker)
-                injected.append(f"{SHED}:queue_full")
-                release.set()
-            worker.join(timeout=self.deadline_s)
-            if worker.is_alive():
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    "slo recovery session exceeded its deadline (hang)",
-                    injected=injected, start=start,
-                )
-            if "error" in box:
-                exc = box["error"]
-                if isinstance(exc, ReproError):
-                    return self._verdict(
-                        plan, "gateway", SURFACED,
-                        f"typed error within deadline: {exc}",
-                        error_type=type(exc).__name__,
-                        injected=injected, start=start,
-                    )
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    f"untyped exception escaped: {type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    injected=injected, start=start,
-                )
-            if abs(box["value"] - expected) >= 1e-9:
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    f"silent wrong MAC result after recovery: "
-                    f"got {box['value']}, expected {expected}",
-                    injected=injected, start=start,
-                )
-            served = self._served_runs(rec_server) - served_before
-            if served != 1:
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    self._recompute_detail(served),
-                    injected=injected, start=start,
-                )
-            # the controller's operating point must ride the drain:
-            # a successor on the same store inherits it verbatim
-            op_before = serving.controller.operating_point.to_dict()
-            gateway.drain(timeout_s=2.0)
-            successor_serving = ServingServer(
-                rec_server, config, telemetry=self.telemetry
-            )
-            GCGateway(
-                rec_server, serving=successor_serving,
-                store=gateway.store, telemetry=self.telemetry,
-            )
-            op_after = successor_serving.controller.operating_point.to_dict()
-            if op_after != op_before:
-                return self._verdict(
-                    plan, "gateway", VIOLATION,
-                    f"controller state lost across drain: predecessor "
-                    f"checkpointed {op_before}, successor restored "
-                    f"{op_after}",
-                    injected=injected, start=start,
-                )
-            resumes = getattr(client.endpoint, "resumes", 0)
-            if injected and (resumes >= 1 or spec.kind == SHED):
-                return self._verdict(
-                    plan, "gateway", RECOVERED,
-                    "fault hit a live adapting session; query finished "
-                    "bit-identical without recomputing and the operating "
-                    "point survived the drain",
-                    attempts=1 + resumes, injected=injected, start=start,
-                )
-            return self._verdict(
-                plan, "gateway", TOLERATED,
-                "fault never fired (cut frame beyond the session); clean "
-                "adaptive run, operating point survived the drain",
-                injected=injected, start=start,
-            )
-        finally:
-            release.set()
-            if client is not None:
-                client.close()
-            gateway.stop()
-            serving.stop()
-
-    def run_gateway_handoff(
-        self, plan: FaultPlan, row: int, x_values
-    ) -> SessionVerdict:
-        """Kill or drain one member of a gateway fleet mid-stream; a
-        peer sharing the session store must finish the query.
-
-        The conformance bar is the tentpole's acceptance criterion: the
-        migrated session ends with the bit-identical MAC result, exactly
-        one run is garbled (``pool_size=0`` makes ``runs_garbled`` an
-        exact no-double-garbling oracle — a lease-fencing failure shows
-        up as a delta of 2), and the remaining rounds' OT re-runs from
-        the checkpoint's label pairs.
-        """
-        from repro.fleet import GatewayGroup
-
-        start = time.perf_counter()
-        spec = next(f for f in plan.faults if f.kind in HANDOFF_FAULT_KINDS)
-        injected: list[str] = []
-        self.telemetry.counter(f"faults.injected.{spec.kind}").inc()
-        expected = self._expected(row, x_values)
-        rec_server = CloudServer(
-            self.server.model,
-            self.server.fmt,
-            pool_size=0,
-            seed=plan.seed,
-            auto_refill=False,
-            telemetry=self.telemetry,
-        )
-        recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
-        config = ServingConfig(
-            workers=1,
-            queue_depth=2,
-            refill=False,
-            recv_timeout_s=recv_timeout,
-            request_timeout_s=self.deadline_s,
-            resume_window_s=self.deadline_s,
-            retry_after_s=0.02,
-            # short enough that a peer steals a dead member's lease well
-            # inside the client's backoff budget
-            lease_ttl_s=0.3,
-            resume_batch_window_s=0.01,
-        )
-        group = GatewayGroup(
-            rec_server, n_gateways=self.gateways, config=config,
-            telemetry=self.telemetry,
-        )
-        if spec.kind == DRAIN_GATEWAY:
-            self._hold_rounds_for_drain(group.gateways[spec.gateway], spec.frame)
-        group.start()
-        client = None
-        try:
-            # the dialer starts at the target member so the fault is
-            # guaranteed to hit the gateway actually serving the session
-            dialer = group.loopback_dialer(
-                name="chaos-handoff",
-                recv_timeout_s=recv_timeout,
-                start_at=spec.gateway,
-            )
-            client = RemoteAnalyticsClient(
-                dial=dialer,
-                name="chaos-handoff",
-                backoff=BackoffPolicy(
-                    base_s=0.02, cap_s=0.1, max_attempts=12, seed=plan.seed
-                ),
-                recv_timeout_s=recv_timeout,
-                backend=self.backend if self.backend != "gc" else None,
-            )
-            served_before = self._served_runs(rec_server)
-            box: dict = {}
-
-            def attempt():
-                try:
-                    box["value"] = client.query_row(row, x_values)
-                except BaseException as exc:
-                    box["error"] = exc
-
-            worker = threading.Thread(
-                target=attempt, daemon=True, name="oracle-handoff"
-            )
-            worker.start()
-            fired = self._fire_gateway_fault(client, group, spec, worker)
-            if fired:
-                injected.append(f"{spec.kind}:gw{spec.gateway}@{spec.frame}")
-            worker.join(timeout=self.deadline_s)
-            gateway_id = getattr(client.endpoint, "last_gateway_id", "")
-            if worker.is_alive():
-                return self._verdict(
-                    plan, "fleet", VIOLATION,
-                    "handoff session exceeded its deadline (hang)",
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            if "error" in box:
-                exc = box["error"]
-                if isinstance(exc, ReproError):
-                    return self._verdict(
-                        plan, "fleet", SURFACED,
-                        f"typed error within deadline: {exc}",
-                        error_type=type(exc).__name__,
-                        injected=injected, start=start, gateway_id=gateway_id,
-                    )
-                return self._verdict(
-                    plan, "fleet", VIOLATION,
-                    f"untyped exception escaped: {type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            if abs(box["value"] - expected) >= 1e-9:
-                return self._verdict(
-                    plan, "fleet", VIOLATION,
-                    f"silent wrong MAC result after handoff: "
-                    f"got {box['value']}, expected {expected}",
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            served = self._served_runs(rec_server) - served_before
-            if served != 1:
-                return self._verdict(
-                    plan, "fleet", VIOLATION,
-                    self._recompute_detail(served),
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            resumes = getattr(client.endpoint, "resumes", 0)
-            if fired and (resumes >= 1 or spec.kind == DRAIN_GATEWAY):
-                return self._verdict(
-                    plan, "fleet", RECOVERED,
-                    f"gateway gw{spec.gateway} {spec.kind.split('_')[0]}ed "
-                    "mid-stream; a peer finished the query bit-identical "
-                    "without recomputing",
-                    attempts=1 + resumes, injected=injected, start=start,
-                    gateway_id=gateway_id,
-                )
-            return self._verdict(
-                plan, "fleet", TOLERATED,
-                "fault never fired (cut frame beyond the session); clean run",
-                injected=injected, start=start, gateway_id=gateway_id,
-            )
-        finally:
-            if client is not None:
-                client.close()
-            group.stop()
-
-    def _hold_rounds_for_drain(self, gw: GCGateway, frame: int) -> None:
-        """Pin where a drain triggered at client frame ``frame`` lands.
-
-        Past its one OT flight the client sends nothing until the
-        result, so the stream runs ahead of the client's frame count
-        and would race the drain to its next round boundary: the same
-        plan would checkpoint mid-stream on one run and finish clean on
-        the next.  Every round boundary of ``gw``'s streams that ends at
-        or after ``frame`` (per the session's stored frame map) waits
-        for the drain that the client's count triggers, so the drain
-        stops the stream at the first boundary at or after that frame.
-        """
-        round_hook = gw._round_hook
-
-        def held(sid: str):
-            on_round = round_hook(sid)
-
-            def on_round_held(next_round: int) -> None:
-                cp = gw.store.get(sid)
-                ends = dict(map(tuple, cp.stream_boundaries)) if cp else {}
-                if ends.get(next_round, 0) >= frame:
-                    deadline = time.monotonic() + self.deadline_s
-                    while not gw.draining and time.monotonic() < deadline:
-                        time.sleep(0.001)
-                on_round(next_round)
-
-            return on_round_held
-
-        gw._round_hook = held
-
-    def _fire_gateway_fault(self, client, group, spec, worker) -> bool:
-        """Trigger the handoff fault once the client has verified
-        ``spec.frame`` session frames; returns False if the query
-        finished before the trigger point was reached."""
-        deadline = time.monotonic() + self.deadline_s
-        while time.monotonic() < deadline and worker.is_alive():
-            if client.endpoint.recv_seq >= spec.frame:
-                break
-            time.sleep(0.001)
-        else:
-            return False
-        if spec.kind == KILL_GATEWAY:
-            # the power-cut model: the member dies AND the client's wire
-            # drops.  Closing only the server side would leave buffered
-            # socketpair bytes readable — a stream that never waits on the
-            # client could finish without ever migrating, testing nothing.
-            transport = client.endpoint.transport
-            group.kill(spec.gateway)
-            try:
-                transport.close()
-            except Exception:
-                pass
-            return True
-        # graceful drain: blocks until the member checkpointed its
-        # sessions and released their leases
-        group.drain(spec.gateway, timeout_s=max(2.0, self.deadline_s / 4))
-        return True
-
-    # ------------------------------------------------------------------
-    # process-fleet faults (real subprocesses, shared store file)
-    # ------------------------------------------------------------------
     def _ensure_fleet(self):
         """The lazily built, session-spanning :class:`ProcessFleet`:
         spawning real gateway processes costs ~1 s, so one fleet serves
@@ -1319,19 +854,6 @@ class ConformanceOracle:
                 "re-derive the shared model from it)"
             )
         rows, rounds = self.server.model.shape
-        recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
-        config = ServingConfig(
-            workers=1,
-            queue_depth=4,
-            refill=False,
-            recv_timeout_s=recv_timeout,
-            request_timeout_s=self.deadline_s,
-            resume_window_s=self.deadline_s,
-            retry_after_s=0.02,
-            lease_ttl_s=0.3,
-            resume_batch_window_s=0.01,
-            drain_timeout_s=10.0,
-        )
         fleet = ProcessFleet(
             n_members=self.gateways,
             seed=self.fleet_seed,
@@ -1339,7 +861,10 @@ class ConformanceOracle:
             rounds=rounds,
             pool_size=0,
             auto_refill=False,
-            config=config,
+            config=self._remote_config(
+                queue_depth=4, lease_ttl_s=0.3, resume_batch_window_s=0.01,
+                drain_timeout_s=10.0,
+            ),
             telemetry=self.telemetry,
         )
         if not np.array_equal(fleet.model, self.server.model):
@@ -1351,278 +876,6 @@ class ConformanceOracle:
         self._fleet = fleet
         self._fleet_audit = fleet.open_store()
         return fleet
-
-    def run_process_session(
-        self, plan: FaultPlan, row: int, x_values
-    ) -> SessionVerdict:
-        """Kill (``SIGKILL``), drain (``SIGTERM``), or cut the wire to a
-        member of a *real* subprocess fleet mid-stream.
-
-        The conformance bar is the tentpole's: the session ends with the
-        bit-identical MAC result; **zero re-garbled rounds**, proved by
-        the per-process ``runs_garbled`` counters shipped over the
-        results pipes (a SIGKILL may erase the victim's last report —
-        its delta may read 0 — but no *survivor* may ever garble the
-        migrated session again); and the lease ledger balances after
-        recovery (checkpoint tombstoned, lease released, in the shared
-        file).  The fault fires once the client has verified every
-        frame of the plan's round (:meth:`_fire_process_fault`).
-        """
-        start = time.perf_counter()
-        spec = next(f for f in plan.faults if f.kind in PROCESS_FAULT_KINDS)
-        injected: list[str] = []
-        self.telemetry.counter(f"faults.injected.{spec.kind}").inc()
-        fleet = self._ensure_fleet()
-        audit = self._fleet_audit
-        expected = self._expected(row, x_values)
-        victim = spec.gateway % fleet.n_members
-        before = fleet.runs_garbled_by_member()
-        recv_timeout = max(1.0, 8.0 * self.recv_timeout_s)
-        client = None
-        fired = False
-        respawn_error = ""
-        try:
-            # dial the victim directly so the fault provably hits the
-            # member serving the session
-            client = RemoteAnalyticsClient(
-                dial=fleet.dialer(
-                    name="chaos-procs", recv_timeout_s=recv_timeout,
-                    start_at=victim,
-                ),
-                name="chaos-procs",
-                backoff=BackoffPolicy(
-                    base_s=0.02, cap_s=0.1, max_attempts=12, seed=plan.seed
-                ),
-                recv_timeout_s=recv_timeout,
-            )
-            sid = client.session_id
-            box: dict = {}
-            # held once it has read net.ack and seq.rounds: the stream's
-            # first frame follows the query's checkpoint put
-            gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
-
-            def attempt():
-                try:
-                    box["value"] = client.query_row(row, x_values)
-                except BaseException as exc:
-                    box["error"] = exc
-
-            worker = threading.Thread(
-                target=attempt, daemon=True, name="oracle-procs"
-            )
-            worker.start()
-            fired = self._fire_process_fault(
-                audit, fleet, client, sid, spec, victim, gate, worker
-            )
-            if fired:
-                injected.append(f"{spec.kind}:m{victim}@round{spec.frame}")
-            worker.join(timeout=self.deadline_s)
-            gateway_id = getattr(client.endpoint, "last_gateway_id", "")
-            if worker.is_alive():
-                return self._verdict(
-                    plan, "procs", VIOLATION,
-                    "process session exceeded its deadline (hang)",
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            if "error" in box:
-                exc = box["error"]
-                if isinstance(exc, ReproError):
-                    return self._verdict(
-                        plan, "procs", SURFACED,
-                        f"typed error within deadline: {exc}",
-                        error_type=type(exc).__name__,
-                        injected=injected, start=start, gateway_id=gateway_id,
-                    )
-                return self._verdict(
-                    plan, "procs", VIOLATION,
-                    f"untyped exception escaped: {type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            if abs(box["value"] - expected) >= 1e-9:
-                return self._verdict(
-                    plan, "procs", VIOLATION,
-                    f"silent wrong MAC result across processes: "
-                    f"got {box['value']}, expected {expected}",
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            detail = self._check_process_counters(fleet, spec, victim, before)
-            if detail:
-                return self._verdict(
-                    plan, "procs", VIOLATION, detail,
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            # the ledger must balance after recovery: the adopter (or the
-            # survivor) tombstones the checkpoint and releases the lease
-            client.close()
-            detail = self._await_balanced_ledger(audit, sid)
-            if detail:
-                return self._verdict(
-                    plan, "procs", VIOLATION, detail,
-                    injected=injected, start=start, gateway_id=gateway_id,
-                )
-            resumes = getattr(client.endpoint, "resumes", 0)
-            if fired and (resumes >= 1 or spec.kind == TERM_PROCESS):
-                return self._verdict(
-                    plan, "procs", RECOVERED,
-                    f"member m{victim} hit {spec.kind} mid-stream; the "
-                    "session finished bit-identical through the shared "
-                    "store, zero rounds re-garbled, ledger balanced",
-                    attempts=1 + resumes, injected=injected, start=start,
-                    gateway_id=gateway_id,
-                )
-            return self._verdict(
-                plan, "procs", TOLERATED,
-                "fault never fired (round trigger beyond the session); "
-                "clean run, ledger balanced",
-                injected=injected, start=start, gateway_id=gateway_id,
-            )
-        finally:
-            if client is not None:
-                client.close()
-            if fired and spec.kind == TERM_PROCESS:
-                # the drain heard the client's goodbye; now it exits
-                fleet.await_exit(victim, timeout_s=max(5.0, self.deadline_s))
-            for i in range(fleet.n_members):
-                if not fleet.alive(i):
-                    try:
-                        fleet.respawn(i)
-                    except (ReproError, OSError) as exc:
-                        respawn_error = f"member m{i} failed to respawn: {exc}"
-            if respawn_error:
-                # later sessions will surface the hole (their dials
-                # fail); the counter records where it opened
-                self.telemetry.counter("faults.procs.respawn_failures").inc()
-
-    def _fire_process_fault(
-        self, audit, fleet, client, sid, spec, victim: int, gate, worker
-    ) -> bool:
-        """Fire the process fault once the client has verified every
-        frame of the plan's round ``spec.frame``; returns False if the
-        query finished (or the deadline passed) before the trigger.
-
-        The frame count comes from the session's stored checkpoint
-        (``stream_boundaries``), which is on disk before the stream's
-        first frame: ``gate`` holds the client there until the count is
-        read, then again at the count while the fault fires.  Past the
-        client's one OT flight the member streams the whole query
-        without waiting, so by then it has sent frames the client has
-        not read.  A SIGKILL drops the client's wire with them — the
-        power-cut model — and lands at the planned round, as does a
-        cut.  A SIGTERM is only a signal: the member drains while the
-        client reads on, and its exit is awaited once the client has
-        said goodbye (:meth:`run_process_session`).
-        """
-        deadline = time.monotonic() + self.deadline_s
-        try:
-            if not gate.wait(worker, deadline):
-                return False
-            end = round_end(audit, sid, spec.frame, deadline)
-            if end is None or not gate.hold(end, worker, deadline):
-                return False
-            if spec.kind == TERM_PROCESS:
-                os.kill(fleet.pid(victim), signal.SIGTERM)
-                return True
-            if spec.kind == KILL_PROCESS:
-                fleet.kill(victim)
-            try:
-                client.endpoint.transport.close()
-            except OSError:
-                pass
-            return True
-        finally:
-            gate.release()
-
-    def _check_process_counters(self, fleet, spec, victim: int, before) -> str:
-        """The zero-re-garble oracle over the per-process counters.
-        Returns an empty string when the invariant holds, else the
-        violation detail."""
-        if spec.kind in (TERM_PROCESS, DISCONNECT_PROCESS):
-            # the serving member is (or exited) cooperative: its garble
-            # report ships over the pipe — wait for it, then require
-            # exactly one garble fleet-wide
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                after = fleet.runs_garbled_by_member()
-                if sum(after) - sum(before) >= 1:
-                    break
-                time.sleep(0.01)
-            time.sleep(0.05)  # let a (buggy) second report land too
-            after = fleet.runs_garbled_by_member()
-            total = sum(after) - sum(before)
-            if total != 1:
-                return (
-                    f"query garbled {total} runs across the fleet "
-                    "(expected exactly 1): a completed round was re-garbled"
-                )
-            return ""
-        # SIGKILL: the victim's last report may be lost with the process
-        # (delta 0 or 1), but the survivors adopted a checkpoint — any
-        # garble on their side is a re-garble
-        after = fleet.runs_garbled_by_member()
-        deltas = [a - b for a, b in zip(after, before)]
-        survivors = [d for i, d in enumerate(deltas) if i != victim]
-        if any(d != 0 for d in survivors):
-            return (
-                f"a survivor re-garbled the killed member's session "
-                f"(per-member deltas {deltas}, victim m{victim})"
-            )
-        if deltas[victim] > 1:
-            return (
-                f"victim m{victim} garbled {deltas[victim]} runs for one "
-                "query before dying"
-            )
-        return ""
-
-    def _await_balanced_ledger(self, audit, sid: str) -> str:
-        """Wait (bounded) for the shared store to show a balanced ledger
-        for ``sid``: checkpoint tombstoned, lease released.  Returns an
-        empty string on balance, else the violation detail."""
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if (audit.get(sid) is None
-                    and audit.lease_holder(sid) is None):
-                return ""
-            time.sleep(0.02)
-        cp = audit.get(sid)
-        lease = audit.lease_holder(sid)
-        return (
-            f"lease ledger unbalanced after recovery: checkpoint="
-            f"{'present' if cp is not None else 'none'}, "
-            f"lease_holder={lease!r}"
-        )
-
-    def _cut_at_gate(self, client, gate: FrameGate, worker) -> bool:
-        """Close the client's transport while ``gate`` holds its reader
-        (it has verified exactly the gate's frame count), then let it
-        read on; returns False if the query finished first.  Holding the
-        reader lands the cut at the same frame on every run, however far
-        the gateway has streamed ahead."""
-        held = gate.wait(worker, time.monotonic() + self.deadline_s)
-        if held:
-            client.endpoint.transport.close()
-        gate.release()
-        return held
-
-    def _await_counter(self, name: str, worker, minimum: int = 1) -> None:
-        deadline = time.monotonic() + self.deadline_s
-        while time.monotonic() < deadline and worker.is_alive():
-            if self.telemetry.counter(name).value >= minimum:
-                return
-            time.sleep(0.001)
-
-    def _saturate(self, serving, release: threading.Event) -> None:
-        """Fill the 1-worker/depth-1 serving layer with requests that
-        block on ``release``, so the next admission must shed."""
-        deadline = time.perf_counter() + self.deadline_s
-
-        first = _BlockerRequest(release, deadline)
-        serving._enqueue(first, block=True)
-        # wait until the worker picked it up, then fill the queue slot
-        wait_until = time.monotonic() + self.deadline_s
-        while time.monotonic() < wait_until and not serving._queue.empty():
-            time.sleep(0.001)
-        serving._enqueue(_BlockerRequest(release, deadline), block=True)
 
     # ------------------------------------------------------------------
     def _expected(self, row: int, x_values) -> float:
@@ -1646,3 +899,541 @@ class ConformanceOracle:
             elapsed_s=time.perf_counter() - start,
             gateway_id=gateway_id,
         )
+
+
+#: fault kinds a session recovers from with no client resume: a shed is
+#: retried, a drain (in process, or a member's SIGTERM) hands the stream
+#: over; once one fired, a bit-identical finish counts as recovered
+_RECOVERED_WITHOUT_RESUME = frozenset({SHED, DRAIN_GATEWAY, TERM_PROCESS})
+
+
+class _Topology:
+    """The serving side of one remote session.
+
+    A topology builds the serving side and the client's dialer
+    (:meth:`open`), fires the plan's fault while the query runs
+    (:meth:`fire`, which returns what it injected, ``""`` if the query
+    finished first) and lists the invariants a bit-identical finish
+    must also meet (:meth:`invariants`).  The oracle owns the watchdog
+    and the verdict ladder (:func:`judge`).  Every topology serves from
+    a pool-less server (``pool_size=0``), so a query, resumed or not,
+    must evaluate exactly once.
+    """
+
+    #: the fault kinds this topology fires
+    kinds: tuple[str, ...] = ()
+    #: the verdict's transport label
+    transport = "gateway"
+    #: the session in a hang's detail; where a wrong result showed up
+    noun, where = "recovery", " after recovery"
+    clean = "fault never fired (cut frame beyond the session); clean run"
+    client = server = None
+
+    def __init__(self, oracle: ConformanceOracle, plan: FaultPlan):
+        self.oracle = oracle
+        self.plan = plan
+        self.spec = next(f for f in plan.faults if f.kind in self.kinds)
+
+    def open(self) -> RemoteAnalyticsClient:
+        raise NotImplementedError
+
+    def fire(self, worker: threading.Thread) -> str:
+        raise NotImplementedError
+
+    def recovered(self) -> str:
+        """The detail of a fault that fired and was healed."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def invariants(self) -> tuple:
+        return (self._one_evaluation,)
+
+    def judge(self, outcome: Outcome, expected: float, fired: str, resumes: int):
+        recovered = bool(fired) and (
+            resumes >= 1 or self.spec.kind in _RECOVERED_WITHOUT_RESUME
+        )
+        return judge(
+            outcome, expected, contract_for(self.plan),
+            noun=self.noun, where=self.where, invariants=self.invariants(),
+            recovered=self.recovered() if recovered else "", clean=self.clean,
+        )
+
+    def gateway_id(self) -> str:
+        """The member that finally served the session (it may differ
+        from the one that started it)."""
+        return getattr(self.client.endpoint, "last_gateway_id", "")
+
+    # -- shared parts ---------------------------------------------------
+    def _pool_less_server(self) -> CloudServer:
+        o = self.oracle
+        self.server = CloudServer(
+            o.server.model, o.server.fmt, pool_size=0, seed=self.plan.seed,
+            auto_refill=False, telemetry=o.telemetry,
+        )
+        return self.server
+
+    def _client(self, dial, name: str, base_s: float, max_attempts: int):
+        o = self.oracle
+        self.client = RemoteAnalyticsClient(
+            dial=dial,
+            name=name,
+            backoff=BackoffPolicy(
+                base_s=base_s, cap_s=0.1, max_attempts=max_attempts,
+                seed=self.plan.seed,
+            ),
+            recv_timeout_s=o.remote_recv_timeout_s,
+            backend=o.backend if o.backend != "gc" else None,
+        )
+        return self.client
+
+    def _served(self) -> int:
+        """The backend's evaluation counter: GC garbled runs; HE
+        homomorphic products (a re-served checkpoint re-streams the
+        stored result ciphertext without recomputing it)."""
+        stats = self.server.stats
+        return stats.he_queries if self.oracle.backend == "he" else stats.runs_garbled
+
+    def _one_evaluation(self) -> str:
+        """Invariant: the query evaluated exactly once.  A delta of 2
+        means a completed round was re-garbled (wasted accelerator work,
+        a label-reuse hazard, or a lease-fencing failure)."""
+        served = self._served() - self.served_before
+        if served == 1:
+            return ""
+        if self.oracle.backend == "he":
+            return (
+                f"query evaluated {served} HE products (expected exactly 1): "
+                "a checkpointed result was recomputed"
+            )
+        return (
+            f"query garbled {served} runs (expected exactly 1): "
+            "a completed round was re-garbled"
+        )
+
+
+class _GatewayTopology(_Topology):
+    """One :class:`GCGateway` on a 1-worker/depth-1 serving layer; the
+    fault cuts the client's wire at a :class:`FrameGate` or sheds its
+    query from a saturated queue.
+
+    With the ``slo`` controller the worker knob is pinned (``min == max
+    == 1``: the shed assumes the 1-worker layer) and the tick interval
+    lies far beyond the deadline, so the only ticks are two warm-up
+    ticks fired by hand: an overloaded sample trace that walks the
+    escalation ladder to a non-default operating point (batch ceiling
+    4 → 2, shed left at zero so the session's own query is never
+    dropped).  The fault then fires mid-adaptation, and the operating
+    point must survive a drain.
+    """
+
+    kinds = RECOVERY_FAULT_KINDS
+    gateway = None
+
+    def __init__(self, oracle, plan):
+        super().__init__(oracle, plan)
+        self.slo = oracle.controller == "slo"
+        self.release = threading.Event()
+        if self.slo:
+            self.noun = "slo recovery"
+            self.clean = (
+                "fault never fired (cut frame beyond the session); clean "
+                "adaptive run, operating point survived the drain"
+            )
+
+    def open(self):
+        o = self.oracle
+        slo = dict(
+            controller="slo", slo_min_workers=1, slo_max_workers=1,
+            slo_tick_s=60.0, slo_cooldown_ticks=1,
+        )
+        self.config = o._remote_config(queue_depth=1, **(slo if self.slo else {}))
+        self.serving = ServingServer(
+            self._pool_less_server(), self.config, telemetry=o.telemetry
+        )
+        self.gateway = GCGateway(self.server, serving=self.serving, telemetry=o.telemetry)
+        self.serving.start()
+        if self.slo:
+            p99 = 4.0 * self.config.slo_p99_ms
+            hot = LoadSample(
+                queue_depth=1, queue_capacity=1, inflight=1, workers=1,
+                p50_ms=p99, p99_ms=p99,
+            )
+            for _ in range(2):
+                self.serving.controller.tick(hot)
+        name = "chaos-slo" if self.slo else "chaos-recovery"
+
+        def dial():
+            ours, theirs = socket.socketpair()
+            self.gateway.adopt(theirs)
+            return SocketEndpoint(name, ours, recv_timeout_s=o.remote_recv_timeout_s)
+
+        client = self._client(dial, name, base_s=0.01, max_attempts=10)
+        if self.spec.kind == SHED:
+            self._saturate()
+        else:
+            self.gate = FrameGate(client.endpoint, self.spec.frame)
+        self.served_before = self._served()
+        return client
+
+    def fire(self, worker):
+        deadline = time.monotonic() + self.oracle.deadline_s
+        if self.spec.kind == SHED:
+            # the queue is saturated, so the first QUERY is shed;
+            # release the blockers once the shed reply went out
+            shed = self.oracle.telemetry.counter("gateway.shed")
+            while time.monotonic() < deadline and worker.is_alive():
+                if shed.value >= 1:
+                    break
+                time.sleep(0.001)
+            self.release.set()
+            return f"{SHED}:queue_full"
+        # holding the reader lands the cut at the same frame on every
+        # run, however far the gateway has streamed ahead
+        held = self.gate.wait(worker, deadline)
+        if held:
+            self.client.endpoint.transport.close()
+        self.gate.release()
+        return f"{DISCONNECT}:cut@{self.spec.frame}" if held else ""
+
+    def invariants(self):
+        if self.slo:
+            return (self._one_evaluation, self._operating_point)
+        return (self._one_evaluation,)
+
+    def recovered(self):
+        if self.slo:
+            return (
+                "fault hit a live adapting session; query finished "
+                "bit-identical without recomputing and the operating "
+                "point survived the drain"
+            )
+        return (
+            "fault hit a live session; query finished bit-identical "
+            "without recomputing"
+        )
+
+    def gateway_id(self):
+        return ""  # one gateway: no member to name
+
+    def close(self):
+        self.release.set()
+        if self.client is not None:
+            self.client.close()
+        if self.gateway is not None:
+            self.gateway.stop()
+            self.serving.stop()
+
+    def _operating_point(self) -> str:
+        """Invariant: the controller's operating point rides the drain —
+        a successor on the same store inherits it verbatim."""
+        o = self.oracle
+        before = self.serving.controller.operating_point.to_dict()
+        self.gateway.drain(timeout_s=2.0)
+        successor = ServingServer(self.server, self.config, telemetry=o.telemetry)
+        GCGateway(
+            self.server, serving=successor, store=self.gateway.store,
+            telemetry=o.telemetry,
+        )
+        after = successor.controller.operating_point.to_dict()
+        if after == before:
+            return ""
+        return (
+            f"controller state lost across drain: predecessor "
+            f"checkpointed {before}, successor restored {after}"
+        )
+
+    def _saturate(self) -> None:
+        """Fill the 1-worker/depth-1 serving layer with requests that
+        block on ``release``, so the next admission must shed."""
+        deadline = time.perf_counter() + self.oracle.deadline_s
+        serving = self.serving
+        serving._enqueue(_BlockerRequest(self.release, deadline), block=True)
+        # wait until the worker picked it up, then fill the queue slot
+        wait_until = time.monotonic() + self.oracle.deadline_s
+        while time.monotonic() < wait_until and not serving._queue.empty():
+            time.sleep(0.001)
+        serving._enqueue(_BlockerRequest(self.release, deadline), block=True)
+
+
+class _GroupTopology(_Topology):
+    """An in-process :class:`~repro.fleet.GatewayGroup` on one session
+    store; the fault kills or drains the member serving the session
+    once the client has verified ``spec.frame`` frames, and a peer must
+    finish the query.  The lease TTL is short enough that a peer steals
+    a dead member's lease well inside the client's backoff budget."""
+
+    kinds = HANDOFF_FAULT_KINDS
+    transport = "fleet"
+    noun, where = "handoff", " after handoff"
+    group = None
+
+    def open(self):
+        from repro.fleet import GatewayGroup
+
+        o = self.oracle
+        config = o._remote_config(
+            queue_depth=2, lease_ttl_s=0.3, resume_batch_window_s=0.01
+        )
+        self.group = GatewayGroup(
+            self._pool_less_server(), n_gateways=o.gateways, config=config,
+            telemetry=o.telemetry,
+        )
+        if self.spec.kind == DRAIN_GATEWAY:
+            self._hold_rounds_for_drain(self.group.gateways[self.spec.gateway])
+        self.group.start()
+        # the dialer starts at the target member so the fault is
+        # guaranteed to hit the gateway actually serving the session
+        dialer = self.group.loopback_dialer(
+            name="chaos-handoff", recv_timeout_s=o.remote_recv_timeout_s,
+            start_at=self.spec.gateway,
+        )
+        client = self._client(dialer, "chaos-handoff", base_s=0.02, max_attempts=12)
+        self.served_before = self._served()
+        return client
+
+    def fire(self, worker):
+        spec = self.spec
+        deadline = time.monotonic() + self.oracle.deadline_s
+        while time.monotonic() < deadline and worker.is_alive():
+            if self.client.endpoint.recv_seq >= spec.frame:
+                break
+            time.sleep(0.001)
+        else:
+            return ""
+        if spec.kind == KILL_GATEWAY:
+            # the power-cut model: the member dies AND the client's wire
+            # drops.  Closing only the server side would leave buffered
+            # socketpair bytes readable — a stream that never waits on the
+            # client could finish without ever migrating, testing nothing.
+            transport = self.client.endpoint.transport
+            self.group.kill(spec.gateway)
+            try:
+                transport.close()
+            except Exception:
+                pass
+        else:
+            # graceful drain: blocks until the member checkpointed its
+            # sessions and released their leases
+            self.group.drain(
+                spec.gateway, timeout_s=max(2.0, self.oracle.deadline_s / 4)
+            )
+        return f"{spec.kind}:gw{spec.gateway}@{spec.frame}"
+
+    def recovered(self):
+        return (
+            f"gateway gw{self.spec.gateway} {self.spec.kind.split('_')[0]}ed "
+            "mid-stream; a peer finished the query bit-identical "
+            "without recomputing"
+        )
+
+    def close(self):
+        if self.client is not None:
+            self.client.close()
+        if self.group is not None:
+            self.group.stop()
+
+    def _hold_rounds_for_drain(self, gw: GCGateway) -> None:
+        """Pin where a drain triggered at client frame ``spec.frame``
+        lands.
+
+        Past its one OT flight the client sends nothing until the
+        result, so the stream runs ahead of the client's frame count
+        and would race the drain to its next round boundary: the same
+        plan would checkpoint mid-stream on one run and finish clean on
+        the next.  Every round boundary of ``gw``'s streams that ends at
+        or after the frame (per the session's stored frame map) waits
+        for the drain that the client's count triggers, so the drain
+        stops the stream at the first boundary at or after that frame.
+        """
+        round_hook, frame = gw._round_hook, self.spec.frame
+        deadline_s = self.oracle.deadline_s
+
+        def held(sid: str):
+            on_round = round_hook(sid)
+
+            def on_round_held(next_round: int) -> None:
+                cp = gw.store.get(sid)
+                ends = dict(map(tuple, cp.stream_boundaries)) if cp else {}
+                if ends.get(next_round, 0) >= frame:
+                    deadline = time.monotonic() + deadline_s
+                    while not gw.draining and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                on_round(next_round)
+
+            return on_round_held
+
+        gw._round_hook = held
+
+
+class _ProcessTopology(_Topology):
+    """A fleet of *real* gateway subprocesses on one store file; the
+    fault kills (``SIGKILL``) or drains (``SIGTERM``) a member, or cuts
+    the client's wire to it, once the client has verified every frame
+    of the plan's round.
+
+    The zero-re-garble proof is the per-process ``runs_garbled``
+    counters shipped over the results pipes (a SIGKILL may erase the
+    victim's last report — its delta may read 0 — but no *survivor* may
+    ever garble the migrated session again), and the lease ledger must
+    balance after recovery (checkpoint tombstoned, lease released, in
+    the shared file).
+    """
+
+    kinds = PROCESS_FAULT_KINDS
+    transport = "procs"
+    noun, where = "process", " across processes"
+    clean = (
+        "fault never fired (round trigger beyond the session); "
+        "clean run, ledger balanced"
+    )
+    fleet = None
+    fired = False
+
+    def __init__(self, oracle, plan):
+        super().__init__(oracle, plan)
+        self.victim = self.spec.gateway % oracle.gateways
+
+    def open(self):
+        o = self.oracle
+        self.fleet = o._ensure_fleet()
+        self.audit = o._fleet_audit
+        self.before = self.fleet.runs_garbled_by_member()
+        # dial the victim directly so the fault provably hits the
+        # member serving the session
+        dialer = self.fleet.dialer(
+            name="chaos-procs", recv_timeout_s=o.remote_recv_timeout_s,
+            start_at=self.victim,
+        )
+        client = self._client(dialer, "chaos-procs", base_s=0.02, max_attempts=12)
+        # held once it has read net.ack and seq.rounds: the stream's
+        # first frame follows the query's checkpoint put
+        self.gate = FrameGate(client.endpoint, client.endpoint.recv_seq + 2)
+        self.sid = client.session_id
+        return client
+
+    def fire(self, worker):
+        """The frame count of the plan's round comes from the session's
+        stored checkpoint (``stream_boundaries``), which is on disk
+        before the stream's first frame: the gate holds the client there
+        until the count is read, then again at the count while the fault
+        fires.  Past the client's one OT flight the member streams the
+        whole query without waiting, so by then it has sent frames the
+        client has not read.  A SIGKILL drops the client's wire with
+        them — the power-cut model — and lands at the planned round, as
+        does a cut.  A SIGTERM is only a signal: the member drains while
+        the client reads on, and its exit is awaited once the client has
+        said goodbye (:meth:`close`)."""
+        spec, gate, fleet = self.spec, self.gate, self.fleet
+        deadline = time.monotonic() + self.oracle.deadline_s
+        try:
+            if not gate.wait(worker, deadline):
+                return ""
+            end = round_end(self.audit, self.sid, spec.frame, deadline)
+            if end is None or not gate.hold(end, worker, deadline):
+                return ""
+            if spec.kind == TERM_PROCESS:
+                os.kill(fleet.pid(self.victim), signal.SIGTERM)
+            else:
+                if spec.kind == KILL_PROCESS:
+                    fleet.kill(self.victim)
+                try:
+                    self.client.endpoint.transport.close()
+                except OSError:
+                    pass
+            self.fired = True
+            return f"{spec.kind}:m{self.victim}@round{spec.frame}"
+        finally:
+            gate.release()
+
+    def invariants(self):
+        return (self._process_counters, self._balanced_ledger)
+
+    def recovered(self):
+        return (
+            f"member m{self.victim} hit {self.spec.kind} mid-stream; the "
+            "session finished bit-identical through the shared "
+            "store, zero rounds re-garbled, ledger balanced"
+        )
+
+    def close(self):
+        if self.client is not None:
+            self.client.close()
+        fleet = self.fleet
+        if fleet is None:
+            return
+        if self.fired and self.spec.kind == TERM_PROCESS:
+            # the drain heard the client's goodbye; now it exits
+            fleet.await_exit(self.victim, timeout_s=max(5.0, self.oracle.deadline_s))
+        failed = False
+        for i in range(fleet.n_members):
+            if not fleet.alive(i):
+                try:
+                    fleet.respawn(i)
+                except (ReproError, OSError):
+                    failed = True
+        if failed:
+            # later sessions will surface the hole (their dials fail);
+            # the counter records where it opened
+            self.oracle.telemetry.counter("faults.procs.respawn_failures").inc()
+
+    def _process_counters(self) -> str:
+        """Invariant: zero re-garbled rounds, over the per-process
+        counters."""
+        fleet, before, victim = self.fleet, self.before, self.victim
+        if self.spec.kind in (TERM_PROCESS, DISCONNECT_PROCESS):
+            # the serving member is (or exited) cooperative: its garble
+            # report ships over the pipe — wait for it, then require
+            # exactly one garble fleet-wide
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if sum(fleet.runs_garbled_by_member()) - sum(before) >= 1:
+                    break
+                time.sleep(0.01)
+            time.sleep(0.05)  # let a (buggy) second report land too
+            total = sum(fleet.runs_garbled_by_member()) - sum(before)
+            if total != 1:
+                return (
+                    f"query garbled {total} runs across the fleet "
+                    "(expected exactly 1): a completed round was re-garbled"
+                )
+            return ""
+        # SIGKILL: the victim's last report may be lost with the process
+        # (delta 0 or 1), but the survivors adopted a checkpoint — any
+        # garble on their side is a re-garble
+        deltas = [a - b for a, b in zip(fleet.runs_garbled_by_member(), before)]
+        if any(d != 0 for i, d in enumerate(deltas) if i != victim):
+            return (
+                f"a survivor re-garbled the killed member's session "
+                f"(per-member deltas {deltas}, victim m{victim})"
+            )
+        if deltas[victim] > 1:
+            return (
+                f"victim m{victim} garbled {deltas[victim]} runs for one "
+                "query before dying"
+            )
+        return ""
+
+    def _balanced_ledger(self) -> str:
+        """Invariant: once the client says goodbye, the shared store
+        shows a balanced ledger for the session (the adopter, or the
+        survivor, tombstones the checkpoint and releases the lease)."""
+        self.client.close()
+        audit, sid = self.audit, self.sid
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if audit.get(sid) is None and audit.lease_holder(sid) is None:
+                return ""
+            time.sleep(0.02)
+        cp = audit.get(sid)
+        return (
+            f"lease ledger unbalanced after recovery: checkpoint="
+            f"{'present' if cp is not None else 'none'}, "
+            f"lease_holder={audit.lease_holder(sid)!r}"
+        )
+
+
+#: the remote topologies, in dispatch order (a plan runs on the first
+#: whose fault kinds it holds)
+TOPOLOGIES = (_ProcessTopology, _GroupTopology, _GatewayTopology)

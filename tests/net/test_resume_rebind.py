@@ -231,10 +231,17 @@ class TestStopWithParkedSession:
             client.query_row(0, X)
             sid = client.session_id
             session = gw._live[sid]
+            # the answer is read before the gateway thread's
+            # streaming -> unconfirmed step gives the lease up: wait for
+            # that step, then snapshot what stop() must leave alone
+            deadline = time.monotonic() + 5.0
+            while (session.machine.state != "unconfirmed"
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert session.machine.state == "unconfirmed"
             stored = gw.store.get(sid).to_dict()
             holder = gw.store.lease_holder(sid)
             cut_wire(client)
-            time.sleep(0.2)  # the session parks on its broken wire
             t0 = time.monotonic()
             gw.stop()
             assert time.monotonic() - t0 < 2.0

@@ -58,7 +58,7 @@ class TestBackendsConfig:
             ChaosConfig(profile="backends", gateways=1).validate()
 
     def test_profile_selects_the_he_backend(self):
-        assert ChaosRunner(_config(seed=7)).backend == "he"
+        assert ChaosRunner(_config(seed=7)).profile.backend == "he"
         # every other profile keeps negotiating GC
         for profile, kw in (
             ("default", {}),
@@ -66,7 +66,7 @@ class TestBackendsConfig:
             ("handoff", {"gateways": 2}),
         ):
             cfg = ChaosConfig(profile=profile, sessions=2, seed=7, **kw)
-            assert ChaosRunner(cfg).backend == "gc", profile
+            assert ChaosRunner(cfg).profile.backend == "gc", profile
 
     def test_plan_stream_alternates_recovery_and_handoff(self):
         runner = ChaosRunner(_config(seed=7, sessions=6))

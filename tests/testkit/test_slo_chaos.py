@@ -58,14 +58,14 @@ class TestSloProfileConfig:
         ChaosConfig(profile="slo", sessions=2, seed=7, gateways=1).validate()
 
     def test_profile_selects_the_slo_controller(self):
-        assert ChaosRunner(_config(seed=7)).controller == "slo"
+        assert ChaosRunner(_config(seed=7)).profile.controller == "slo"
         for profile, kw in (
             ("default", {}),
             ("recovery", {}),
             ("handoff", {"gateways": 2}),
         ):
             cfg = ChaosConfig(profile=profile, sessions=2, seed=7, **kw)
-            assert ChaosRunner(cfg).controller == "static", profile
+            assert ChaosRunner(cfg).profile.controller == "static", profile
 
     def test_plan_stream_is_deterministic(self):
         runner_a = ChaosRunner(_config(seed=13, sessions=8))
